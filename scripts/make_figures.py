@@ -10,7 +10,7 @@ import argparse
 import time
 from pathlib import Path
 
-from spde_moments.cli import figure_rows, locate_crossing, _grid_spec
+from spde_moments.cli import figure_csv, figure_rows, grid_spec, locate_crossing
 
 
 def main() -> int:
@@ -24,17 +24,15 @@ def main() -> int:
     beta_step = 0.1 if args.coarse else 0.01
     alpha_step = 0.25 if args.coarse else 0.05
     jobs = [
-        ("sheswe", 1.0, 1.0, _grid_spec(f"0.05:2.0:{beta_step}")),
-        ("tfspde", 2.0, 1.0, _grid_spec(f"0.05:2.0:{beta_step}")),
-        ("sfhe", 1.0, 1.0, _grid_spec(f"1.05:5.0:{alpha_step}")),
+        ("sheswe", 1.0, 1.0, grid_spec(f"0.05:2.0:{beta_step}")),
+        ("tfspde", 2.0, 1.0, grid_spec(f"0.05:2.0:{beta_step}")),
+        ("sfhe", 1.0, 1.0, grid_spec(f"1.05:5.0:{alpha_step}")),
     ]
     for family, nu, lam, grid in jobs:
         t0 = time.time()
         rows = figure_rows(family, nu, lam, grid)
-        lines = [f"# family={family} nu={nu!r} lambda={lam!r}", "x,y,series"]
-        lines += [f"{x:.17g},{y:.17g},{s}" for x, y, s in rows]
         path = outdir / f"fig_{family}.csv"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(figure_csv(family, nu, lam, rows))
         print(f"{path}: {len(rows)} rows in {time.time()-t0:.1f}s")
         if family == "sfhe":
             xc, yc = locate_crossing(rows, "sfhe_lyapunov", "sfwe_lyapunov")

@@ -7,6 +7,7 @@ from .errors import (
     DomainTooSmall,
     InvalidParams,
     MittagLefflerAccuracyWarning,
+    ResultOverflow,
     SpdeMomentsError,
     StabilityViolated,
     StepTooCoarse,

@@ -1,19 +1,20 @@
 """Command-line front end.
 
 Subcommands: check-dalang, constants, second-moment, lyapunov, pth-bound,
-volterra, chaos, diagrams, simulate, figures.  Deterministic commands emit
-byte-stable CSV/JSON with the fully resolved parameter set echoed in the
-output header.  Exit codes: 0 success, 2 validation, 3 convergence,
+volterra, chaos, diagrams, simulate, figures.  Each subcommand declares
+only the options it reads.  Deterministic commands emit byte-stable
+CSV/JSON with the fully resolved parameter set echoed in the output
+header.  Exit codes: 0 success, 2 validation, 3 convergence,
 4 stability.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,39 +32,22 @@ from .model import (
     ModelParams,
     big_theta,
     dalang_satisfied,
+    derived_constants,
     params_from_kv,
+    params_to_dict,
     theta,
     theta_integral_finite,
 )
 
-__all__ = ["RunSpec", "run", "main", "figure_rows", "locate_crossing"]
+__all__ = ["main", "figure_rows", "figure_csv", "grid_spec", "locate_crossing"]
+
+# parameters of a model command without --config or model flags
+_DEFAULT_PARAMS = ModelParams(alpha=2.0, beta=1.0)
+_MODEL_FIELDS = tuple(f.name for f in dataclasses.fields(ModelParams))
 
 
-@dataclass
-class RunSpec:
-    command: str
-    params: ModelParams
-    options: dict = field(default_factory=dict)
-
-
-def _params_header(p: ModelParams) -> list[str]:
-    return [
-        "# alpha=%r beta=%r gamma=%r lambda=%r nu=%r dim=%d u0=%r u1=%r"
-        % (p.alpha, p.beta, p.gamma, p.lam, p.nu, p.dim, p.u0, p.u1)
-    ]
-
-
-def _params_dict(p: ModelParams) -> dict:
-    return {
-        "alpha": p.alpha,
-        "beta": p.beta,
-        "gamma": p.gamma,
-        "lambda": p.lam,
-        "nu": p.nu,
-        "dim": p.dim,
-        "u0": p.u0,
-        "u1": p.u1,
-    }
+def _params_header(p: ModelParams) -> str:
+    return "# " + " ".join(f"{k}={v!r}" for k, v in params_to_dict(p).items()) + "\n"
 
 
 def _emit(text: str, out_path):
@@ -73,7 +57,11 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _grid_spec(text: str) -> np.ndarray:
+def _emit_json(payload: dict, out_path):
+    _emit(json.dumps(payload, indent=2) + "\n", out_path)
+
+
+def grid_spec(text: str) -> np.ndarray:
     """start:stop:step inclusive of both ends (within rounding)."""
     try:
         start, stop, step = (float(v) for v in text.split(":"))
@@ -94,38 +82,47 @@ def _dalang_inequality(p: ModelParams) -> str:
     return f"d < alpha*min(2, 1+gamma) = {bound:.17g}"
 
 
+# family -> (theta_big row gated on Dalang's condition rather than on a
+# finite spectral integral, curves); a curve is (series prefix, the
+# ModelParams fields at grid point x).  sheswe and tfspde differ only in
+# gamma(beta).  The library functions are looked up when a row is made, not
+# stored here, so that wrappers installed on the module are seen.
+_FIGURE_FAMILIES = {
+    "sheswe": (False, [("", lambda x: dict(alpha=2.0, beta=x, gamma=0.0))]),
+    "tfspde": (False, [("", lambda x: dict(alpha=2.0, beta=x, gamma=math.ceil(x) - x))]),
+    "sfhe": (
+        True,
+        [
+            ("sfhe_", lambda x: dict(alpha=x, beta=1.0, gamma=0.0)),
+            ("sfwe_", lambda x: dict(alpha=x, beta=2.0, gamma=0.0)),
+        ],
+    ),
+}
+
+
 def figure_rows(family: str, nu: float, lam: float, grid) -> list[tuple]:
     """(x, y, series) rows for the parameter-sweep figure families."""
-    rows = []
-    if family == "sheswe":
-        for beta in grid:
-            beta = float(beta)
-            p = ModelParams(alpha=2.0, beta=beta, gamma=0.0, lam=lam, nu=nu, dim=1)
-            if theta_integral_finite(p):
-                rows.append((beta, big_theta(p), "theta_big"))
-            if dalang_satisfied(p):
-                rows.append((beta, mm.second_lyapunov(p), "lyapunov"))
-    elif family == "tfspde":
-        for beta in grid:
-            beta = float(beta)
-            gam = math.ceil(beta) - beta
-            p = ModelParams(alpha=2.0, beta=beta, gamma=gam, lam=lam, nu=nu, dim=1)
-            if theta_integral_finite(p):
-                rows.append((beta, big_theta(p), "theta_big"))
-            if dalang_satisfied(p):
-                rows.append((beta, mm.second_lyapunov(p), "lyapunov"))
-    elif family == "sfhe":
-        for alpha in grid:
-            alpha = float(alpha)
-            for series, beta in (("sfhe", 1.0), ("sfwe", 2.0)):
-                p = ModelParams(alpha=alpha, beta=beta, gamma=0.0, lam=lam, nu=nu, dim=1)
-                if not dalang_satisfied(p):
-                    continue
-                rows.append((alpha, big_theta(p), f"{series}_theta_big"))
-                rows.append((alpha, mm.second_lyapunov(p), f"{series}_lyapunov"))
-    else:
+    if family not in _FIGURE_FAMILIES:
         raise ValidationError(f"unknown figure family {family!r}")
+    dalang_gated, curves = _FIGURE_FAMILIES[family]
+    rows = []
+    for x in grid:
+        x = float(x)
+        for prefix, fields_at in curves:
+            p = ModelParams(**fields_at(x), lam=lam, nu=nu, dim=1)
+            dalang = dalang_satisfied(p)
+            if dalang if dalang_gated else theta_integral_finite(p):
+                rows.append((x, big_theta(p), prefix + "theta_big"))
+            if dalang:
+                rows.append((x, mm.second_lyapunov(p), prefix + "lyapunov"))
     return rows
+
+
+def figure_csv(family: str, nu: float, lam: float, rows) -> str:
+    """Figure rows as `x,y,series` CSV under a header comment."""
+    lines = [f"# family={family} nu={nu!r} lambda={lam!r}", "x,y,series"]
+    lines += [f"{x:.17g},{y:.17g},{s}" for x, y, s in rows]
+    return "\n".join(lines) + "\n"
 
 
 def locate_crossing(rows, series_a: str, series_b: str):
@@ -154,47 +151,57 @@ def locate_crossing(rows, series_a: str, series_b: str):
     raise ValidationError("series do not cross on the grid")
 
 
-def _cmd_check_dalang(spec: RunSpec) -> int:
-    p = spec.params
+def _resolve_params(ns: argparse.Namespace) -> ModelParams:
+    """Heat-equation defaults, or the --config file, overridden by the model flags."""
+    params = params_from_kv(Path(ns.config).read_text()) if ns.config else _DEFAULT_PARAMS
+    flags = {k: getattr(ns, k) for k in _MODEL_FIELDS if getattr(ns, k) is not None}
+    params = dataclasses.replace(params, **flags)
+    if params.beta <= 1.0 and params.u1 != 0.0:
+        print(
+            "warning: u1 is ignored for beta <= 1 (no initial velocity)",
+            file=sys.stderr,
+        )
+        params = dataclasses.replace(params, u1=0.0)
+    return params
+
+
+def _cmd_check_dalang(ns) -> int:
+    p = _resolve_params(ns)
     ok = dalang_satisfied(p)
     payload = {
         "satisfied": ok,
         "inequality": _dalang_inequality(p),
         "d": p.dim,
         "theta": theta(p),
-        "params": _params_dict(p),
+        "params": params_to_dict(p),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", spec.options.get("out"))
+    _emit_json(payload, ns.out)
     return 0 if ok else 2
 
 
-def _cmd_constants(spec: RunSpec) -> int:
-    p = spec.params
-    from .model import derived_constants
-
+def _cmd_constants(ns) -> int:
+    p = _resolve_params(ns)
     dc = derived_constants(p)
     payload = {
         "theta": dc.theta,
         "big_theta": dc.big_theta,
         "lyapunov_base": dc.lyapunov_base,
-        "params": _params_dict(p),
+        "params": params_to_dict(p),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", spec.options.get("out"))
+    _emit_json(payload, ns.out)
     return 0
 
 
-def _moment_grid(spec: RunSpec) -> np.ndarray:
-    t_max = spec.options.get("t_max") or spec.options.get("t") or 1.0
-    n = int(spec.options.get("n_points") or 256)
-    if t_max <= 0 or n < 2:
+def _moment_grid(ns) -> np.ndarray:
+    if ns.t_max <= 0 or ns.n_points < 2:
         raise ValidationError("need t_max > 0 and at least 2 grid points")
-    return np.arange(1, n + 1) * (t_max / n)
+    return np.arange(1, ns.n_points + 1) * (ns.t_max / ns.n_points)
 
 
-def _curve_text(curve: mm.MomentCurve, fmt: str = "csv") -> str:
+def _curve_text(curve: mm.MomentCurve, fmt: str) -> str:
     if fmt == "json":
         payload = {
-            "params": _params_dict(curve.params),
+            "params": params_to_dict(curve.params),
             "method": curve.method,
             "t": [float(v) for v in curve.t_grid],
             "value": [float(v) for v in curve.values],
@@ -202,189 +209,127 @@ def _curve_text(curve: mm.MomentCurve, fmt: str = "csv") -> str:
         if curve.stderr is not None:
             payload["stderr"] = [float(v) for v in curve.stderr]
         return json.dumps(payload, indent=2) + "\n"
-    return "\n".join(_params_header(curve.params)) + "\n" + curve.to_csv()
+    return _params_header(curve.params) + curve.to_csv()
 
 
-def _cmd_second_moment(spec: RunSpec) -> int:
-    p = spec.params
-    grid = _moment_grid(spec)
+def _cmd_second_moment(ns) -> int:
+    p = _resolve_params(ns)
+    grid = _moment_grid(ns)
     values = np.array([mm.second_moment(p, float(t)) for t in grid])
     curve = mm.MomentCurve(grid, values, "closed-form", p)
-    _emit(_curve_text(curve, spec.options.get("format", "csv")), spec.options.get("out"))
+    _emit(_curve_text(curve, ns.format), ns.out)
     return 0
 
 
-def _cmd_volterra(spec: RunSpec) -> int:
-    p = spec.params
-    grid = _moment_grid(spec)
-    curve = mm.volterra_second_moment(p, grid, rtol=spec.options.get("rtol"))
-    _emit(_curve_text(curve, spec.options.get("format", "csv")), spec.options.get("out"))
+def _cmd_volterra(ns) -> int:
+    p = _resolve_params(ns)
+    curve = mm.volterra_second_moment(p, _moment_grid(ns), rtol=ns.rtol)
+    _emit(_curve_text(curve, ns.format), ns.out)
     return 0
 
 
-def _cmd_lyapunov(spec: RunSpec) -> int:
-    p = spec.params
+def _cmd_lyapunov(ns) -> int:
+    p = _resolve_params(ns)
     payload = {
         "second_lyapunov": mm.second_lyapunov(p),
-        "params": _params_dict(p),
+        "params": params_to_dict(p),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", spec.options.get("out"))
+    _emit_json(payload, ns.out)
     return 0
 
 
-def _cmd_pth_bound(spec: RunSpec) -> int:
-    p = spec.params
-    pp = float(spec.options.get("p") or 2.0)
-    t = float(spec.options.get("t") or 1.0)
+def _cmd_pth_bound(ns) -> int:
+    p = _resolve_params(ns)
     payload = {
-        "p": pp,
-        "t": t,
-        "pth_moment_upper_sq": mm.pth_moment_upper(p, t, pp),
-        "pth_lyapunov_upper": mm.pth_lyapunov_upper(p, pp),
+        "p": ns.p,
+        "t": ns.t,
+        "pth_moment_upper_sq": mm.pth_moment_upper(p, ns.t, ns.p),
+        "pth_lyapunov_upper": mm.pth_lyapunov_upper(p, ns.p),
         "rate_exponent": 1.0 + 1.0 / (theta(p) + 1.0),
-        "params": _params_dict(p),
+        "params": params_to_dict(p),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", spec.options.get("out"))
+    _emit_json(payload, ns.out)
     return 0
 
 
-def _cmd_chaos(spec: RunSpec) -> int:
-    p = spec.params
-    t = float(spec.options.get("t") or 1.0)
-    k_max = int(spec.options.get("k") or 4)
-    terms = [dg.chaos_term(p, t, k) for k in range(k_max + 1)]
+def _cmd_chaos(ns) -> int:
+    p = _resolve_params(ns)
+    terms = [dg.chaos_term(p, ns.t, k) for k in range(ns.k + 1)]
     payload = {
-        "t": t,
+        "t": ns.t,
         "terms": terms,
         "partial_sum": float(sum(terms)),
-        "second_moment": mm.second_moment(p, t),
-        "params": _params_dict(p),
+        "second_moment": mm.second_moment(p, ns.t),
+        "params": params_to_dict(p),
     }
-    if spec.options.get("mc_samples"):
-        samples = int(spec.options["mc_samples"])
-        seed = int(spec.options.get("seed") or 0)
+    if ns.mc_samples is not None:
         mc = [
-            dg.chaos_term_mc(p, t, k, samples, seed + k)
-            for k in range(min(k_max, 4) + 1)
+            dg.chaos_term_mc(p, ns.t, k, ns.mc_samples, ns.seed + k)
+            for k in range(min(ns.k, 4) + 1)
         ]
         payload["mc"] = [{"k": k, "estimate": e, "stderr": s} for k, (e, s) in enumerate(mc)]
-    _emit(json.dumps(payload, indent=2) + "\n", spec.options.get("out"))
+    _emit_json(payload, ns.out)
     return 0
 
 
-def _cmd_diagrams(spec: RunSpec) -> int:
-    opts = spec.options
+def _cmd_diagrams(ns) -> int:
+    if (ns.p is None) != (ns.m is None):
+        raise ValidationError("diagrams needs --p and --m together")
     lines = []
-    if opts.get("partition"):
-        part = dg.Partition(tuple(int(v) for v in opts["partition"].split(",")))
+    if ns.partition:
+        part = dg.Partition(ns.partition)
         diags = dg.enumerate_admissible(part)
         lines.append(f"# admissible diagrams for n={part.n}: {len(diags)}")
-        if not opts.get("count_only"):
+        if not ns.count_only:
             lines.extend(dg.diagram_to_line(d) for d in diags)
-    if opts.get("p") and opts.get("m"):
-        p_even, m = int(opts["p"]), int(opts["m"])
+    if ns.p is not None:
         lines.append(
-            f"# balanced diagrams p={p_even} m={m}: {dg.count_balanced(p_even, m)} "
-            f"(lower bound {dg.count_lower_bound(p_even, m)})"
+            f"# balanced diagrams p={ns.p} m={ns.m}: {dg.count_balanced(ns.p, ns.m)} "
+            f"(lower bound {dg.count_lower_bound(ns.p, ns.m)})"
         )
-        if not opts.get("count_only"):
-            for part in dg.balanced_partitions(p_even, m):
-                for d in dg.enumerate_balanced(part, p_even, m):
+        if not ns.count_only:
+            for part in dg.balanced_partitions(ns.p, ns.m):
+                for d in dg.enumerate_balanced(part, ns.p, ns.m):
                     lines.append(dg.diagram_to_line(d))
     if not lines:
         raise ValidationError("diagrams needs --partition and/or --p/--m")
-    _emit("\n".join(lines) + "\n", opts.get("out"))
+    _emit("\n".join(lines) + "\n", ns.out)
     return 0
 
 
-def _cmd_simulate(spec: RunSpec) -> int:
-    p = spec.params
-    opts = spec.options
-    family = opts.get("family")
-    t_end = float(opts.get("t_max") or opts.get("t") or 0.5)
-    probes = opts.get("probes") or [t_end]
+def _cmd_simulate(ns) -> int:
+    p = _resolve_params(ns)
     cfg = sim.SimConfig(
-        dx=float(opts.get("dx") or 0.02),
-        dt=float(opts.get("dt") or 1e-4),
-        domain_half_width=float(opts.get("domain_half_width") or 1.2),
-        t_end=t_end,
-        n_paths=int(opts.get("paths") or 10000),
-        seed=int(opts.get("seed") or 0),
+        dx=ns.dx,
+        dt=ns.dt,
+        domain_half_width=ns.domain_half_width,
+        t_end=ns.t_max,
+        n_paths=ns.paths,
+        seed=ns.seed,
     )
-    if family == "she":
-        out = sim.simulate_she(p, cfg, probes)
-    elif family == "swe":
-        out = sim.simulate_swe(p, cfg, probes)
-    else:
-        raise ValidationError("simulate needs --family she|swe")
-    text = _curve_text(out.curve, opts.get("format", "csv"))
-    out_path = opts.get("out")
-    _emit(text, out_path)
-    sidecar = {
-        "n_paths": out.meta["n_paths"],
-        "seed": out.meta["seed"],
-        "dx": out.meta["dx"],
-        "dt": out.meta["dt"],
-        "stderr": out.meta["stderr"],
-        "scheme": out.meta["scheme"],
-        "params": _params_dict(p),
-    }
-    if out_path:
-        Path(out_path).with_suffix(".json").write_text(
-            json.dumps(sidecar, indent=2) + "\n"
-        )
-    else:
-        sys.stdout.write(json.dumps(sidecar, indent=2) + "\n")
+    probes = ns.probes if ns.probes is not None else [ns.t_max]
+    simulate = sim.simulate_she if ns.family == "she" else sim.simulate_swe
+    out = simulate(p, cfg, probes)
+    _emit(_curve_text(out.curve, ns.format), ns.out)
+    sidecar = {key: out.meta[key] for key in ("n_paths", "seed", "dx", "dt", "stderr", "scheme")}
+    sidecar["params"] = params_to_dict(p)
+    sidecar_path = Path(ns.out).with_suffix(".json") if ns.out else None
+    _emit_json(sidecar, sidecar_path)
     return 0
 
 
-def _cmd_figures(spec: RunSpec) -> int:
-    opts = spec.options
-    family = opts.get("family")
-    if not family:
-        raise ValidationError("figures needs --family sheswe|tfspde|sfhe")
-    p = spec.params
-    if family == "sfhe":
-        grid = _grid_spec(opts.get("alpha_grid") or "1.05:5:0.05")
-    else:
-        grid = _grid_spec(opts.get("beta_grid") or "0.01:2.0:0.01")
-    rows = figure_rows(family, p.nu, p.lam, grid)
-    lines = [f"# family={family} nu={p.nu!r} lambda={p.lam!r}", "x,y,series"]
-    lines += [f"{x:.17g},{y:.17g},{s}" for x, y, s in rows]
-    _emit("\n".join(lines) + "\n", opts.get("out"))
+def _cmd_figures(ns) -> int:
+    grid = grid_spec(ns.alpha_grid if ns.family == "sfhe" else ns.beta_grid)
+    rows = figure_rows(ns.family, ns.nu, ns.lam, grid)
+    _emit(figure_csv(ns.family, ns.nu, ns.lam, rows), ns.out)
     return 0
 
 
-_COMMANDS = {
-    "check-dalang": _cmd_check_dalang,
-    "constants": _cmd_constants,
-    "second-moment": _cmd_second_moment,
-    "volterra": _cmd_volterra,
-    "lyapunov": _cmd_lyapunov,
-    "pth-bound": _cmd_pth_bound,
-    "chaos": _cmd_chaos,
-    "diagrams": _cmd_diagrams,
-    "simulate": _cmd_simulate,
-    "figures": _cmd_figures,
-}
-
-
-def run(spec: RunSpec) -> int:
-    handler = _COMMANDS.get(spec.command)
-    if handler is None:
-        raise ValidationError(f"unknown command {spec.command!r}")
-    return handler(spec)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="spde-moments",
-        description="Moments and Lyapunov exponents for fractional "
-        "stochastic heat/wave equations with space-time white noise.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
+def _command(sub, name: str, handler, model: bool = True) -> argparse.ArgumentParser:
+    """A subcommand parser with --out and, for model commands, the model flags."""
+    sp = sub.add_parser(name)
+    sp.set_defaults(handler=handler)
+    if model:
         sp.add_argument("--config", help="flat key=value parameter file")
         sp.add_argument("--alpha", type=float)
         sp.add_argument("--beta", type=float)
@@ -394,78 +339,73 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--dim", type=int)
         sp.add_argument("--u0", type=float)
         sp.add_argument("--u1", type=float)
-        sp.add_argument("--t", type=float)
-        sp.add_argument("--t-max", dest="t_max", type=float)
-        sp.add_argument("--n-points", dest="n_points", type=int)
-        sp.add_argument("--p", type=float)
-        sp.add_argument("--m", type=int)
-        sp.add_argument("--k", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--paths", type=int)
-        sp.add_argument("--dx", type=float)
-        sp.add_argument("--dt", type=float)
-        sp.add_argument("--domain-half-width", dest="domain_half_width", type=float)
-        sp.add_argument("--rtol", type=float)
-        sp.add_argument("--family", choices=["she", "swe", "sheswe", "tfspde", "sfhe"])
-        sp.add_argument("--beta-grid", dest="beta_grid")
-        sp.add_argument("--alpha-grid", dest="alpha_grid")
-        sp.add_argument("--partition")
-        sp.add_argument("--count-only", action="store_true")
-        sp.add_argument("--mc-samples", dest="mc_samples", type=int)
-        sp.add_argument("--probes", type=float, nargs="+")
-        sp.add_argument("--out")
-        sp.add_argument("--format", choices=["csv", "json"], default="csv")
+    sp.add_argument("--out", help="output file (default: stdout)")
+    return sp
+
+
+def partition_sizes(text: str) -> tuple[int, ...]:
+    """`a,b,...` as a tuple of part sizes (the --partition type)."""
+    return tuple(int(v) for v in text.split(","))
+
+
+def _curve_options(sp, t_max: float):
+    """Options of the commands that emit a t,value,method curve."""
+    sp.add_argument("--t-max", dest="t_max", type=float, default=t_max)
+    sp.add_argument("--format", choices=["csv", "json"], default="csv")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="spde-moments",
+        description="Moments and Lyapunov exponents for fractional "
+        "stochastic heat/wave equations with space-time white noise.",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    _command(sub, "check-dalang", _cmd_check_dalang)
+    _command(sub, "constants", _cmd_constants)
+    sp = _command(sub, "second-moment", _cmd_second_moment)
+    _curve_options(sp, t_max=1.0)
+    sp.add_argument("--n-points", dest="n_points", type=int, default=256)
+    sp = _command(sub, "volterra", _cmd_volterra)
+    _curve_options(sp, t_max=1.0)
+    sp.add_argument("--n-points", dest="n_points", type=int, default=256)
+    sp.add_argument("--rtol", type=float, help="Richardson check at half the step")
+    _command(sub, "lyapunov", _cmd_lyapunov)
+    sp = _command(sub, "pth-bound", _cmd_pth_bound)
+    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--t", type=float, default=1.0)
+    sp = _command(sub, "chaos", _cmd_chaos)
+    sp.add_argument("--t", type=float, default=1.0)
+    sp.add_argument("--k", type=int, default=4)
+    sp.add_argument("--mc-samples", dest="mc_samples", type=int)
+    sp.add_argument("--seed", type=int, default=0)
+    sp = _command(sub, "diagrams", _cmd_diagrams, model=False)
+    sp.add_argument("--partition", type=partition_sizes, help="comma-separated part sizes")
+    sp.add_argument("--p", type=int)
+    sp.add_argument("--m", type=int)
+    sp.add_argument("--count-only", action="store_true")
+    sp = _command(sub, "simulate", _cmd_simulate)
+    sp.add_argument("--family", choices=["she", "swe"], required=True)
+    _curve_options(sp, t_max=0.5)
+    sp.add_argument("--probes", type=float, nargs="+")
+    sp.add_argument("--dx", type=float, default=0.02)
+    sp.add_argument("--dt", type=float, default=1e-4)
+    sp.add_argument("--domain-half-width", dest="domain_half_width", type=float, default=1.2)
+    sp.add_argument("--paths", type=int, default=10000)
+    sp.add_argument("--seed", type=int, default=0)
+    sp = _command(sub, "figures", _cmd_figures, model=False)
+    sp.add_argument("--family", choices=list(_FIGURE_FAMILIES), required=True)
+    sp.add_argument("--nu", type=float, default=1.0)
+    sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    sp.add_argument("--beta-grid", dest="beta_grid", default="0.01:2.0:0.01")
+    sp.add_argument("--alpha-grid", dest="alpha_grid", default="1.05:5:0.05")
     return ap
-
-
-def _resolve_params(ns: argparse.Namespace) -> ModelParams:
-    base = {
-        "alpha": 2.0,
-        "beta": 1.0,
-        "gamma": 0.0,
-        "lam": 1.0,
-        "nu": 1.0,
-        "dim": 1,
-        "u0": 1.0,
-        "u1": 0.0,
-    }
-    if ns.config:
-        cp = params_from_kv(Path(ns.config).read_text())
-        base = {
-            "alpha": cp.alpha,
-            "beta": cp.beta,
-            "gamma": cp.gamma,
-            "lam": cp.lam,
-            "nu": cp.nu,
-            "dim": cp.dim,
-            "u0": cp.u0,
-            "u1": cp.u1,
-        }
-    for key in base:
-        val = getattr(ns, key, None)
-        if val is not None:
-            base[key] = val
-    params = ModelParams(**base)
-    if params.beta <= 1.0 and params.u1 not in (0.0, None) and params.u1 != 0.0:
-        print(
-            "warning: u1 is ignored for beta <= 1 (no initial velocity)",
-            file=sys.stderr,
-        )
-        params = ModelParams(**{**base, "u1": 0.0})
-    return params
 
 
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
-        params = _resolve_params(ns)
-        options = {
-            k: v
-            for k, v in vars(ns).items()
-            if k not in {"command", "config"} and v is not None
-        }
-        spec = RunSpec(command=ns.command, params=params, options=options)
-        return run(spec)
+        return ns.handler(ns)
     except ValidationError as exc:
         _error_json(exc)
         return 2

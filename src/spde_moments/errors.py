@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping used by the CLI: validation errors -> 2,
-convergence errors -> 3, stability/domain errors -> 4.
+convergence errors -> 3, stability/domain errors -> 4, any other package
+error (such as ResultOverflow) -> 2.
 """
 
 
@@ -39,6 +40,10 @@ class ConvergenceFailure(SpdeMomentsError):
 
 class StepTooCoarse(ConvergenceFailure):
     """Volterra step size fails the a-posteriori Richardson test."""
+
+
+class ResultOverflow(SpdeMomentsError, OverflowError):
+    """A result lies outside the double range; the input itself is valid."""
 
 
 class StabilityViolated(SpdeMomentsError):

@@ -39,6 +39,7 @@ __all__ = [
     "l2_norm_kernel",
     "j0",
     "kernel_nonneg_known",
+    "params_to_dict",
     "params_to_kv",
     "params_from_kv",
 ]
@@ -399,25 +400,24 @@ def kernel_nonneg_known(p: ModelParams) -> KernelSign:
     return KernelSign.UNKNOWN
 
 
+# key -> ModelParams field, in the order of config files and JSON "params"
 _KV_KEYS = ("alpha", "beta", "gamma", "lambda", "nu", "dim", "u0", "u1")
+_KV_FIELDS = {key: "lam" if key == "lambda" else key for key in _KV_KEYS}
+
+
+def params_to_dict(p: ModelParams) -> dict:
+    """The parameters keyed by _KV_KEYS, in that order."""
+    return {key: getattr(p, field) for key, field in _KV_FIELDS.items()}
 
 
 def params_to_kv(p: ModelParams) -> str:
     """Flat key=value text block (one key per line)."""
-    values = {
-        "alpha": p.alpha,
-        "beta": p.beta,
-        "gamma": p.gamma,
-        "lambda": p.lam,
-        "nu": p.nu,
-        "dim": p.dim,
-        "u0": p.u0,
-        "u1": p.u1,
-    }
-    return "\n".join(f"{k}={values[k]!r}" for k in _KV_KEYS) + "\n"
+    return "".join(f"{k}={v!r}\n" for k, v in params_to_dict(p).items())
 
 
 def params_from_kv(text: str) -> ModelParams:
+    """Inverse of params_to_kv; alpha and beta are required, the other keys
+    default to the ModelParams defaults."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -427,21 +427,17 @@ def params_from_kv(text: str) -> ModelParams:
             raise InvalidParams(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _KV_KEYS:
+        if key not in _KV_FIELDS:
             raise InvalidParams(f"line {lineno}: unknown key {key!r}")
-        values[key] = val.strip()
+        try:
+            values[_KV_FIELDS[key]] = float(val)
+        except ValueError:
+            raise InvalidParams(f"line {lineno}: {key} is not a number: {val.strip()!r}") from None
     missing = [k for k in ("alpha", "beta") if k not in values]
     if missing:
         raise InvalidParams(f"missing required keys: {missing}")
-    def num(key, default):
-        return float(values[key]) if key in values else default
-    return ModelParams(
-        alpha=float(values["alpha"]),
-        beta=float(values["beta"]),
-        gamma=num("gamma", 0.0),
-        lam=num("lambda", 1.0),
-        nu=num("nu", 1.0),
-        dim=int(float(values.get("dim", 1))),
-        u0=num("u0", 1.0),
-        u1=num("u1", 0.0),
-    )
+    if "dim" in values:
+        if not values["dim"].is_integer():
+            raise InvalidParams(f"dim must be a positive integer, got {values['dim']!r}")
+        values["dim"] = int(values["dim"])
+    return ModelParams(**values)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import specialfn as sf
-from .errors import InvalidParams, StepTooCoarse
+from .errors import InvalidParams, ResultOverflow, StepTooCoarse
 from .model import (
     DalangViolated,
     ModelParams,
@@ -94,11 +94,19 @@ def second_moment(p: ModelParams, t: float) -> float:
     if t <= 0:
         raise InvalidParams("t must be > 0")
     th = theta(p)
-    z = p.lam**2 * t_hat(p, t)
-    value = p.u0**2 * sf.ml(th + 1.0, 1.0, z)
-    if p.beta > 1.0:
-        value += 2.0 * p.u0 * p.u1 * t * sf.ml(th + 1.0, 2.0, z)
-        value += 2.0 * p.u1**2 * t**2 * sf.ml(th + 1.0, 3.0, z)
+    try:
+        z = p.lam**2 * t_hat(p, t)
+        value = p.u0**2 * sf.ml(th + 1.0, 1.0, z)
+        if p.beta > 1.0:
+            value += 2.0 * p.u0 * p.u1 * t * sf.ml(th + 1.0, 2.0, z)
+            value += 2.0 * p.u1**2 * t**2 * sf.ml(th + 1.0, 3.0, z)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ResultOverflow(
+            f"E[u^2] at t={t!r} exceeds the double range; "
+            "second_moment_log gives its logarithm"
+        )
     return value
 
 
@@ -159,8 +167,17 @@ def second_lyapunov(p: ModelParams) -> float:
     """lim t^{-1} log E[u^2] = (lambda^2 Theta Gamma(theta+1))^{1/(theta+1)}."""
     _require_dalang(p)
     th = theta(p)
-    base = p.lam**2 * big_theta(p) * sf.gamma(th + 1.0)
-    return base ** (1.0 / (th + 1.0))
+    try:
+        base = p.lam**2 * big_theta(p) * sf.gamma(th + 1.0)
+        rate = base ** (1.0 / (th + 1.0))
+    except OverflowError:
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise ResultOverflow(
+            f"second Lyapunov exponent exceeds the double range: alpha={p.alpha}, "
+            f"beta={p.beta}, gamma={p.gamma}, d={p.dim}, theta + 1 = {th + 1.0:.3g}"
+        )
+    return rate
 
 
 def pth_moment_upper(p: ModelParams, t: float, pp: float) -> float:

@@ -187,6 +187,25 @@ def _ml_series(a: float, b: float, z: float) -> float:
     return total
 
 
+def _saddle_points(a: float, arg: float, w: float):
+    """(weight, zeta) over the saddle directions of E_{a,b}(z) with
+    |z|^{1/a} = w and arg z = arg, in the order n = 0, 1, -1, 2, -2, ...;
+    the anti-Stokes directions |theta| = pi carry weight 1/2."""
+    n = 0
+    while True:
+        hit = False
+        for nn in [n] if n == 0 else [n, -n]:
+            theta = (arg + 2.0 * math.pi * nn) / a
+            if abs(theta) > math.pi + 1e-12:
+                continue
+            hit = True
+            weight = 0.5 if abs(abs(theta) - math.pi) < 1e-12 else 1.0
+            yield weight, w * cmath.exp(1j * theta)
+        if not hit:
+            return
+        n += 1
+
+
 def _ml_asym(a: float, b: float, z: float):
     """Asymptotic branch for |z| at or beyond the switch radius.
 
@@ -200,26 +219,13 @@ def _ml_asym(a: float, b: float, z: float):
 
     # exponential directions
     exp_total = 0.0 + 0.0j
-    n = 0
     terms = []
-    while True:
-        candidates = [n] if n == 0 else [n, -n]
-        hit = False
-        for nn in candidates:
-            theta = (arg + 2.0 * math.pi * nn) / a
-            if abs(theta) > math.pi + 1e-12:
-                continue
-            hit = True
-            weight = 0.5 if abs(abs(theta) - math.pi) < 1e-12 else 1.0
-            zeta = w * cmath.exp(1j * theta)
-            if zeta.real > 700.0:
-                raise OverflowError("ml overflow in exponential term")
-            if zeta.real < -745.0:
-                continue
-            terms.append(weight * zeta ** (1.0 - b) * cmath.exp(zeta))
-        if not hit:
-            break
-        n += 1
+    for weight, zeta in _saddle_points(a, arg, w):
+        if zeta.real > 700.0:
+            raise OverflowError("ml overflow in exponential term")
+        if zeta.real < -745.0:
+            continue
+        terms.append(weight * zeta ** (1.0 - b) * cmath.exp(zeta))
     scale = 0.0
     for t in sorted(terms, key=abs):
         exp_total += t
@@ -308,23 +314,9 @@ def ml_log(a: float, b: float, z: float) -> float:
             raise ArithmeticError("non-positive Mittag-Leffler value")
         return math.log(val)
     # scaled asymptotic: factor exp(w) out of every direction
-    arg = 0.0
     total = 0.0 + 0.0j
-    n = 0
-    while True:
-        candidates = [n] if n == 0 else [n, -n]
-        hit = False
-        for nn in candidates:
-            theta = (arg + 2.0 * math.pi * nn) / a
-            if abs(theta) > math.pi + 1e-12:
-                continue
-            hit = True
-            weight = 0.5 if abs(abs(theta) - math.pi) < 1e-12 else 1.0
-            zeta = w * cmath.exp(1j * theta)
-            total += weight * zeta ** (1.0 - b) * cmath.exp(zeta - w)
-        if not hit:
-            break
-        n += 1
+    for weight, zeta in _saddle_points(a, 0.0, w):
+        total += weight * zeta ** (1.0 - b) * cmath.exp(zeta - w)
     scaled = total.real / a
     if scaled <= 0:
         raise ArithmeticError("asymptotic sum non-positive in log space")

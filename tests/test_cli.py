@@ -1,16 +1,34 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from spde_moments import moments as mm
-from spde_moments.cli import figure_rows, locate_crossing, main
+from spde_moments.cli import _build_parser, figure_rows, locate_crossing, main
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejected the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_examples() -> list[list[str]]:
+    """argv of every `spde-moments ...` line in the README's CLI section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    section = re.sub(r"\\\n\s*", " ", section)
+    return [
+        shlex.split(line)[1:]
+        for line in section.splitlines()
+        if line.strip().startswith("spde-moments ")
+    ]
 
 
 class TestCheckDalang:
@@ -64,6 +82,20 @@ class TestCurveCommands:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("second-moment", "--t-max", "5000"),
+            ("figures", "--family", "sheswe", "--beta-grid", "0.668:0.668:0.1"),
+        ],
+        ids=" ".join,
+    )
+    def test_overflow_reported(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["type"] == "ResultOverflow"
+
     def test_volterra_matches_closed(self, capsys):
         code, out, _ = run_cli(
             capsys, "volterra", "--alpha", "2", "--beta", "1",
@@ -90,6 +122,43 @@ class TestScalarCommands:
         assert code == 0
         assert payload["rate_exponent"] == 3.0
         assert abs(payload["pth_lyapunov_upper"] - 64.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pth-bound", "--p", "0"),
+            ("second-moment", "--t-max", "0"),
+            ("simulate", "--family", "she", "--paths", "0", "--dx", "0.1",
+             "--dt", "0.002", "--t-max", "0.01", "--domain-half-width", "1.0"),
+        ],
+        ids=" ".join,
+    )
+    def test_explicit_value_is_validated(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] in ("InvalidParams", "ValidationError")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("diagrams", "--p", "6.5", "--m", "7"),
+            ("lyapunov", "--dx", "0.1"),
+            ("diagrams", "--partition", "2,2", "--beta", "5"),
+            ("diagrams", "--partition", "2,a"),
+        ],
+        ids=" ".join,
+    )
+    def test_parser_rejects(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error: " in err and not err.startswith("{")
+
+    def test_chaos_k_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "chaos", "--u0", "2", "--k", "0")
+        assert code == 0
+        assert json.loads(out)["terms"] == [4.0]
 
     def test_chaos(self, capsys):
         code, out, _ = run_cli(
@@ -221,3 +290,13 @@ class TestCrossingHelper:
         rows = figure_rows("sheswe", 1.0, 1.0, [0.5])
         series = {s for _, _, s in rows}
         assert series == {"theta_big"}  # beta=0.5 violates existence
+
+
+class TestReadmeExamples:
+    def test_examples_found(self):
+        assert len(readme_examples()) >= 10
+
+    @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+    def test_example_parses(self, argv):
+        ns = _build_parser().parse_args(argv)
+        assert ns.command == argv[0]

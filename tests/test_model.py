@@ -57,6 +57,8 @@ class TestParams:
             md.params_from_kv("alpha=2\nbeta=1\nbogus=3")
         with pytest.raises(InvalidParams):
             md.params_from_kv("alpha 2\nbeta=1")
+        with pytest.raises(InvalidParams):
+            md.params_from_kv("alpha=2\nbeta=1\ndim=1.5")
 
 
 class TestDalang:
