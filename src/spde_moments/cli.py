@@ -24,6 +24,7 @@ from . import moments as mm
 from . import simulate as sim
 from .errors import (
     ConvergenceFailure,
+    InvalidParams,
     SpdeMomentsError,
     StabilityViolated,
     ValidationError,
@@ -153,7 +154,10 @@ def locate_crossing(rows, series_a: str, series_b: str):
 
 def _resolve_params(ns: argparse.Namespace) -> ModelParams:
     """Heat-equation defaults, or the --config file, overridden by the model flags."""
-    params = params_from_kv(Path(ns.config).read_text()) if ns.config else _DEFAULT_PARAMS
+    try:
+        params = params_from_kv(Path(ns.config).read_text()) if ns.config else _DEFAULT_PARAMS
+    except OSError as exc:
+        raise InvalidParams(f"cannot read config file {ns.config!r}: {exc.strerror}") from exc
     flags = {k: getattr(ns, k) for k in _MODEL_FIELDS if getattr(ns, k) is not None}
     params = dataclasses.replace(params, **flags)
     if params.beta <= 1.0 and params.u1 != 0.0:
@@ -298,6 +302,9 @@ def _cmd_diagrams(ns) -> int:
 
 
 def _cmd_simulate(ns) -> int:
+    sidecar_path = Path(ns.out).with_suffix(".json") if ns.out else None
+    if ns.out and sidecar_path == Path(ns.out):
+        raise ValidationError(f"--out {ns.out!r} would be overwritten by its sidecar")
     p = _resolve_params(ns)
     cfg = sim.SimConfig(
         dx=ns.dx,
@@ -313,7 +320,6 @@ def _cmd_simulate(ns) -> int:
     _emit(_curve_text(out.curve, ns.format), ns.out)
     sidecar = {key: out.meta[key] for key in ("n_paths", "seed", "dx", "dt", "stderr", "scheme")}
     sidecar["params"] = params_to_dict(p)
-    sidecar_path = Path(ns.out).with_suffix(".json") if ns.out else None
     _emit_json(sidecar, sidecar_path)
     return 0
 

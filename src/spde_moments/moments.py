@@ -84,6 +84,25 @@ def _require_dalang(p: ModelParams):
         )
 
 
+def _ml_sum(p: ModelParams, t: float, rate: float, scale: float, overflow: str) -> float:
+    """scale * (u0^2 E_{theta+1}(z) + 2 u0 u1 t E_{theta+1,2}(z) + 2 u1^2 t^2
+    E_{theta+1,3}(z)) at z = rate * that, the u1 terms for beta > 1 only;
+    ResultOverflow(overflow) outside the double range."""
+    th = theta(p)
+    try:
+        z = rate * t_hat(p, t)
+        value = p.u0**2 * sf.ml(th + 1.0, 1.0, z)
+        if p.beta > 1.0:
+            value += 2.0 * p.u0 * p.u1 * t * sf.ml(th + 1.0, 2.0, z)
+            value += 2.0 * p.u1**2 * t**2 * sf.ml(th + 1.0, 3.0, z)
+        value *= scale
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ResultOverflow(overflow)
+    return value
+
+
 def second_moment(p: ModelParams, t: float) -> float:
     """E[u(t,x)^2], independent of x.
 
@@ -93,21 +112,10 @@ def second_moment(p: ModelParams, t: float) -> float:
     _require_dalang(p)
     if t <= 0:
         raise InvalidParams("t must be > 0")
-    th = theta(p)
-    try:
-        z = p.lam**2 * t_hat(p, t)
-        value = p.u0**2 * sf.ml(th + 1.0, 1.0, z)
-        if p.beta > 1.0:
-            value += 2.0 * p.u0 * p.u1 * t * sf.ml(th + 1.0, 2.0, z)
-            value += 2.0 * p.u1**2 * t**2 * sf.ml(th + 1.0, 3.0, z)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ResultOverflow(
-            f"E[u^2] at t={t!r} exceeds the double range; "
-            "second_moment_log gives its logarithm"
-        )
-    return value
+    return _ml_sum(
+        p, t, p.lam**2, 1.0,
+        f"E[u^2] at t={t!r} exceeds the double range; second_moment_log gives its logarithm",
+    )
 
 
 def second_moment_log(p: ModelParams, t: float) -> float:
@@ -187,13 +195,10 @@ def pth_moment_upper(p: ModelParams, t: float, pp: float) -> float:
         raise InvalidParams("moment order must be >= 2")
     if t <= 0:
         raise InvalidParams("t must be > 0")
-    th = theta(p)
-    z = 8.0 * pp * p.lam**2 * t_hat(p, t)
-    value = 2.0 * p.u0**2 * sf.ml(th + 1.0, 1.0, z)
-    if p.beta > 1.0:
-        value += 4.0 * p.u0 * p.u1 * t * sf.ml(th + 1.0, 2.0, z)
-        value += 4.0 * p.u1**2 * t**2 * sf.ml(th + 1.0, 3.0, z)
-    return value
+    return _ml_sum(
+        p, t, 8.0 * pp * p.lam**2, 2.0,
+        f"the p-th moment bound at t={t!r} exceeds the double range",
+    )
 
 
 def pth_lyapunov_upper(p: ModelParams, pp: float) -> float:

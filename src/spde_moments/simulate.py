@@ -1,10 +1,12 @@
 """Seeded Monte Carlo simulators for the 1-D heat and wave cases, plus the
 wave-kernel overlap integrals.
 
-Noise is drawn from counter-based Philox streams keyed by (seed, time step)
-for the heat scheme and (seed, time step, absolute cell index) for the wave
-scheme, so results are bit-reproducible and, for the wave case, independent
-of the domain truncation inside the light cone.
+The wave scheme steps the mild solution on its characteristic lattice
+(kappa dt = dx) with the discrete d'Alembert recursion.  Noise is drawn from
+counter-based Philox streams keyed by (seed, time step) for the heat scheme
+and (seed, time step, absolute cell index) for the wave scheme, so results
+are bit-reproducible and, for the wave case, independent of the domain
+truncation inside the light cone.
 """
 
 from __future__ import annotations
@@ -76,6 +78,32 @@ def _grid_index(cfg: SimConfig, x: float, m: int) -> int:
     return j
 
 
+def _probe_output(
+    p: ModelParams, cfg: SimConfig, probes: Sequence[float], x_probe: float, scheme: str,
+    samples: list[np.ndarray],
+) -> SimOutput:
+    """Empirical E[u^2] and E[u] with their standard errors from the
+    float64 probe values of every path, one array per probe time."""
+    root_n = math.sqrt(cfg.n_paths)
+    x = np.array(samples)  # (probe times, paths)
+    sq = x * x
+    err = np.std(sq, axis=1, ddof=1) / root_n
+    curve = MomentCurve(
+        np.asarray(probes, dtype=float), np.mean(sq, axis=1), "monte-carlo", p, stderr=err
+    )
+    meta = {
+        "scheme": scheme,
+        "n_paths": cfg.n_paths,
+        "seed": cfg.seed,
+        "dx": cfg.dx,
+        "dt": cfg.dt,
+        "domain_half_width": cfg.domain_half_width,
+        "x_probe": x_probe,
+        "stderr": err.tolist(),
+    }
+    return SimOutput(curve, np.mean(x, axis=1), np.std(x, axis=1, ddof=1) / root_n, meta)
+
+
 def _she_noise(seed: int, step: int, shape) -> np.ndarray:
     gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, step, 0]))
     # single precision: the per-cell noise enters one multiply before the
@@ -118,43 +146,23 @@ def simulate_she(
     coef = np.float32(p.nu * cfg.dt / (2.0 * cfg.dx**2))
     noise_std = np.float32(p.lam * math.sqrt(cfg.dt / cfg.dx))
     want = set(steps)
-    vals, errs, means, mean_errs = [], [], [], []
+    samples = []
     for n in range(n_steps):
         xi = _she_noise(cfg.seed, n, (cfg.n_paths, m - 2))
         interior = u[:, 1:-1]
         lap = u[:, 2:] - 2.0 * interior + u[:, :-2]
         u[:, 1:-1] = interior + coef * lap + interior * xi * noise_std
         if (n + 1) in want:
-            probe = u[:, jp].astype(np.float64)
-            sq = probe * probe
-            vals.append(float(np.mean(sq)))
-            errs.append(float(np.std(sq, ddof=1) / math.sqrt(cfg.n_paths)))
-            means.append(float(np.mean(probe)))
-            mean_errs.append(float(np.std(probe, ddof=1) / math.sqrt(cfg.n_paths)))
-    curve = MomentCurve(
-        np.asarray(probes, dtype=float),
-        np.asarray(vals),
-        "monte-carlo",
-        p,
-        stderr=np.asarray(errs),
-    )
-    meta = {
-        "scheme": "she-explicit-fd",
-        "n_paths": cfg.n_paths,
-        "seed": cfg.seed,
-        "dx": cfg.dx,
-        "dt": cfg.dt,
-        "domain_half_width": cfg.domain_half_width,
-        "x_probe": x_probe,
-        "stderr": errs,
-    }
-    out = SimOutput(curve, np.asarray(means), np.asarray(mean_errs), meta)
+            samples.append(u[:, jp].astype(np.float64))
+    out = _probe_output(p, cfg, probes, x_probe, "she-explicit-fd", samples)
     if check_domain:
         # widen to the nearest dx multiple of 1.5 L and rerun
         wide_l = math.ceil(1.5 * cfg.domain_half_width / cfg.dx) * cfg.dx
         wide = SimConfig(cfg.dx, cfg.dt, wide_l, cfg.t_end, cfg.n_paths, cfg.seed)
         ref = simulate_she(p, wide, probes, x_probe=x_probe)
-        for v, e, rv, re in zip(vals, errs, ref.curve.values, ref.curve.stderr):
+        for v, e, rv, re in zip(
+            out.curve.values, out.curve.stderr, ref.curve.values, ref.curve.stderr
+        ):
             if abs(v - rv) > math.hypot(e, re):
                 raise DomainTooSmall(
                     f"probe estimate moves by {abs(v - rv):.3g} (> 1 SE) when "
@@ -172,32 +180,31 @@ def _swe_noise(seed: int, step: int, cell_abs: int, n_paths: int) -> np.ndarray:
     return gen.standard_normal(n_paths)
 
 
-def _cone_window_sum(v_pad: np.ndarray, pad: int, m: int, half_width_cells: float):
-    """Sum of v over cells within |k - j| dx <= H for every j, with the two
-    edge cells weighted by their covered fraction (cell-averaged kernel)."""
-    full = int(math.floor(half_width_cells - 0.5 + 1e-12))
-    full = max(full, -1)
-    frac = half_width_cells - (full + 0.5)
-    frac = min(max(frac, 0.0), 1.0)
-    cs = np.cumsum(v_pad, axis=1)
-    j = np.arange(m) + pad
-    inner = cs[:, j + full] - cs[:, j - full - 1] if full >= 0 else 0.0
-    edges = v_pad[:, j + full + 1] + v_pad[:, j - full - 1]
-    return inner + frac * edges
-
-
 def simulate_swe(
     p: ModelParams,
     cfg: SimConfig,
     probes: Sequence[float],
     x_probe: float = 0.0,
 ) -> SimOutput:
-    """Kernel-convolution time stepping of the mild wave equation
-    (alpha=beta=2, gamma=0, d=1) with kernel (1/2 kappa) 1_{[-kappa t, kappa t]},
-    kappa = sqrt(nu/2), against one shared white-noise field per path."""
+    """Mild-form time stepping of the wave equation (alpha=beta=2, gamma=0,
+    d=1), kernel (1/2 kappa) 1_{[-kappa t, kappa t]}, kappa = sqrt(nu/2), on the
+    characteristic lattice kappa dt = dx (required): u_{n+1} = j0(t_{n+1}) +
+    (lambda / 2 kappa) A_n, where A_n(j) sums v_i = u_i dW_i, i <= n, over the
+    cells |k - j| < n+1-i and half-weights the two at |k - j| = n+1-i, so that
+
+        A_n(j) = A_{n-1}(j-1) + A_{n-1}(j+1) - A_{n-2}(j) + v_n(j) + (v_n(j-1) + v_n(j+1))/2
+
+    (discrete d'Alembert), A_{-1} = A_{-2} = 0, run with zero cells past the
+    domain edges; the error from those moves in one cell per step, and the
+    light-cone guard keeps it off the probe."""
     if not (p.alpha == 2 and p.beta == 2 and p.gamma == 0 and p.dim == 1):
         raise InvalidParams("simulate_swe requires alpha=2, beta=2, gamma=0, d=1")
     kappa = math.sqrt(p.nu / 2.0)
+    if abs(kappa * cfg.dt / cfg.dx - 1.0) > 1e-9:
+        raise InvalidParams(
+            "simulate_swe steps the characteristic lattice: needs "
+            f"dt = dx/sqrt(nu/2) = {cfg.dx / kappa!r}"
+        )
     required = abs(x_probe) + kappa * cfg.t_end + 5.0 * cfg.dx
     if cfg.domain_half_width < required - 1e-12:
         raise DomainTooSmall(
@@ -210,50 +217,27 @@ def simulate_swe(
 
     cell_abs0 = -int(round(cfg.domain_half_width / cfg.dx))
     noise_scale = math.sqrt(cfg.dt * cfg.dx)  # Var(dW over a cell) = dt dx
-    pad = n_steps * max(1, int(math.ceil(kappa * cfg.dt / cfg.dx))) + 3
 
     u = np.full((cfg.n_paths, m), j0(p, 0.0))
-    v_hist: list[np.ndarray] = []
+    # v, A_{n-1} and A_{n-2} over the domain plus one zero cell past each edge
+    v, a_last, a_before = (np.zeros((cfg.n_paths, m + 2)) for _ in range(3))
     want = set(steps)
-    vals, errs, means, mean_errs = [], [], [], []
+    samples = []
     for n in range(n_steps):
         dw = np.empty((cfg.n_paths, m))
         for k in range(m):
             dw[:, k] = _swe_noise(cfg.seed, n, cell_abs0 + k, cfg.n_paths)
         dw *= noise_scale
-        v = np.zeros((cfg.n_paths, m + 2 * pad))
-        v[:, pad : pad + m] = u * dw
-        v_hist.append(v)
-        acc = np.zeros((cfg.n_paths, m))
-        for i in range(n + 1):
-            h_cells = kappa * (n + 1 - i) * cfg.dt / cfg.dx
-            acc += _cone_window_sum(v_hist[i], pad, m, h_cells)
-        u = j0(p, (n + 1) * cfg.dt) + (p.lam / (2.0 * kappa)) * acc
+        v[:, 1:-1] = u * dw
+        a_before[:, 1:-1] = (
+            a_last[:, :-2] + a_last[:, 2:] - a_before[:, 1:-1]
+            + v[:, 1:-1] + 0.5 * (v[:, :-2] + v[:, 2:])
+        )
+        a_last, a_before = a_before, a_last
+        u = j0(p, (n + 1) * cfg.dt) + (p.lam / (2.0 * kappa)) * a_last[:, 1:-1]
         if (n + 1) in want:
-            probe = u[:, jp]
-            sq = probe * probe
-            vals.append(float(np.mean(sq)))
-            errs.append(float(np.std(sq, ddof=1) / math.sqrt(cfg.n_paths)))
-            means.append(float(np.mean(probe)))
-            mean_errs.append(float(np.std(probe, ddof=1) / math.sqrt(cfg.n_paths)))
-    curve = MomentCurve(
-        np.asarray(probes, dtype=float),
-        np.asarray(vals),
-        "monte-carlo",
-        p,
-        stderr=np.asarray(errs),
-    )
-    meta = {
-        "scheme": "swe-mild-convolution",
-        "n_paths": cfg.n_paths,
-        "seed": cfg.seed,
-        "dx": cfg.dx,
-        "dt": cfg.dt,
-        "domain_half_width": cfg.domain_half_width,
-        "x_probe": x_probe,
-        "stderr": errs,
-    }
-    return SimOutput(curve, np.asarray(means), np.asarray(mean_errs), meta)
+            samples.append(u[:, jp].astype(np.float64))
+    return _probe_output(p, cfg, probes, x_probe, "swe-mild-convolution", samples)
 
 
 def wave_overlap(

@@ -87,6 +87,7 @@ class TestCurveCommands:
         [
             ("second-moment", "--t-max", "5000"),
             ("figures", "--family", "sheswe", "--beta-grid", "0.668:0.668:0.1"),
+            ("pth-bound", "--t", "5000"),
         ],
         ids=" ".join,
     )
@@ -130,6 +131,10 @@ class TestScalarCommands:
             ("second-moment", "--t-max", "0"),
             ("simulate", "--family", "she", "--paths", "0", "--dx", "0.1",
              "--dt", "0.002", "--t-max", "0.01", "--domain-half-width", "1.0"),
+            ("lyapunov", "--config", "no-such-dir/params.cfg"),
+            # off the characteristic lattice: nu = 2 needs dt = dx
+            ("simulate", "--family", "swe", "--alpha", "2", "--beta", "2", "--nu", "2",
+             "--dx", "0.04", "--dt", "0.02", "--paths", "10"),
         ],
         ids=" ".join,
     )
@@ -207,6 +212,19 @@ class TestSimulateCommand:
         assert sidecar["n_paths"] == 200
         assert sidecar["seed"] == 9
         assert len(sidecar["stderr"]) == 1
+
+    def test_sidecar_would_overwrite_curve(self, tmp_path, capsys):
+        out_file = tmp_path / "s.json"
+        code, out, err = run_cli(
+            capsys, "simulate", "--family", "swe", "--alpha", "2", "--beta", "2",
+            "--nu", "2", "--dx", "0.04", "--dt", "0.04", "--t-max", "0.4",
+            "--domain-half-width", "0.8", "--paths", "10", "--format", "json",
+            "--out", str(out_file),
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+        assert list(tmp_path.iterdir()) == []
 
     def test_seeded_byte_stability(self, tmp_path, capsys):
         args = [

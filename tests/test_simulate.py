@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from spde_moments import moments as mm
 from spde_moments import simulate as sim
 from spde_moments.errors import DomainTooSmall, InvalidParams, StabilityViolated
-from spde_moments.model import ModelParams
+from spde_moments.model import ModelParams, j0
 from spde_moments.simulate import SimConfig
 
 SHE = ModelParams(alpha=2, beta=1, gamma=0, lam=1, nu=1, dim=1, u0=1)
@@ -79,6 +80,36 @@ class TestReproducibility:
         a = sim.simulate_swe(SWE, cfgA, [0.5])
         b = sim.simulate_swe(SWE, cfgB, [0.5])
         assert a.curve.values[0] == b.curve.values[0]
+
+
+class TestMildForm:
+    def test_swe_matches_direct_mild_sum(self):
+        # u_{n+1}(j) = j0(t_{n+1}) + (lam / 2 kappa) sum_{i<=n} sum_k w_{n+1-i}(k - j) v_i(k),
+        # v_i = u_i dW_i, with the cell-averaged kernel on kappa dt = dx:
+        # w_h(r) = 1 for |r| < h, 1/2 for |r| = h, and v = 0 off the domain
+        p = ModelParams(2, 2, 0, 1.5, 2, 1, u0=1.0, u1=0.7)  # kappa = 1
+        cfg = SimConfig(dx=0.05, dt=0.05, domain_half_width=0.65, t_end=0.4, n_paths=3, seed=11)
+        m, jp, n_steps = 27, 13, 8
+        r = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+        u = np.full((3, m), j0(p, 0.0))
+        history, probe = [], {}
+        for n in range(n_steps):
+            dw = np.stack([sim._swe_noise(11, n, k - jp, 3) for k in range(m)], axis=1)
+            history.append(u * dw * math.sqrt(cfg.dt * cfg.dx))
+            acc = np.zeros((3, m))
+            for i, v in enumerate(history):
+                h = n + 1 - i
+                acc += v @ np.where(r < h, 1.0, np.where(r == h, 0.5, 0.0))
+            u = j0(p, (n + 1) * cfg.dt) + (p.lam / 2.0) * acc
+            probe[n + 1] = u[:, jp]
+        out = sim.simulate_swe(p, cfg, [0.2, 0.4])
+        for k, step in enumerate((4, 8)):
+            x = probe[step]
+            assert out.curve.values[k] == pytest.approx(np.mean(x * x), rel=1e-12)
+            assert out.mean[k] == pytest.approx(np.mean(x), rel=1e-12)
+            assert out.curve.stderr[k] == pytest.approx(
+                np.std(x * x, ddof=1) / math.sqrt(3), rel=1e-12
+            )
 
 
 class TestAgainstClosedForms:
