@@ -1,9 +1,24 @@
 """Scalar special functions on the real line.
 
 Gamma, the standard normal CDF, the two-parameter Mittag-Leffler function
-E_{a,b}(z) with series/asymptotic switching, the Riemann-Liouville integral
-of a power function, and the oscillatory integral
-int_0^inf sin^2(b xi^{a/2}) xi^{-a} dxi in closed form.
+E_{a,b}(z), the Riemann-Liouville integral of a power function, and the
+oscillatory integral int_0^inf sin^2(b xi^{a/2}) xi^{-a} dxi in closed form.
+
+`ml` tries its branches in this order:
+
+1. exp(z) for the heat kernel (a, b) = (1, 1), correctly rounded by libm;
+2. for |z| below the switch radius, the Kahan-summed float power series,
+   accepted when its roundoff estimate is at most 1e-11 of the sum;
+3. otherwise R. Garrappa's optimal parabolic-contour inversion of the
+   Laplace transform (SIAM J. Numer. Anal. 53 (2015) 1350-1369) in double
+   precision, accepted when 64 eps times its sum of |terms| is at most
+   1e-11 of the value (relative error below 1e-11; measured at most
+   1.3e-13 against a 60-digit series);
+4. otherwise, where |E| lies below the contour's roundoff floor as near the
+   zeros of E_{2,b}(-x), the power series in mpmath at a precision chosen
+   from the float pass's cancellation, to 1e-13 relative;
+5. for |z| at or beyond the radius, the asymptotic expansion, whose
+   absolute error is about exp(-|z|^{1/a}) times the exponential terms.
 
 All functions are pure; safe to call from any number of threads.
 """
@@ -15,6 +30,7 @@ import math
 import warnings
 
 import mpmath as mp
+import numpy as np
 
 from .errors import GammaPole, MittagLefflerAccuracyWarning, ValidationError
 
@@ -82,9 +98,9 @@ def normal_cdf(x: float) -> float:
 # Mittag-Leffler E_{a,b}(z) on the real axis
 # ---------------------------------------------------------------------------
 #
-# Series for |z| below a switch radius, asymptotics beyond.  The asymptotic
-# branch combines the algebraic series sum_k z^{-k}/Gamma(b - a k) with the
-# exponential terms (1/a) zeta^{1-b} exp(zeta) over the saddle directions
+# Series or contour for |z| below a switch radius, asymptotics beyond.  The
+# asymptotic branch combines the algebraic series sum_k z^{-k}/Gamma(b - a k)
+# with the exponential terms (1/a) zeta^{1-b} exp(zeta) over the saddle directions
 # zeta = |z|^{1/a} exp(i (arg z + 2 pi n)/a), |(arg z + 2 pi n)/a| <= pi.
 # Directions landing exactly on the anti-Stokes angle +-pi carry weight 1/2.
 # The exponentially small directions matter at double precision even though
@@ -93,8 +109,8 @@ def normal_cdf(x: float) -> float:
 
 
 def _series_radius(a: float) -> float:
-    # Below radius the power series is used (escalating precision when the
-    # negative-axis cancellation exceeds double).  The asymptotic branch
+    # Below radius the power series (or, where its float sum cancels, the
+    # contour or the mpmath series) is used.  The asymptotic branch
     # only reaches ~exp(-|z|^{1/a}) absolute accuracy (smallest term of
     # the algebraic series), so the radius keeps |z|^{1/a} >= 25 for a < 1
     # and >= 29 for a > 1, where the series is still affordable.
@@ -161,13 +177,155 @@ def _series_mp(a: float, b: float, z: float, digits: int, max_terms: int = 8000)
         return float(total), False
 
 
+_LOG_EPS = math.log(_EPS)
+_CONTOUR_LOG_TOL = math.log(1e-15)  # target of the contour quadrature
+_CONTOUR_MAX_N = 200  # node cap; beyond it the target is not met
+
+
+def _contour_rb(phi_j, phi_j1, p_j):
+    """(mu, h, N) for a parabola between the singularities with parabola
+    parameters phi_j < phi_j1 (Garrappa's bounded-region rule; the upper one
+    is a simple pole); None when the region is not admissible."""
+    fac = 1.01
+    log_tol = _CONTOUR_LOG_TOL
+    f_max = math.exp(log_tol - _LOG_EPS)
+    sq_j = math.sqrt(phi_j)
+    sq_j1 = min(math.sqrt(phi_j1), 2.0 * math.sqrt(log_tol - _LOG_EPS) - sq_j)
+    if p_j < 1e-14:
+        # only the origin (sq_j = 0) can be a zero-strength lower end
+        f_bar = fac + fac / f_max * (f_max - fac)
+        sqb_j = 0.0
+        sqb_j1 = 2.0 * sq_j1 / (2.0 + 1.0 / f_bar)
+    else:
+        f_min = fac * (sq_j + sq_j1) / (sq_j1 - sq_j) ** max(p_j, 1.0)
+        if f_min >= f_max:
+            return None
+        f_min = max(f_min, 1.5)
+        f_bar = f_min + f_min / f_max * (f_max - f_min)
+        fp = f_bar ** (-1.0 / p_j)
+        fq = 1.0 / f_bar
+        w = -phi_j1 / log_tol
+        den = 2.0 + w - (1.0 + w) * fp + fq
+        sqb_j = ((2.0 + w + fq) * sq_j + fp * sq_j1) / den
+        sqb_j1 = (-(1.0 + w) * fq * sq_j + (2.0 + w - (1.0 + w) * fp) * sq_j1) / den
+    log_tol -= math.log(f_bar)
+    w = -sqb_j1 * sqb_j1 / log_tol
+    mu = (((1.0 + w) * sqb_j + sqb_j1) / (2.0 + w)) ** 2
+    h = -2.0 * math.pi / log_tol * (sqb_j1 - sqb_j) / ((1.0 + w) * sqb_j + sqb_j1)
+    return mu, h, math.ceil(math.sqrt(1.0 - log_tol / mu) / h)
+
+
+def _contour_ru(phi_j, p_j):
+    """(mu, h, N) for a parabola right of every singularity, the rightmost
+    with parabola parameter phi_j (Garrappa's unbounded-region rule); None
+    when the region is not admissible."""
+    log_tol = _CONTOUR_LOG_TOL
+    sq_j = math.sqrt(phi_j)
+    phib_j = 1.01 * phi_j if phi_j > 0 else 0.01
+    sqb_j = math.sqrt(phib_j)
+    # move the parabola until the singularity's weight f lies in (1, 10)
+    for _ in range(100):
+        lt = log_tol / phib_j
+        n = math.ceil(phib_j / math.pi * (1.0 - 1.5 * lt + math.sqrt(1.0 - 2.0 * lt)))
+        big_a = math.pi * n / phib_j
+        sq_mu = sqb_j * abs(4.0 - big_a) / abs(7.0 - math.sqrt(1.0 + 12.0 * big_a))
+        if p_j < 1e-14 or 1.0 < ((sqb_j - sq_j) / sq_mu) ** (-p_j) < 10.0:
+            break
+        sqb_j = 5.0 ** (-1.0 / p_j) * sq_mu + sq_j
+        phib_j = sqb_j * sqb_j
+    else:
+        return None
+    mu = sq_mu * sq_mu
+    h = (-3.0 * big_a - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * big_a)) / (4.0 - big_a) / n
+    threshold = log_tol - _LOG_EPS
+    if mu > threshold:
+        # e^mu would amplify roundoff past the target: pin mu at the bound
+        q = 0.0 if p_j < 1e-14 else 5.0 ** (-1.0 / p_j) * sq_mu
+        if (q + sq_j) ** 2 >= threshold:
+            return None
+        w = math.sqrt(_LOG_EPS / (_LOG_EPS - log_tol))
+        u = math.sqrt(-((q + sq_j) ** 2) / _LOG_EPS)
+        mu = threshold
+        n = math.ceil(w * log_tol / (2.0 * math.pi) / (u * w - 1.0))
+        h = w / n
+    return mu, h, n
+
+
+def _ml_contour(a: float, b: float, z: float):
+    """E_{a,b}(z), z real and nonzero, by Garrappa's optimal parabolic
+    contour for the inverse Laplace transform s^{a-b}/(s^a - z) at t = 1.
+
+    Returns (value, sum of |terms|): the trapezoid terms times h/2pi plus
+    the |residues| of the poles right of the contour.  The absolute error
+    is a small multiple of eps times that sum, on top of the 1e-15
+    truncation target.  None when no admissible region meets the target
+    within _CONTOUR_MAX_N nodes per side.
+    """
+    theta = 0.0 if z > 0 else math.pi
+    w = abs(z) ** (1.0 / a)
+    k_lo = math.ceil(-a / 2.0 - theta / (2.0 * math.pi))
+    k_hi = math.floor(a / 2.0 - theta / (2.0 * math.pi))
+    # poles s_k = |z|^{1/a} e^{i(arg z + 2 pi k)/a} in the principal sheet,
+    # ordered by phi(s) = (Re s + |s|)/2, the mu of the parabola through s;
+    # poles on the negative axis (phi = 0) are always enclosed
+    poles = []
+    for k in range(k_lo, k_hi + 1):
+        s = w * cmath.exp(1j * (theta + 2.0 * math.pi * k) / a)
+        phi = 0.5 * (s.real + abs(s))
+        if phi > 1e-15:
+            poles.append((phi, s))
+    poles.sort(key=lambda ps: ps[0])
+    phis = [0.0] + [phi for phi, _ in poles] + [math.inf]
+    # the origin's branch point has strength max(0, 2(b - a - 1)), a pole 1
+    strength = [max(0.0, 2.0 * (b - a - 1.0))] + [1.0] * len(poles)
+    best = None
+    for j in range(len(poles) + 1):
+        if not (phis[j] < _CONTOUR_LOG_TOL - _LOG_EPS and phis[j] < phis[j + 1]):
+            continue
+        if j < len(poles):
+            par = _contour_rb(phis[j], phis[j + 1], strength[j])
+        else:
+            par = _contour_ru(phis[j], strength[j])
+        if par is not None and (best is None or par[2] < best[1][2]):
+            best = (j, par)
+    if best is None or best[1][2] > _CONTOUR_MAX_N:
+        return None
+    j, (mu, h, n) = best
+    # trapezoid rule on s(u) = mu (1 + iu)^2, u = h k, |k| <= n: the term
+    # h/(2 pi i) e^s s^{a-b}/(s^a - z) s'(u) with s'(u) = 2 mu i (1 + iu);
+    # for real z the k < 0 terms are the conjugates of the k > 0 ones
+    iu = 1.0 + 1j * h * np.arange(n + 1)
+    s = mu * iu * iu
+    log_s = np.log(s)
+    terms = np.exp(s + (a - b) * log_s) / (np.exp(a * log_s) - z) * iu
+    terms *= h * mu / math.pi
+    mags = np.abs(terms)
+    value = 2.0 * float(np.sum(terms.real)) - float(terms[0].real)
+    abs_sum = 2.0 * float(np.sum(mags)) - float(mags[0])
+    for _, pole in poles[j:]:
+        residue = pole ** (1.0 - b) * cmath.exp(pole) / a
+        value += residue.real
+        abs_sum += abs(residue)
+    return value, abs_sum
+
+
 def _ml_series(a: float, b: float, z: float) -> float:
-    """Power series with automatic escalation to mpmath when the float
-    pass loses too many digits (negative z near the radius, or Gamma
-    arguments big enough that their double rounding pollutes the terms)."""
+    """E_{a,b}(z) for |z| below the switch radius: float series, then the
+    contour, then the mpmath series.
+
+    The Kahan-summed float series is returned when its roundoff estimate
+    (max |term| times eps times the Gamma-argument amplification) is at
+    most 1e-11 of the sum.  Otherwise (negative z near the radius, or Gamma
+    arguments big enough that their double rounding pollutes the terms)
+    the contour value is returned when 64 eps times its sum of |terms| is
+    at most 1e-11 of the value; its measured error is at most 53 eps times
+    that sum, so the relative error stays below 1e-11.  Where neither holds, in particular near the zeros of E, the
+    series is summed in mpmath at a precision chosen from the observed
+    cancellation, to 1e-13 relative.
+    """
     total, max_abs, converged = _series_float(a, b, z)
     if not converged:
-        # did not settle in 600 float terms; go straight to mpmath
+        # did not settle in 600 float terms
         total = 0.0
         max_abs = max(max_abs, 1.0)
     scale = max(abs(total), 1e-300)
@@ -177,6 +335,11 @@ def _ml_series(a: float, b: float, z: float) -> float:
     amplification = 4.0 * max(1.0, arg_top * math.log(max(arg_top, 3.0)))
     if converged and max_abs * _EPS * amplification <= 1e-11 * scale:
         return total
+    contour = _ml_contour(a, b, z)
+    if contour is not None:
+        value, abs_sum = contour
+        if 64.0 * _EPS * abs_sum <= 1e-11 * abs(value):
+            return value
     digits = 25
     for _ in range(4):
         cancel = max_abs * amplification / max(abs(total), max_abs * 10.0 ** (-digits))
@@ -266,13 +429,23 @@ def _ml_asym(a: float, b: float, z: float):
 def ml(a: float, b: float, z: float) -> float:
     """Two-parameter Mittag-Leffler function E_{a,b}(z), real argument.
 
-    Relative accuracy ~1e-9 or better for a <= 2 over the tested grids.
-    For a > 2 with z below minus the switch radius no controlled expansion
-    is available; the best-effort value is returned under
-    MittagLefflerAccuracyWarning.
+    Branches, in order (see the module docstring): exp(z) for
+    (a, b) = (1, 1); inside the switch radius the float series (roundoff
+    at most 1e-11 relative), else the parabolic contour (accepted when
+    64 eps sum|terms| <= 1e-11 |value|, so below 1e-11 relative), else the
+    mpmath series (1e-13 relative); outside the radius the asymptotic
+    expansion.  Relative accuracy ~1e-9 or better for a <= 2 over the
+    tested grids.  For a > 2 with z below minus the switch radius no
+    controlled expansion is available; the best-effort value is returned
+    under MittagLefflerAccuracyWarning.  Overflow returns +inf.
     """
     if a <= 0:
         raise ValidationError(f"ml requires a > 0, got a={a}")
+    if a == 1.0 and b == 1.0:
+        try:
+            return math.exp(z)
+        except OverflowError:
+            return math.inf
     if z == 0.0:
         return rgamma(b)
     radius = _series_radius(a)

@@ -183,6 +183,26 @@ class TestBigTheta:
         got = md.big_theta(ModelParams(2.0, beta, gam, 1, 2.0, 1))
         assert rel(got, want) < 1e-7
 
+    @pytest.mark.parametrize(
+        "family,beta,want",
+        [
+            ("sheswe", 0.3, 0.024150956629891095),
+            ("sheswe", 0.8, 0.18660202991830174),
+            ("sheswe", 1.2, 0.38124926527102937),
+            ("tfspde", 0.3, 0.22946522999981558),
+            ("tfspde", 1.2, 0.32804053077345713),
+            ("tfspde", 1.5, 0.35965399114810365),
+        ],
+    )
+    def test_frozen_off_anchor_values(self, family, beta, want):
+        # computed when the mpmath series was the only fallback of ml and
+        # frozen to 17 digits: sheswe is alpha = 2, gamma = 0, nu = 1;
+        # tfspde is alpha = 2, gamma = ceil(beta) - beta, nu = 2.  No beta
+        # near 2, where the quadrature tail is known to be short.
+        gam, nu = (0.0, 1.0) if family == "sheswe" else (math.ceil(beta) - beta, 2.0)
+        got = md.big_theta(ModelParams(2.0, beta, gam, 1, nu, 1))
+        assert rel(got, want) < 1e-10
+
     def test_oscillatory_route_matches_closed_form(self):
         # beta=2 general machinery against the sine-integral closed form
         for alpha in (1.5, 2.0, 3.0):

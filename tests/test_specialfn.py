@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -168,6 +169,87 @@ class TestMittagLeffler:
             sf.ml(0.0, 1.0, 1.0)
         with pytest.raises(ValidationError):
             sf.ml(-1.0, 1.0, 1.0)
+
+    @given(
+        st.floats(min_value=0.1, max_value=2.0),
+        st.floats(min_value=0.2, max_value=3.0),
+        st.floats(min_value=-1.0, max_value=0.0, exclude_max=True),
+    )
+    def test_recurrence_negative_axis(self, a, b, frac):
+        # E_{a,b}(z) - 1/Gamma(b) = z E_{a,a+b}(z) where the negative-axis
+        # series cancels and the contour or the mpmath series answers
+        z = frac * sf._series_radius(a)
+        lhs = sf.ml(a, b, z) - sf.rgamma(b)
+        rhs = z * sf.ml(a, a + b, z)
+        assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
+
+    def test_heat_kernel_is_exp(self):
+        for z in (-1e4, -900.0, -30.0, -0.7, 0.0, 1e-3, 2.5, 40.0, 700.0):
+            assert sf.ml(1, 1, z) == math.exp(z)
+            assert sf.ml(1.0, 1.0, z) == math.exp(z)
+
+
+def _contour_grid(n=240, seed=20150601):
+    """Seeded (a, b, z) inside the series radius, both signs of z."""
+    rng = np.random.default_rng(seed)
+    grid = []
+    for _ in range(n):
+        a = float(rng.uniform(0.05, 2.0))
+        b = [a, 1.0, 2.0, a + float(rng.uniform(0.0, 1.0)), float(math.ceil(a))][
+            int(rng.integers(5))
+        ]
+        sign = 1.0 if rng.integers(2) else -1.0
+        grid.append((a, b, sign * float(rng.uniform(0.02, 1.0)) * sf._series_radius(a)))
+    return grid
+
+
+class TestContour:
+    """The contour route of `ml` against the 60-digit series."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        # record which routes each ml call took
+        seen = []
+        contour, series_mp = sf._ml_contour, sf._series_mp
+
+        def spy_contour(*args):
+            seen.append("contour")
+            return contour(*args)
+
+        def spy_mp(*args):
+            seen.append("mp")
+            return series_mp(*args)
+
+        monkeypatch.setattr(sf, "_ml_contour", spy_contour)
+        monkeypatch.setattr(sf, "_series_mp", spy_mp)
+        return seen, series_mp
+
+    def test_accepted_values_match_series(self, routes):
+        seen, series_mp = routes
+        accepted = 0
+        for a, b, z in _contour_grid():
+            seen.clear()
+            got = sf.ml(a, b, z)
+            if seen != ["contour"]:
+                continue
+            accepted += 1
+            want, ok = series_mp(a, b, z, 60)
+            assert ok
+            assert rel(got, want) < 1e-11, (a, b, z)
+        assert accepted >= 60
+
+    def test_rejected_near_zero_of_cosine(self, routes):
+        # E_{2,1}(-x) = cos(sqrt x) vanishes at x = (3.5 pi)^2: the contour's
+        # roundoff floor exceeds |E| and the mpmath series must answer
+        seen, _ = routes
+        x = (3.5 * math.pi) ** 2
+        assert x < sf._series_radius(2.0)
+        got = sf.ml(2.0, 1.0, -x)
+        assert seen[:2] == ["contour", "mp"]
+        assert abs(got) < 1e-12
+        with mp.workdps(40):
+            want = float(mp.cos(mp.sqrt(mp.mpf(x))))
+        assert rel(got, want) < 1e-9
 
 
 class TestMlLogGrowth:
