@@ -2,8 +2,8 @@
 """Regenerate the three parameter-sweep figure datasets as CSV.
 
 Writes fig_sheswe.csv, fig_tfspde.csv, fig_sfhe.csv (columns x,y,series)
-into --outdir.  Full paper-density grids take about 20 s and --coarse
-about 2 s on a 2-core Xeon.
+into --outdir.  Full paper-density grids take about 11 s and --coarse
+about 2.5 s on a 2-core Xeon.
 """
 
 import argparse

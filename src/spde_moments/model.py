@@ -7,18 +7,22 @@ of the fractional equation
 
 with constant initial position u0 (and velocity u1 when beta > 1).  This
 module provides the existence check, the exponent theta, the spectral
-constant Theta (by quadrature with analytic tails), the Fourier transform
-of the fundamental kernel, and the nonnegativity lookup.
+constant Theta (one quadrature for every beta <= 2 with a closed-form
+tail, see `_radial_j`, and the sine-integral closed form at beta = 2,
+gamma = 0, d = 1), the kernel's Fourier transform, and the nonnegativity
+lookup.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
+import mpmath as mp
 from scipy import integrate
 
 from . import specialfn as sf
@@ -126,145 +130,134 @@ def _asym_coeffs(beta: float, b: float, n: int = 3):
     return [sf.rgamma(b - beta * k) for k in range(1, n + 1)]
 
 
-def _tail_beta_lt2(beta: float, b: float, alpha: float, d: int, r: float):
-    """Analytic tail of int_R^inf E^2_{beta,b}(-x^alpha) x^{d-1} dx plus a
-    next-order error estimate."""
-    c1, c2, c3 = _asym_coeffs(beta, b)
-    c2 = -c2
-    pieces = [
-        (c1 * c1, 2 * alpha),
-        (2 * c1 * c2, 3 * alpha),
-        (c2 * c2 + 2 * c1 * c3, 4 * alpha),
-    ]
-    tail = 0.0
-    for coeff, power in pieces:
-        if coeff == 0.0:
-            continue
-        if power <= d:
+_N_ALG = 10  # algebraic terms kept in the tail expansion of _radial_j
+_CUT_TOL = 1e-14  # share of J allowed to the dropped algebraic terms
+_IBP_MIN = 20.0  # |lam| u from which _tail_piece integrates by parts
+
+
+def _tail_piece(p: float, lam: complex, u: float):
+    """(value, error) of int_u^inf t^p e^{lam t} dt for Re lam <= 0, u > 0.
+
+    lam = 0: -u^{p+1}/(p+1), DalangViolated unless p < -1.  |lam| u >=
+    _IBP_MIN: repeated integration by parts, -(u^p e^{lam u}/lam) sum_n
+    p(p-1)...(p-n+1) (-lam u)^{-n}, summed until a term is below 1e-17 of
+    the sum or the terms stop decreasing; the error is the last term.
+    Otherwise mpmath's incomplete gamma (-lam)^{-(p+1)} Gamma(p+1, -lam u).
+    """
+    if lam == 0:
+        if p >= -1.0:
             raise DalangViolated("spectral integral diverges")
-        tail += coeff * r ** (d - power) / (power - d)
-    c4 = abs(sf.rgamma(b - 4 * beta))
-    err_coeff = 2 * abs(c1) * c4 + 2 * abs(c2) * abs(c3) + c3 * c3 + c4 * c4
-    err = err_coeff * r ** (d - 5 * alpha) / max(5 * alpha - d, 1.0)
-    return tail, abs(err)
+        return -(u ** (p + 1.0)) / (p + 1.0), 0.0
+    if abs(lam) * u < _IBP_MIN:
+        return complex(mp.gammainc(p + 1.0, -lam * u)) * (-lam) ** (-(p + 1.0)), 0.0
+    total = term = -(u**p) * cmath.exp(lam * u) / lam
+    n = 0
+    while abs(term) > 1e-17 * abs(total) and n < abs(lam) * u + p:
+        term *= (p - n) / (-lam * u)
+        total += term
+        n += 1
+    return total, abs(term)
 
 
 @lru_cache(maxsize=256)
 def _radial_j(alpha: float, beta: float, gam: float, d: int):
-    """J = int_0^inf E^2_{beta, beta+gamma}(-r^alpha) r^{d-1} dr."""
-    if beta == 2.0:
-        if gam == 0.0 and d == 1:
-            return sf.sin_power_integral(alpha, 1.0)
-        return _radial_j_wave(alpha, gam, d)
+    """J = int_0^inf E^2_{beta,b}(-r^alpha) r^{d-1} dr, b = beta + gamma,
+    for 0 < beta <= 2, within _REL_TOL relative or ConvergenceFailure.
 
+    Substitution: u = r^{alpha/sigma} with sigma = max(beta, 1), so that
+    x = r^alpha = u^sigma and J = int_0^{r_c} E^2 r^{d-1} dr + (sigma/alpha)
+    int_{u_c}^inf E^2 u^q du, q = sigma d/alpha - 1, r_c = u_c^{sigma/alpha}.
+    For beta >= 1, u = x^{1/beta} makes the saddle exponents linear; for
+    beta < 1 there are no saddle terms and u = x keeps u_c finite.
+
+    Expansion: E_{beta,b}(-x) = S + A + R with the saddle terms
+    S = sum_j (w_j/beta) zeta_j^{1-b} e^{zeta_j}, zeta_j = u e^{i theta_j},
+    over specialfn._saddle_points(beta, pi, 1) (none for beta < 1,
+    theta = +-pi/beta for 1 < beta <= 2, +-pi with w = 1/2 at beta = 1), the
+    algebraic series A = sum_{k <= _N_ALG} (-1)^{k+1} u^{-sigma k}
+    /Gamma(b - beta k) and the remainder R.  Each term is a u^p e^{lam u}
+    with lam = -c +- is (c = -cos(pi/beta), exactly 0 at beta = 2;
+    s = sin(pi/beta)) or lam = 0, so (S + A)^2 u^q is a sum of pieces
+    a u^p e^{lam u} with lam in {-2c +- 2is, -2c} (S^2), {-c +- is} (SA)
+    and {0} (A^2), each integrated by _tail_piece; only the -2c piece as
+    beta -> 2 has a small |lam| u_c and takes gammainc.
+
+    Head: quad in r on panels whose ends in u are the zeros k pi/s of the
+    saddle oscillation (beta > 1), ml's switch radius u_s and u_c.
+
+    Cut: |R| <= sum_j R_j, R_j = 2 |c_j| u^{-sigma j}, c_j = 1/Gamma(b -
+    beta j), over j = _N_ALG + 1, _N_ALG + 2: one of the two may be zero
+    (or, after rounding, nearly zero) at a Gamma pole, and both are zero
+    only where the series terminates.  Each piece of 2(S + A) R_j and
+    2 R_j^2 (which bound 2(S + A)R + R^2) is bounded by k u_c^{-e}: a power
+    law by its integral, an oscillating piece (|lam| = 1) by twice its
+    envelope at u_c.  u_c is the least u >= u_s at which each bound is at
+    most its share of _CUT_TOL times the head up to u_s, a lower bound on J.
+
+    Error budget: the quad error estimates of all panels, the bounds at u_c
+    and the by-parts truncation errors, in sum at most _REL_TOL J.
+    """
     b = beta + gam
+    sigma = max(beta, 1.0)
+    q = sigma * d / alpha - 1.0
+    c = sf._sinpi(1.0 / beta - 0.5)
+    s = sf._sinpi(1.0 / beta)
+    terms = [  # (a, p, lam) of E ~ sum a u^p e^{lam u}
+        (w / beta * zeta ** (1.0 - b), 1.0 - b, complex(-c, math.copysign(s, zeta.imag)))
+        for w, zeta in sf._saddle_points(beta, math.pi, 1.0)
+    ] + [
+        ((-1) ** (k + 1) * ck, -sigma * k, 0.0)
+        for k, ck in enumerate(_asym_coeffs(beta, b, _N_ALG), 1)
+        if ck
+    ]
 
     def f(r: float) -> float:
         return sf.ml(beta, b, -(r**alpha)) ** 2 * r ** (d - 1)
 
-    # integrate to R where the squared 3-term algebraic expansion of the
-    # integrand makes the neglected order < 1e-11 of the running estimate
-    r_switch = sf._series_radius(beta) ** (1.0 / alpha)
-    r_end = max(2.0, 2.0 ** (1.0 / alpha) * r_switch)
-    est, _ = integrate.quad(f, 0.0, r_end, limit=200)
-    tail, err = _tail_beta_lt2(beta, b, alpha, d, r_end)
-    guard = 0
-    while err > 1e-11 * max(est + tail, 1e-12) and guard < 60:
-        more, _ = integrate.quad(f, r_end, 1.6 * r_end, limit=200)
-        est += more
-        r_end *= 1.6
-        tail, err = _tail_beta_lt2(beta, b, alpha, d, r_end)
-        guard += 1
-    # final pass split at the series/asymptotic switch point so the kink
-    # does not stall the adaptive subdivision; roundoff chatter from
-    # QUADPACK is fine since the reported error is checked below
-    val = 0.0
-    quad_err = 0.0
-    for lo, hi in ((0.0, min(r_switch, r_end)), (min(r_switch, r_end), r_end)):
-        if hi <= lo:
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            v, e = integrate.quad(f, lo, hi, limit=400, epsabs=1e-13, epsrel=3e-11)
-        val += v
-        quad_err += e
-    total = val + tail
-    if quad_err + err > _REL_TOL * abs(total):
+    step = math.pi / s if beta > 1.0 else math.inf
+
+    def head(lo: float, hi: float):
+        ks = range(math.floor(lo / step) + 1, math.ceil(hi / step))
+        edges = [x ** (sigma / alpha) for x in (lo, *(k * step for k in ks), hi)]
+        val = err = 0.0
+        for r0, r1 in zip(edges, edges[1:]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                v, e = integrate.quad(f, r0, r1, limit=200, epsabs=1e-13, epsrel=3e-11)
+            val += v
+            err += e
+        return val, err
+
+    u_s = sf._series_radius(beta) ** (1.0 / sigma)
+    head_s, err_s = head(0.0, u_s)
+    bounds = []  # (k, e): k u_c^{-e}
+    for j in (_N_ALG + 1, _N_ALG + 2):
+        r_j = 2.0 * abs(sf.rgamma(b - beta * j))
+        for a, p, lam in terms + [(r_j, -sigma * j, 0.0)] if r_j else []:
+            e = sigma * j - p - q - (0.0 if lam else 1.0)
+            bounds.append(((4.0 if lam else 2.0 / e) * abs(a) * r_j, e))
+    share = _CUT_TOL * head_s * alpha / sigma / max(len(bounds), 1)
+    u_c = max([u_s] + [(k / share) ** (1.0 / e) for k, e in bounds])
+    head_c, err_c = head(u_s, u_c)
+
+    pieces = {}
+    for a1, p1, lam1 in terms:
+        for a2, p2, lam2 in terms:
+            key = (p1 + p2 + q, lam1 + lam2)
+            pieces[key] = pieces.get(key, 0.0) + a1 * a2
+    tail = 0.0
+    tail_err = sum(k * u_c ** (-e) for k, e in bounds)
+    for (p, lam), a in pieces.items():
+        v, e = _tail_piece(p, lam, u_c)
+        tail += (a * v).real
+        tail_err += abs(a) * e
+    total = head_s + head_c + sigma / alpha * tail
+    err = err_s + err_c + sigma / alpha * tail_err
+    if err > _REL_TOL * abs(total):
         raise ConvergenceFailure(
-            f"theta quadrature error {quad_err + err:.2e} exceeds "
-            f"{_REL_TOL:.0e} relative"
+            f"theta quadrature error {err:.2e} exceeds {_REL_TOL:.0e} relative"
         )
     return total
-
-
-def _radial_j_wave(alpha: float, gam: float, d: int):
-    """beta = 2 without the d=1, gamma=0 closed form: period-wise panels in
-    u = r^{alpha/2} plus the analytic oscillatory tail.
-
-    In u-space E_{2,2+gam}(-u^2) = u^{1-b} cos(u + phi) + A1 u^{-2}
-    + A2 u^{-4} + O(u^{-6}) with b = 2+gam, phi = (1-b) pi/2, A1 = 1/Gamma(gam),
-    A2 = -1/Gamma(gam-2); the tail integrals of the squared expansion are
-    power laws and oscillatory power laws done by integration by parts.
-    """
-    if d >= alpha * min(2.0, 1.0 + gam):
-        raise DalangViolated("spectral integral diverges")
-    b = 2.0 + gam
-    q = 2.0 * d / alpha - 1.0
-
-    def g(u: float) -> float:
-        return sf.ml(2.0, b, -(u * u)) ** 2 * u**q
-
-    phi = (1.0 - b) * math.pi / 2.0
-    u_cut = math.ceil(110.0 / math.pi) * math.pi
-
-    total = 0.0
-    err_total = 0.0
-    nodes = [0.0, 4.0]
-    u = 4.0 + math.pi
-    while u < u_cut - 1e-9:
-        nodes.append(u)
-        u += math.pi
-    nodes.append(u_cut)
-    for lo, hi in zip(nodes[:-1], nodes[1:]):
-        v, e = integrate.quad(g, lo, hi, limit=100)
-        total += v
-        err_total += e
-
-    a1 = sf.rgamma(gam)
-    a2 = -sf.rgamma(gam - 2.0)
-    p1 = 2.0 * (1.0 - b) + q          # cos^2 envelope
-    p2 = (1.0 - b) + q - 2.0          # 2 A1 cos cross term
-    p3 = (1.0 - b) + q - 4.0          # 2 A2 cos cross term
-    p4 = q - 4.0                      # A1^2
-    p5 = q - 6.0                      # 2 A1 A2
-    tail = 0.5 * u_cut ** (p1 + 1.0) / (-(p1 + 1.0))
-    tail += a1 * a1 * u_cut ** (p4 + 1.0) / (-(p4 + 1.0))
-    tail += 2.0 * a1 * a2 * u_cut ** (p5 + 1.0) / (-(p5 + 1.0))
-    tail += 0.5 * _osc_power_tail(u_cut, p1, 2.0, 2.0 * phi)
-    tail += 2.0 * a1 * _osc_power_tail(u_cut, p2, 1.0, phi)
-    tail += 2.0 * a2 * _osc_power_tail(u_cut, p3, 1.0, phi)
-    # residual: next algebraic order u^{q-8}, A2^2 u^{q-8}, and the 4th IBP term
-    err_tail = (
-        (1.0 + a1 * a1 + a2 * a2) * u_cut ** (q - 7.0) / 7.0
-        + abs(p1 * (p1 - 1.0) * (p1 - 2.0) * (p1 - 3.0)) * u_cut ** (p1 - 3.0) / 16.0
-        + abs(a1) * abs(p2 * (p2 - 1.0) * (p2 - 2.0) * (p2 - 3.0)) * u_cut ** (p2 - 3.0)
-    )
-    total += tail
-    if err_total + abs(err_tail) > _REL_TOL * abs(total):
-        raise ConvergenceFailure("oscillatory theta quadrature did not converge")
-    return total * 2.0 / alpha
-
-
-def _osc_power_tail(u0: float, p: float, omega: float, phase: float) -> float:
-    """int_{u0}^inf u^p cos(omega u + phase) du by three integrations by
-    parts (valid p < -1; error O(u0^{p-3}))."""
-    s = math.sin(omega * u0 + phase)
-    cs = math.cos(omega * u0 + phase)
-    return (
-        -(u0**p) * s / omega
-        - p * u0 ** (p - 1.0) * cs / omega**2
-        + p * (p - 1.0) * u0 ** (p - 2.0) * s / omega**3
-    )
 
 
 def big_theta(p: ModelParams) -> float:
@@ -279,8 +272,11 @@ def big_theta(p: ModelParams) -> float:
             "spectral integral diverges: "
             f"alpha={p.alpha}, beta={p.beta}, gamma={p.gamma}, d={p.dim}"
         )
-    j = _radial_j(p.alpha, p.beta, p.gamma, p.dim)
     d = p.dim
+    if p.beta == 2.0 and p.gamma == 0.0 and d == 1:
+        j = sf.sin_power_integral(p.alpha, 1.0)
+    else:
+        j = _radial_j(p.alpha, p.beta, p.gamma, d)
     return (
         (2.0 * math.pi) ** (-d)
         * (p.nu / 2.0) ** (-d / p.alpha)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -192,23 +193,60 @@ class TestBigTheta:
             ("tfspde", 0.3, 0.22946522999981558),
             ("tfspde", 1.2, 0.32804053077345713),
             ("tfspde", 1.5, 0.35965399114810365),
+            ("sheswe", 0.6000000000000001, 0.10474282151815516),
+            ("sheswe", 1.9, math.sqrt(2.0) / math.pi * 1.454746545951),
+            ("sheswe", 1.95, math.sqrt(2.0) / math.pi * 1.497028335733),
+            ("sheswe", 1.99, math.sqrt(2.0) / math.pi * 1.546397822282),
+            ("sheswe", 1.999, math.sqrt(2.0) / math.pi * 1.566687467276),
         ],
     )
     def test_frozen_off_anchor_values(self, family, beta, want):
-        # computed when the mpmath series was the only fallback of ml and
-        # frozen to 17 digits: sheswe is alpha = 2, gamma = 0, nu = 1;
-        # tfspde is alpha = 2, gamma = ceil(beta) - beta, nu = 2.  No beta
-        # near 2, where the quadrature tail is known to be short.
+        # sheswe is alpha = 2, gamma = 0, nu = 1; tfspde is alpha = 2,
+        # gamma = ceil(beta) - beta, nu = 2.  The first six were computed
+        # when the mpmath series was the only fallback of ml and frozen to
+        # 17 digits.  At the figure-grid beta = 0.6000000000000001, b - 11 beta
+        # sits next to the Gamma pole at -6: the 11th algebraic coefficient
+        # is -1.3e-12 and the 12th -689, so the cut must bound both (value
+        # within 1e-15 of the old quadrature run at 1e-14 tolerances).  From
+        # beta = 1.9: sqrt(2)/pi times the reference J of quad on panels of
+        # width pi/sin(pi/beta) in u = r^{alpha/beta}, carried on until the
+        # saddle damping e^{-2cu} < 1e-16, plus the algebraic tail (12 digits).
         gam, nu = (0.0, 1.0) if family == "sheswe" else (math.ceil(beta) - beta, 2.0)
         got = md.big_theta(ModelParams(2.0, beta, gam, 1, nu, 1))
         assert rel(got, want) < 1e-10
 
     def test_oscillatory_route_matches_closed_form(self):
-        # beta=2 general machinery against the sine-integral closed form
-        for alpha in (1.5, 2.0, 3.0):
-            jw = md._radial_j_wave(alpha, 0.0, 1)
+        # the general quadrature at beta = 2, which big_theta sends to the
+        # sine-integral closed form; alpha = 1.05 has the slowest decay,
+        # u^{2/alpha - 3}, and needs the undamped tail piece to be a power law
+        for alpha in (1.05, 1.5, 2.0, 3.0):
+            jw = md._radial_j(alpha, 2.0, 0.0, 1)
             jc = sf.sin_power_integral(alpha, 1.0)
-            assert rel(jw, jc) < 1e-8
+            assert rel(jw, jc) < 1e-12
+
+    @pytest.mark.parametrize(
+        "alpha,gam,d,want",
+        [
+            # int_0^inf sin^2(u) u^{-3/2} du / 2 = sqrt(pi)/2
+            (4.0, 0.0, 3, math.sqrt(math.pi) / 2.0),
+            (2.0, 0.5, 1, 1.0),
+            (2.0, 1.5, 1, 2.0 / 9.0),
+        ],
+    )
+    def test_wave_exact_j(self, alpha, gam, d, want):
+        assert rel(md._radial_j(alpha, 2.0, gam, d), want) < 1e-12
+
+    @pytest.mark.parametrize("family", ["sheswe", "tfspde"])
+    def test_continuous_at_wave(self, family):
+        # the saddle terms' damping e^{-cu}, c = -cos(pi/beta), vanishes as
+        # beta -> 2-; tfspde has gamma = 2 - beta there
+        nu = 1.0 if family == "sheswe" else 2.0
+
+        def theta_at(beta):
+            gam = 0.0 if family == "sheswe" else 2.0 - beta
+            return md.big_theta(ModelParams(2.0, beta, gam, 1, nu, 1))
+
+        assert rel(theta_at(2.0 - 1e-6), theta_at(2.0)) < 1e-5
 
     def test_wave_gamma_positive(self):
         # beta = 2 with smoothing; value cross-checked by brute period sums
@@ -229,6 +267,48 @@ class TestBigTheta:
     def test_memoized_deterministic(self):
         p = ModelParams(2, 1.3, 0, 1, 1, 1)
         assert md.big_theta(p) == md.big_theta(p)
+
+
+_C19, _S19 = -math.cos(math.pi / 1.9), math.sin(math.pi / 1.9)
+
+
+class TestTailPiece:
+    # int_u^inf t^p e^{lam t} dt against 30-digit mpmath quadrature, for the
+    # lam of the tail of _radial_j at beta = 1.9 (c = _C19, s = _S19) and at
+    # beta = 2 (c = 0); each lam on both sides of the switch from gammainc
+    # to integration by parts at |lam| u = _IBP_MIN = 20
+    @pytest.mark.parametrize(
+        "p,lam,u",
+        [
+            (-2.3, 0j, 29.0),
+            (-2.3, complex(-2 * _C19, 0.0), 29.0),
+            (-2.3, complex(-2 * _C19, 0.0), 200.0),
+            (-4.1, complex(-_C19, _S19), 10.0),
+            (-4.1, complex(-_C19, -_S19), 29.0),
+            (-3.0, complex(-2 * _C19, 2 * _S19), 5.0),
+            (-3.0, complex(-2 * _C19, -2 * _S19), 29.0),
+            (-2.0, 1j, 10.0),
+            (-2.0, -1j, 29.0),
+            (-3.0, 2j, 5.0),
+            (-3.0, -2j, 29.0),
+        ],
+    )
+    def test_matches_mpmath(self, p, lam, u):
+        got, err = md._tail_piece(p, lam, u)
+        with mp.workdps(30):
+            if lam == 0:
+                want = mp.quad(lambda t: t**p, [u, mp.inf])
+            else:
+                omega = max(abs(lam.imag), 0.5)
+                want = mp.quadosc(lambda t: t**p * mp.exp(lam * t), [u, mp.inf], omega=omega)
+        want = complex(want)
+        assert err <= 1e-6 * abs(want)
+        assert abs(got - want) <= err + 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("p", [-1.0, -0.5])
+    def test_divergent_power_law_raises(self, p):
+        with pytest.raises(DalangViolated):
+            md._tail_piece(p, 0j, 29.0)
 
 
 class TestDerived:
