@@ -17,6 +17,7 @@ from .model import (
     KernelSign,
     ModelParams,
     big_theta,
+    dalang_bound,
     dalang_satisfied,
     derived_constants,
     j0,

@@ -32,6 +32,7 @@ from .errors import (
 from .model import (
     ModelParams,
     big_theta,
+    dalang_bound,
     dalang_satisfied,
     derived_constants,
     params_from_kv,
@@ -76,11 +77,10 @@ def grid_spec(text: str) -> np.ndarray:
 
 
 def _dalang_inequality(p: ModelParams) -> str:
-    if p.beta < 2:
-        bound = 2.0 * p.alpha + (p.alpha / p.beta) * min(2.0 * p.gamma - 1.0, 0.0)
-        return f"d < 2*alpha + (alpha/beta)*min(2*gamma-1, 0) = {bound:.17g}"
-    bound = p.alpha * min(2.0, 1.0 + p.gamma)
-    return f"d < alpha*min(2, 1+gamma) = {bound:.17g}"
+    formula = (
+        "2*alpha + (alpha/beta)*min(2*gamma-1, 0)" if p.beta < 2 else "alpha*min(2, 1+gamma)"
+    )
+    return f"d < {formula} = {dalang_bound(p):.17g}"
 
 
 # family -> (theta_big row gated on Dalang's condition rather than on a
@@ -306,9 +306,12 @@ def _cmd_simulate(ns) -> int:
     if ns.out and sidecar_path == Path(ns.out):
         raise ValidationError(f"--out {ns.out!r} would be overwritten by its sidecar")
     p = _resolve_params(ns)
+    dt = ns.dt
+    if dt is None:  # SWE steps the characteristic lattice sqrt(nu/2) dt = dx
+        dt = ns.dx / math.sqrt(p.nu / 2.0) if ns.family == "swe" else 1e-4
     cfg = sim.SimConfig(
         dx=ns.dx,
-        dt=ns.dt,
+        dt=dt,
         domain_half_width=ns.domain_half_width,
         t_end=ns.t_max,
         n_paths=ns.paths,
@@ -395,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _curve_options(sp, t_max=0.5)
     sp.add_argument("--probes", type=float, nargs="+")
     sp.add_argument("--dx", type=float, default=0.02)
-    sp.add_argument("--dt", type=float, default=1e-4)
+    sp.add_argument("--dt", type=float)  # default 1e-4 (she), dx/sqrt(nu/2) (swe)
     sp.add_argument("--domain-half-width", dest="domain_half_width", type=float, default=1.2)
     sp.add_argument("--paths", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0)

@@ -18,13 +18,7 @@ import numpy as np
 
 from . import specialfn as sf
 from .errors import InvalidParams, NotBalanced, TooLarge
-from .model import (
-    ModelParams,
-    big_theta,
-    dalang_satisfied,
-    theta,
-)
-from .moments import _require_dalang
+from .model import ModelParams, derived_constants
 
 __all__ = [
     "Partition",
@@ -265,7 +259,7 @@ def chaos_term(p: ModelParams, t: float, k: int) -> float:
     """k-th Wiener-chaos contribution to E[u^2] for constant initial data
     (u1 = 0): u0^2 (lambda^2 Theta Gamma(theta+1))^k t^{k(theta+1)}
     / Gamma(k(theta+1) + 1)."""
-    _require_dalang(p)
+    dc = derived_constants(p)
     if p.u1 != 0.0 and p.beta > 1.0:
         raise InvalidParams("chaos terms implemented for u1 = 0")
     if t <= 0:
@@ -274,9 +268,8 @@ def chaos_term(p: ModelParams, t: float, k: int) -> float:
         raise InvalidParams("k must be a nonnegative integer")
     if k == 0:
         return p.u0**2
-    th = theta(p)
-    a = p.lam**2 * big_theta(p) * sf.gamma(th + 1.0)
-    return p.u0**2 * a**k * t ** (k * (th + 1.0)) * sf.rgamma(k * (th + 1.0) + 1.0)
+    th = dc.theta
+    return p.u0**2 * dc.lyapunov_base**k * t ** (k * (th + 1.0)) * sf.rgamma(k * (th + 1.0) + 1.0)
 
 
 def chaos_term_mc(
@@ -296,7 +289,7 @@ def chaos_term_mc(
     square integrable for every theta > -1 (plain uniform sampling has
     infinite variance once theta <= -1/2).
     """
-    _require_dalang(p)
+    dc = derived_constants(p)
     if p.u1 != 0.0 and p.beta > 1.0:
         raise InvalidParams("chaos terms implemented for u1 = 0")
     if k < 0 or int(k) != k:
@@ -307,8 +300,8 @@ def chaos_term_mc(
         raise InvalidParams("need at least two samples")
     if k == 0:
         return p.u0**2, 0.0
-    th = theta(p)
-    kap = p.lam**2 * big_theta(p)
+    th = dc.theta
+    kap = p.lam**2 * dc.big_theta
     rng = np.random.Generator(np.random.Philox(key=seed))
     # gaps g_0..g_k with sum t; weighted factors attach to g_1..g_k
     tilt = (3.0 * th + 1.0) / 2.0

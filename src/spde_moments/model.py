@@ -1,4 +1,4 @@
-"""SPDE parameter model and derived constants.
+"""SPDE parameter model, existence gate and derived constants.
 
 A model instance is the tuple (alpha, beta, gamma, lambda, nu, dim, u0, u1)
 of the fractional equation
@@ -6,11 +6,12 @@ of the fractional equation
     (d_t^beta + (nu/2) (-Laplace)^{alpha/2}) u = I_t^gamma [lambda u dW],
 
 with constant initial position u0 (and velocity u1 when beta > 1).  This
-module provides the existence check, the exponent theta, the spectral
-constant Theta (one quadrature for every beta <= 2 with a closed-form
-tail, see `_radial_j`, and the sine-integral closed form at beta = 2,
-gamma = 0, d = 1), the kernel's Fourier transform, and the nonnegativity
-lookup.
+module alone decides existence (`dalang_bound`, and the one DalangViolated
+gate) and forms theta, Theta and lambda^2 Theta Gamma(theta + 1): moments,
+diagrams and the CLI read them from the `derived_constants` record.  Theta
+is one quadrature for every beta <= 2 with a closed-form tail (see
+`_radial_j`), or the sine-integral closed form at beta = 2, gamma = 0,
+d = 1.  Also: the kernel's Fourier transform and the nonnegativity lookup.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ import mpmath as mp
 from scipy import integrate
 
 from . import specialfn as sf
-from .errors import ConvergenceFailure, DalangViolated, InvalidParams
+from .errors import ConvergenceFailure, DalangViolated, InvalidParams, ResultOverflow
 
 __all__ = [
     "ModelParams",
     "DerivedConstants",
     "KernelSign",
     "theta",
+    "dalang_bound",
     "dalang_satisfied",
     "theta_integral_finite",
     "big_theta",
@@ -81,9 +83,17 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class DerivedConstants:
+    """theta, Theta and lambda^2 Theta Gamma(theta + 1) of one model."""
+
     theta: float
     big_theta: float
     lyapunov_base: float  # lambda^2 * Theta * Gamma(theta + 1)
+
+    def t_hat(self, t: float) -> float:
+        """Theta * Gamma(theta+1) * t^(theta+1)."""
+        if t <= 0:
+            raise InvalidParams("t must be > 0")
+        return self.big_theta * sf.gamma(self.theta + 1.0) * t ** (self.theta + 1.0)
 
 
 class KernelSign(enum.Enum):
@@ -96,13 +106,25 @@ def theta(p: ModelParams) -> float:
     return 2.0 * (p.beta + p.gamma) - 2.0 - p.beta * p.dim / p.alpha
 
 
+def dalang_bound(p: ModelParams) -> float:
+    """Right-hand side of Dalang's condition d < bound: 2 alpha + (alpha/beta)
+    min(2 gamma - 1, 0) for beta < 2, alpha min(2, 1 + gamma) at beta = 2."""
+    if p.beta < 2.0:
+        return 2.0 * p.alpha + (p.alpha / p.beta) * min(2.0 * p.gamma - 1.0, 0.0)
+    return p.alpha * min(2.0, 1.0 + p.gamma)
+
+
 def dalang_satisfied(p: ModelParams) -> bool:
     """Existence criterion for a random-field solution with finite moments."""
-    if p.beta < 2.0:
-        return p.dim < 2.0 * p.alpha + (p.alpha / p.beta) * min(
-            2.0 * p.gamma - 1.0, 0.0
+    return p.dim < dalang_bound(p)
+
+
+def _require_dalang(p: ModelParams):
+    if not dalang_satisfied(p):
+        raise DalangViolated(
+            f"Dalang's condition fails for alpha={p.alpha}, beta={p.beta}, "
+            f"gamma={p.gamma}, d={p.dim}"
         )
-    return p.dim < p.alpha * min(2.0, 1.0 + p.gamma)
 
 
 def theta_integral_finite(p: ModelParams) -> bool:
@@ -113,7 +135,7 @@ def theta_integral_finite(p: ModelParams) -> bool:
     on this larger set, which the figure sweeps use.
     """
     if p.beta == 2.0:
-        return p.dim < p.alpha * min(2.0, 1.0 + p.gamma)
+        return p.dim < dalang_bound(p)
     if p.gamma > 0:
         return p.dim < 2.0 * p.alpha
     # gamma = 0: E_{b,b}(-x) decays like x^{-2}
@@ -286,34 +308,27 @@ def big_theta(p: ModelParams) -> float:
 
 
 def derived_constants(p: ModelParams) -> DerivedConstants:
-    if not dalang_satisfied(p):
-        raise DalangViolated(
-            f"Dalang's condition fails: alpha={p.alpha}, beta={p.beta}, "
-            f"gamma={p.gamma}, d={p.dim}"
-        )
+    """The record of one model's constants; DalangViolated outside Dalang's
+    condition, ResultOverflow when lambda^2 exceeds the double range."""
+    _require_dalang(p)
     th = theta(p)
     bt = big_theta(p)
-    return DerivedConstants(
-        theta=th,
-        big_theta=bt,
-        lyapunov_base=p.lam**2 * bt * sf.gamma(th + 1.0),
-    )
+    try:
+        return DerivedConstants(th, bt, p.lam**2 * bt * sf.gamma(th + 1.0))
+    except OverflowError:
+        raise ResultOverflow(f"lambda^2 exceeds the double range: lambda={p.lam!r}") from None
 
 
 def t_hat(p: ModelParams, t: float) -> float:
     """Theta * Gamma(theta+1) * t^(theta+1)."""
-    if t <= 0:
-        raise InvalidParams("t must be > 0")
-    dc = derived_constants(p)
-    return dc.big_theta * sf.gamma(dc.theta + 1.0) * t ** (dc.theta + 1.0)
+    return derived_constants(p).t_hat(t)
 
 
 def t_p(p: ModelParams, t: float, pp: float) -> float:
     """Rescaled time p^(1 + 1/(1+theta)) t entering the p-th moment rates."""
     if t <= 0:
         raise InvalidParams("t must be > 0")
-    if not dalang_satisfied(p):
-        raise DalangViolated("t_p requires Dalang's condition")
+    _require_dalang(p)
     return pp ** (1.0 + 1.0 / (1.0 + theta(p))) * t
 
 
@@ -333,9 +348,8 @@ def l2_norm_kernel(p: ModelParams, s: float) -> float:
     """Squared L2 norm of the kernel at time s: Theta * s^theta."""
     if s <= 0:
         raise InvalidParams("s must be > 0")
-    if not dalang_satisfied(p):
-        raise DalangViolated("l2_norm_kernel requires Dalang's condition")
-    return big_theta(p) * s ** theta(p)
+    dc = derived_constants(p)
+    return dc.big_theta * s ** dc.theta
 
 
 def _l2_norm_kernel_quad(p: ModelParams, s: float) -> float:

@@ -1,8 +1,10 @@
 """Second moments, Lyapunov exponents, p-th moment bounds, and the
 independent Volterra-equation oracle.
 
-The closed routes go through Mittag-Leffler evaluations; the Volterra
-solver discretizes the renewal equation
+theta, Theta and lambda^2 Theta Gamma(theta + 1), and the Dalang gate,
+come from `model.derived_constants`.  The closed routes go through
+Mittag-Leffler evaluations; the Volterra solver discretizes the renewal
+equation
 
     eta(t) = J0(t)^2 + lambda^2 Theta int_0^t (t-s)^theta eta(s) ds
 
@@ -21,15 +23,7 @@ import numpy as np
 
 from . import specialfn as sf
 from .errors import InvalidParams, ResultOverflow, StepTooCoarse
-from .model import (
-    DalangViolated,
-    ModelParams,
-    big_theta,
-    dalang_satisfied,
-    j0,
-    t_hat,
-    theta,
-)
+from .model import DerivedConstants, ModelParams, derived_constants, j0
 
 __all__ = [
     "MomentCurve",
@@ -76,21 +70,16 @@ class MomentCurve:
         return buf.getvalue()
 
 
-def _require_dalang(p: ModelParams):
-    if not dalang_satisfied(p):
-        raise DalangViolated(
-            f"Dalang's condition fails for alpha={p.alpha}, beta={p.beta}, "
-            f"gamma={p.gamma}, d={p.dim}"
-        )
-
-
-def _ml_sum(p: ModelParams, t: float, rate: float, scale: float, overflow: str) -> float:
+def _ml_sum(
+    p: ModelParams, dc: DerivedConstants, t: float, rate: float, scale: float, overflow: str
+) -> float:
     """scale * (u0^2 E_{theta+1}(z) + 2 u0 u1 t E_{theta+1,2}(z) + 2 u1^2 t^2
     E_{theta+1,3}(z)) at z = rate * that, the u1 terms for beta > 1 only;
-    ResultOverflow(overflow) outside the double range."""
-    th = theta(p)
+    InvalidParams for t <= 0 (from that), ResultOverflow(overflow) outside
+    the double range."""
+    th = dc.theta
     try:
-        z = rate * t_hat(p, t)
+        z = rate * dc.t_hat(t)
         value = p.u0**2 * sf.ml(th + 1.0, 1.0, z)
         if p.beta > 1.0:
             value += 2.0 * p.u0 * p.u1 * t * sf.ml(th + 1.0, 2.0, z)
@@ -109,22 +98,19 @@ def second_moment(p: ModelParams, t: float) -> float:
     u0^2 E_{theta+1}(lambda^2 that) for beta <= 1, plus the mixed and
     quadratic initial-velocity terms for beta in (1, 2].
     """
-    _require_dalang(p)
-    if t <= 0:
-        raise InvalidParams("t must be > 0")
     return _ml_sum(
-        p, t, p.lam**2, 1.0,
+        p, derived_constants(p), t, p.lam**2, 1.0,
         f"E[u^2] at t={t!r} exceeds the double range; second_moment_log gives its logarithm",
     )
 
 
 def second_moment_log(p: ModelParams, t: float) -> float:
     """log E[u(t,x)^2], overflow-safe for large t (u0 > 0, u1 >= 0)."""
-    _require_dalang(p)
+    dc = derived_constants(p)
     if p.u0 <= 0 or p.u1 < 0:
         raise InvalidParams("log form requires u0 > 0 and u1 >= 0")
-    th = theta(p)
-    z = p.lam**2 * t_hat(p, t)
+    th = dc.theta
+    z = p.lam**2 * dc.t_hat(t)
     terms = [2.0 * math.log(p.u0) + sf.ml_log(th + 1.0, 1.0, z)]
     if p.beta > 1.0 and p.u1 > 0:
         terms.append(
@@ -173,11 +159,10 @@ def swe_second_moment(nu: float, lam: float, u0: float, u1: float, t: float) -> 
 
 def second_lyapunov(p: ModelParams) -> float:
     """lim t^{-1} log E[u^2] = (lambda^2 Theta Gamma(theta+1))^{1/(theta+1)}."""
-    _require_dalang(p)
-    th = theta(p)
+    dc = derived_constants(p)
+    th = dc.theta
     try:
-        base = p.lam**2 * big_theta(p) * sf.gamma(th + 1.0)
-        rate = base ** (1.0 / (th + 1.0))
+        rate = dc.lyapunov_base ** (1.0 / (th + 1.0))
     except OverflowError:
         rate = math.inf
     if not math.isfinite(rate):
@@ -190,13 +175,11 @@ def second_lyapunov(p: ModelParams) -> float:
 
 def pth_moment_upper(p: ModelParams, t: float, pp: float) -> float:
     """Upper bound on ||u(t,x)||_p^2 for p >= 2 (any real order)."""
-    _require_dalang(p)
+    dc = derived_constants(p)
     if pp < 2:
         raise InvalidParams("moment order must be >= 2")
-    if t <= 0:
-        raise InvalidParams("t must be > 0")
     return _ml_sum(
-        p, t, 8.0 * pp * p.lam**2, 2.0,
+        p, dc, t, 8.0 * pp * p.lam**2, 2.0,
         f"the p-th moment bound at t={t!r} exceeds the double range",
     )
 
@@ -204,12 +187,11 @@ def pth_moment_upper(p: ModelParams, t: float, pp: float) -> float:
 def pth_lyapunov_upper(p: ModelParams, pp: float) -> float:
     """Large-time rate bound:
     (1/2)(8 lambda^2 Theta Gamma(theta+1))^{1/(theta+1)} p^{1 + 1/(theta+1)}."""
-    _require_dalang(p)
+    dc = derived_constants(p)
     if pp < 2:
         raise InvalidParams("moment order must be >= 2")
-    th = theta(p)
-    base = 8.0 * p.lam**2 * big_theta(p) * sf.gamma(th + 1.0)
-    return 0.5 * base ** (1.0 / (th + 1.0)) * pp ** (1.0 + 1.0 / (th + 1.0))
+    r = 1.0 / (dc.theta + 1.0)
+    return 0.5 * (8.0 * dc.lyapunov_base) ** r * pp ** (1.0 + r)  # 8x: exact scaling
 
 
 def she_exact_pth_lyapunov(lam: float, pp: float) -> float:
@@ -223,12 +205,11 @@ def resolvent_kernel(p: ModelParams, t: float) -> float:
     """Resolvent K with eta = g + K*g for the renewal equation:
     K(t) = kappa Gamma(theta+1) t^theta E_{theta+1,theta+1}(kappa
     Gamma(theta+1) t^{theta+1}), kappa = lambda^2 Theta."""
-    _require_dalang(p)
+    dc = derived_constants(p)
     if t <= 0:
         raise InvalidParams("t must be > 0")
-    th = theta(p)
-    kappa = p.lam**2 * big_theta(p)
-    a = kappa * sf.gamma(th + 1.0)
+    th = dc.theta
+    a = dc.lyapunov_base
     return a * t**th * sf.ml(th + 1.0, th + 1.0, a * t ** (th + 1.0))
 
 
@@ -261,7 +242,7 @@ def volterra_second_moment(
     solution is recomputed at half the step and a Richardson comparison
     must stay below rtol, else StepTooCoarse.
     """
-    _require_dalang(p)
+    dc = derived_constants(p)
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise InvalidParams("t_grid must hold at least two points")
@@ -269,9 +250,9 @@ def volterra_second_moment(
     if h <= 0 or np.max(np.abs(t - h * np.arange(1, t.size + 1))) > 1e-9 * h:
         raise InvalidParams("t_grid must be uniform with t[i] = (i+1) h")
     n = t.size
-    eta = _volterra_solve(p, h, n)
+    eta = _volterra_solve(p, dc, h, n)
     if rtol is not None:
-        eta_half = _volterra_solve(p, h / 2.0, 2 * n)[1::2]
+        eta_half = _volterra_solve(p, dc, h / 2.0, 2 * n)[1::2]
         err = np.max(np.abs(eta - eta_half) / np.maximum(np.abs(eta_half), 1e-300))
         if err > rtol:
             raise StepTooCoarse(
@@ -281,9 +262,9 @@ def volterra_second_moment(
     return MomentCurve(t, eta, "volterra", p)
 
 
-def _volterra_solve(p: ModelParams, h: float, n: int) -> np.ndarray:
-    th = theta(p)
-    kappa = p.lam**2 * big_theta(p)
+def _volterra_solve(p: ModelParams, dc: DerivedConstants, h: float, n: int) -> np.ndarray:
+    th = dc.theta
+    kappa = p.lam**2 * dc.big_theta
     wl, wr = _volterra_weights(th, h, n)  # panel m at index m-1
     g = np.array([j0(p, (i + 1) * h) ** 2 for i in range(n)])
     eta = np.empty(n + 1)

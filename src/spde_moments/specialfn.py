@@ -16,7 +16,8 @@ oscillatory integral int_0^inf sin^2(b xi^{a/2}) xi^{-a} dxi in closed form.
    1.3e-13 against a 60-digit series);
 4. otherwise, where |E| lies below the contour's roundoff floor as near the
    zeros of E_{2,b}(-x), the power series in mpmath at a precision chosen
-   from the float pass's cancellation, to 1e-13 relative;
+   from the float pass's cancellation, to 1e-13 relative (an unsettled sum
+   only within the contour's bound of the contour value, else an error);
 5. for |z| at or beyond the radius, the asymptotic expansion, whose
    absolute error is about exp(-|z|^{1/a}) times the exponential terms.
 
@@ -32,7 +33,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 
-from .errors import GammaPole, MittagLefflerAccuracyWarning, ValidationError
+from .errors import ConvergenceFailure, GammaPole, MittagLefflerAccuracyWarning, ValidationError
 
 __all__ = [
     "gamma",
@@ -319,9 +320,11 @@ def _ml_series(a: float, b: float, z: float) -> float:
     arguments big enough that their double rounding pollutes the terms)
     the contour value is returned when 64 eps times its sum of |terms| is
     at most 1e-11 of the value; its measured error is at most 53 eps times
-    that sum, so the relative error stays below 1e-11.  Where neither holds, in particular near the zeros of E, the
-    series is summed in mpmath at a precision chosen from the observed
-    cancellation, to 1e-13 relative.
+    that sum, so the relative error stays below 1e-11.  Where neither
+    holds, in particular near the zeros of E, the series is summed in
+    mpmath at a precision chosen from the observed cancellation, to 1e-13
+    relative; a sum that does not settle is returned only within 64 eps
+    sum|terms| of the contour value, else ConvergenceFailure.
     """
     total, max_abs, converged = _series_float(a, b, z)
     if not converged:
@@ -347,7 +350,9 @@ def _ml_series(a: float, b: float, z: float) -> float:
         total, ok = _series_mp(a, b, z, digits)
         if ok and max_abs * 10.0 ** (-digits) <= 1e-13 * max(abs(total), 1e-300):
             return total
-    return total
+    if contour is not None and abs(total - contour[0]) <= 64.0 * _EPS * contour[1]:
+        return total
+    raise ConvergenceFailure(f"E_{{{a!r},{b!r}}}({z!r}): the mpmath series did not settle")
 
 
 def _saddle_points(a: float, arg: float, w: float):
@@ -372,9 +377,8 @@ def _saddle_points(a: float, arg: float, w: float):
 def _ml_asym(a: float, b: float, z: float):
     """Asymptotic branch for |z| at or beyond the switch radius.
 
-    Returns (value, exp_part_scale) where the scale is used by the log-space
-    evaluator.  Raises OverflowError only through math.exp when a dominant
-    exponent exceeds the float range; ml() guards that case.
+    Raises OverflowError only through math.exp when a dominant exponent
+    exceeds the float range; ml() guards that case.
     """
     x = abs(z)
     w = x ** (1.0 / a)
@@ -423,7 +427,7 @@ def _ml_asym(a: float, b: float, z: float):
                 break
         else:
             tiny_run = 0
-    return exp_part - alg, exp_part
+    return exp_part - alg
 
 
 def ml(a: float, b: float, z: float) -> float:
@@ -433,7 +437,8 @@ def ml(a: float, b: float, z: float) -> float:
     (a, b) = (1, 1); inside the switch radius the float series (roundoff
     at most 1e-11 relative), else the parabolic contour (accepted when
     64 eps sum|terms| <= 1e-11 |value|, so below 1e-11 relative), else the
-    mpmath series (1e-13 relative); outside the radius the asymptotic
+    mpmath series (1e-13 relative; ConvergenceFailure if it does not
+    settle away from the contour value); outside the radius the asymptotic
     expansion.  Relative accuracy ~1e-9 or better for a <= 2 over the
     tested grids.  For a > 2 with z below minus the switch radius no
     controlled expansion is available; the best-effort value is returned
@@ -459,10 +464,9 @@ def ml(a: float, b: float, z: float) -> float:
             stacklevel=2,
         )
     try:
-        value, _ = _ml_asym(a, b, z)
+        return _ml_asym(a, b, z)
     except OverflowError:
         return math.inf
-    return value
 
 
 def ml_log(a: float, b: float, z: float) -> float:
@@ -480,13 +484,13 @@ def ml_log(a: float, b: float, z: float) -> float:
         if rg <= 0:
             raise ValidationError("E_{a,b}(0) <= 0; log undefined")
         return math.log(rg)
-    w = z ** (1.0 / a)
-    if z < _series_radius(a) and w < 550.0:
+    if z < _series_radius(a):
         val = _ml_series(a, b, z)
         if val <= 0:
             raise ArithmeticError("non-positive Mittag-Leffler value")
         return math.log(val)
     # scaled asymptotic: factor exp(w) out of every direction
+    w = z ** (1.0 / a)
     total = 0.0 + 0.0j
     for weight, zeta in _saddle_points(a, 0.0, w):
         total += weight * zeta ** (1.0 - b) * cmath.exp(zeta - w)

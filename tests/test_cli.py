@@ -8,6 +8,7 @@ import pytest
 
 from spde_moments import moments as mm
 from spde_moments.cli import _build_parser, figure_rows, locate_crossing, main
+from spde_moments.model import ModelParams, dalang_bound, dalang_satisfied
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +47,36 @@ class TestCheckDalang:
         code, out, _ = run_cli(capsys, "check-dalang", "--alpha", "2", "--beta", "0.6")
         assert code == 2
         assert json.loads(out)["satisfied"] is False
+
+    @pytest.mark.parametrize(
+        "params", [(2.0, 0.6, 0.0, 1), (1.5, 1.3, 0.2, 2), (2.0, 2.0, 0.0, 2), (3.0, 2.0, 0.4, 3)]
+    )
+    def test_inequality_reads_dalang_bound(self, capsys, params):
+        alpha, beta, gamma, dim = params
+        p = ModelParams(alpha, beta, gamma, dim=dim)
+        code, out, _ = run_cli(
+            capsys, "check-dalang", "--alpha", str(alpha), "--beta", str(beta),
+            "--gamma", str(gamma), "--dim", str(dim),
+        )
+        payload = json.loads(out)
+        assert float(payload["inequality"].rsplit("= ", 1)[1]) == dalang_bound(p)
+        assert payload["satisfied"] is dalang_satisfied(p)
+        assert code == (0 if dalang_satisfied(p) else 2)
+
+
+@pytest.mark.parametrize(
+    "command", ["constants", "second-moment", "volterra", "lyapunov", "pth-bound", "chaos"]
+)
+def test_dalang_gate_has_one_wording(capsys, command):
+    code, out, err = run_cli(capsys, command, "--alpha", "1", "--beta", "1.5", "--dim", "3")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": {
+            "type": "DalangViolated",
+            "message": "Dalang's condition fails for alpha=1.0, beta=1.5, gamma=0.0, d=3",
+        }
+    }
 
 
 class TestConstants:
@@ -212,6 +243,26 @@ class TestSimulateCommand:
         assert sidecar["n_paths"] == 200
         assert sidecar["seed"] == 9
         assert len(sidecar["stderr"]) == 1
+
+    def test_swe_default_dt_on_lattice(self, capsys):
+        # without --dt the wave scheme steps dt = dx/sqrt(nu/2)
+        code, out, err = run_cli(
+            capsys, "simulate", "--family", "swe", "--alpha", "2", "--beta", "2",
+            "--nu", "2", "--dx", "0.02", "--t-max", "0.1", "--domain-half-width", "0.3",
+            "--paths", "50",
+        )
+        assert code == 0, err
+        sidecar = json.loads(out.split("monte-carlo\n", 1)[1])
+        assert sidecar["dt"] == 0.02
+
+    def test_swe_explicit_dt_off_lattice(self, capsys):
+        code, _, err = run_cli(
+            capsys, "simulate", "--family", "swe", "--alpha", "2", "--beta", "2",
+            "--nu", "2", "--dx", "0.02", "--dt", "0.01", "--t-max", "0.1",
+            "--domain-half-width", "0.3", "--paths", "50",
+        )
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "InvalidParams"
 
     def test_sidecar_would_overwrite_curve(self, tmp_path, capsys):
         out_file = tmp_path / "s.json"

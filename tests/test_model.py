@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath as mp
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from spde_moments import model as md
 from spde_moments import specialfn as sf
-from spde_moments.errors import DalangViolated, InvalidParams
+from spde_moments.errors import ConvergenceFailure, DalangViolated, InvalidParams, ResultOverflow
 from spde_moments.model import KernelSign, ModelParams
 
 
@@ -85,6 +86,26 @@ class TestDalang:
             assert md.dalang_satisfied(ModelParams(alpha=alpha, beta=beta, gamma=gamma + bump, dim=dim))
         else:
             assert not md.dalang_satisfied(ModelParams(alpha=alpha, beta=beta, gamma=gamma, dim=dim + 1))
+
+    @pytest.mark.parametrize(
+        "p,bound",
+        [
+            (ModelParams(2, 1), 2.0),
+            (ModelParams(2, 0.5, 0.25), 2.0),
+            (ModelParams(3, 1.5, 0.7), 6.0),
+            (ModelParams(2, 2), 2.0),
+            (ModelParams(1.5, 2, 0.5), 2.25),
+        ],
+    )
+    def test_bound(self, p, bound):
+        # beta < 2: 2 alpha + (alpha/beta) min(2 gamma - 1, 0);
+        # beta = 2: alpha min(2, 1 + gamma)
+        assert md.dalang_bound(p) == bound
+        for d in range(1, 8):
+            q = ModelParams(p.alpha, p.beta, p.gamma, dim=d)
+            assert md.dalang_satisfied(q) == (d < bound)
+            if p.beta == 2:
+                assert md.theta_integral_finite(q) == (d < bound)
 
     @given(
         st.floats(min_value=0.3, max_value=4.0),
@@ -264,6 +285,18 @@ class TestBigTheta:
         assert md.theta_integral_finite(p)
         assert md.big_theta(p) > 0
 
+    def test_small_beta_raises_promptly(self):
+        # at beta = 0.005 the Mittag-Leffler values inside the head
+        # quadrature are beyond both the contour and the mpmath series
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceFailure):
+            md.big_theta(ModelParams(2, 0.005))
+        assert time.perf_counter() - start < 30.0
+
+    def test_smallest_default_figure_beta(self):
+        # the first row of the `figures` default beta grid
+        assert rel(md.big_theta(ModelParams(2, 0.01)), 2.228750186627787e-05) < 1e-13
+
     def test_memoized_deterministic(self):
         p = ModelParams(2, 1.3, 0, 1, 1, 1)
         assert md.big_theta(p) == md.big_theta(p)
@@ -318,10 +351,27 @@ class TestDerived:
         assert rel(dc.lyapunov_base, math.sqrt(math.pi) / math.sqrt(4 * math.pi)) < 1e-9
 
     def test_dalang_gate(self):
-        with pytest.raises(DalangViolated):
-            md.derived_constants(ModelParams(2, 0.5, 0, 1, 1, 1))
-        with pytest.raises(DalangViolated):
-            md.t_p(ModelParams(2, 0.5, 0, 1, 1, 1), 1.0, 2.0)
+        p = ModelParams(2, 0.5, 0, 1, 1, 1)
+        want = "Dalang's condition fails for alpha=2, beta=0.5, gamma=0, d=1"
+        for call in (
+            lambda: md.derived_constants(p),
+            lambda: md.t_p(p, 1.0, 2.0),
+            lambda: md.t_hat(p, 1.0),
+            lambda: md.l2_norm_kernel(p, 1.0),
+        ):
+            with pytest.raises(DalangViolated) as info:
+                call()
+            assert str(info.value) == want
+
+    def test_t_hat_method(self):
+        dc = md.derived_constants(SWE)
+        assert dc.t_hat(0.7) == md.t_hat(SWE, 0.7)
+        with pytest.raises(InvalidParams):
+            dc.t_hat(0.0)
+
+    def test_lambda_overflow_reported(self):
+        with pytest.raises(ResultOverflow):
+            md.derived_constants(ModelParams(2, 1, lam=1e200))
 
     @given(st.floats(min_value=0.05, max_value=10.0), st.floats(min_value=0.3, max_value=4.0))
     def test_t_hat_she(self, t, nu):

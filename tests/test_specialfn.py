@@ -9,6 +9,7 @@ from scipy import integrate
 
 from spde_moments import specialfn as sf
 from spde_moments.errors import (
+    ConvergenceFailure,
     GammaPole,
     MittagLefflerAccuracyWarning,
     ValidationError,
@@ -123,7 +124,7 @@ class TestMittagLeffler:
         r = sf._series_radius(a)
         for z in (r, -r):
             series = sf._ml_series(a, b, z)
-            asym, _ = sf._ml_asym(a, b, z)
+            asym = sf._ml_asym(a, b, z)
             assert rel(series, asym) < 1e-7, (a, b, z)
 
     @pytest.mark.parametrize("a", [0.05, 0.1, 0.2, 0.3, 0.9])
@@ -134,7 +135,7 @@ class TestMittagLeffler:
         for b in (a, 1.0):
             for z in (r, -r):
                 series = sf._ml_series(a, b, z)
-                asym, _ = sf._ml_asym(a, b, z)
+                asym = sf._ml_asym(a, b, z)
                 assert rel(series, asym) < 1e-7, (a, b, z)
 
     @given(
@@ -250,6 +251,13 @@ class TestContour:
         with mp.workdps(40):
             want = float(mp.cos(mp.sqrt(mp.mpf(x))))
         assert rel(got, want) < 1e-9
+
+    def test_unsettled_series_raises(self):
+        # E_{0.005,0.005}(-1.0152) = 0.00123119771617 (60-digit series of
+        # 60000 terms); the contour is rejected and the mpmath series does
+        # not settle, so its partial sum (-6.2e5) must not be returned
+        with pytest.raises(ConvergenceFailure, match="-1.0152"):
+            sf.ml(0.005, 0.005, -1.0152)
 
 
 class TestMlLogGrowth:
