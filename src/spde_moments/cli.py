@@ -4,8 +4,8 @@ Subcommands: check-dalang, constants, second-moment, lyapunov, pth-bound,
 volterra, chaos, diagrams, simulate, figures.  Each subcommand declares
 only the options it reads.  Deterministic commands emit byte-stable
 CSV/JSON with the fully resolved parameter set echoed in the output
-header.  Exit codes: 0 success, 2 validation, 3 convergence,
-4 stability.
+header.  Exit codes: 0 success, else the `exit_code` of the package error
+raised (see errors.py).
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ import numpy as np
 from . import diagrams as dg
 from . import moments as mm
 from . import simulate as sim
-from .errors import (
-    ConvergenceFailure,
-    InvalidParams,
-    SpdeMomentsError,
-    StabilityViolated,
-    ValidationError,
-)
+from .errors import InvalidParams, SpdeMomentsError, ValidationError
 from .model import (
     ModelParams,
     big_theta,
@@ -48,10 +42,6 @@ _DEFAULT_PARAMS = ModelParams(alpha=2.0, beta=1.0)
 _MODEL_FIELDS = tuple(f.name for f in dataclasses.fields(ModelParams))
 
 
-def _params_header(p: ModelParams) -> str:
-    return "# " + " ".join(f"{k}={v!r}" for k, v in params_to_dict(p).items()) + "\n"
-
-
 def _emit(text: str, out_path):
     if out_path:
         Path(out_path).write_text(text)
@@ -61,6 +51,11 @@ def _emit(text: str, out_path):
 
 def _emit_json(payload: dict, out_path):
     _emit(json.dumps(payload, indent=2) + "\n", out_path)
+
+
+def _emit_model_json(payload: dict, p: ModelParams, out_path, **tail):
+    """payload, then the resolved "params", then the tail fields."""
+    _emit_json({**payload, "params": params_to_dict(p), **tail}, out_path)
 
 
 def grid_spec(text: str) -> np.ndarray:
@@ -159,14 +154,7 @@ def _resolve_params(ns: argparse.Namespace) -> ModelParams:
     except OSError as exc:
         raise InvalidParams(f"cannot read config file {ns.config!r}: {exc.strerror}") from exc
     flags = {k: getattr(ns, k) for k in _MODEL_FIELDS if getattr(ns, k) is not None}
-    params = dataclasses.replace(params, **flags)
-    if params.beta <= 1.0 and params.u1 != 0.0:
-        print(
-            "warning: u1 is ignored for beta <= 1 (no initial velocity)",
-            file=sys.stderr,
-        )
-        params = dataclasses.replace(params, u1=0.0)
-    return params
+    return dataclasses.replace(params, **flags)
 
 
 def _cmd_check_dalang(ns) -> int:
@@ -177,22 +165,16 @@ def _cmd_check_dalang(ns) -> int:
         "inequality": _dalang_inequality(p),
         "d": p.dim,
         "theta": theta(p),
-        "params": params_to_dict(p),
     }
-    _emit_json(payload, ns.out)
+    _emit_model_json(payload, p, ns.out)
     return 0 if ok else 2
 
 
 def _cmd_constants(ns) -> int:
     p = _resolve_params(ns)
     dc = derived_constants(p)
-    payload = {
-        "theta": dc.theta,
-        "big_theta": dc.big_theta,
-        "lyapunov_base": dc.lyapunov_base,
-        "params": params_to_dict(p),
-    }
-    _emit_json(payload, ns.out)
+    payload = {"theta": dc.theta, "big_theta": dc.big_theta, "lyapunov_base": dc.lyapunov_base}
+    _emit_model_json(payload, p, ns.out)
     return 0
 
 
@@ -213,7 +195,8 @@ def _curve_text(curve: mm.MomentCurve, fmt: str) -> str:
         if curve.stderr is not None:
             payload["stderr"] = [float(v) for v in curve.stderr]
         return json.dumps(payload, indent=2) + "\n"
-    return _params_header(curve.params) + curve.to_csv()
+    header = " ".join(f"{k}={v!r}" for k, v in params_to_dict(curve.params).items())
+    return f"# {header}\n" + curve.to_csv()
 
 
 def _cmd_second_moment(ns) -> int:
@@ -234,11 +217,7 @@ def _cmd_volterra(ns) -> int:
 
 def _cmd_lyapunov(ns) -> int:
     p = _resolve_params(ns)
-    payload = {
-        "second_lyapunov": mm.second_lyapunov(p),
-        "params": params_to_dict(p),
-    }
-    _emit_json(payload, ns.out)
+    _emit_model_json({"second_lyapunov": mm.second_lyapunov(p)}, p, ns.out)
     return 0
 
 
@@ -250,9 +229,8 @@ def _cmd_pth_bound(ns) -> int:
         "pth_moment_upper_sq": mm.pth_moment_upper(p, ns.t, ns.p),
         "pth_lyapunov_upper": mm.pth_lyapunov_upper(p, ns.p),
         "rate_exponent": 1.0 + 1.0 / (theta(p) + 1.0),
-        "params": params_to_dict(p),
     }
-    _emit_json(payload, ns.out)
+    _emit_model_json(payload, p, ns.out)
     return 0
 
 
@@ -264,15 +242,15 @@ def _cmd_chaos(ns) -> int:
         "terms": terms,
         "partial_sum": float(sum(terms)),
         "second_moment": mm.second_moment(p, ns.t),
-        "params": params_to_dict(p),
     }
+    tail = {}
     if ns.mc_samples is not None:
         mc = [
             dg.chaos_term_mc(p, ns.t, k, ns.mc_samples, ns.seed + k)
             for k in range(min(ns.k, 4) + 1)
         ]
-        payload["mc"] = [{"k": k, "estimate": e, "stderr": s} for k, (e, s) in enumerate(mc)]
-    _emit_json(payload, ns.out)
+        tail["mc"] = [{"k": k, "estimate": e, "stderr": s} for k, (e, s) in enumerate(mc)]
+    _emit_model_json(payload, p, ns.out, **tail)
     return 0
 
 
@@ -322,13 +300,22 @@ def _cmd_simulate(ns) -> int:
     out = simulate(p, cfg, probes)
     _emit(_curve_text(out.curve, ns.format), ns.out)
     sidecar = {key: out.meta[key] for key in ("n_paths", "seed", "dx", "dt", "stderr", "scheme")}
-    sidecar["params"] = params_to_dict(p)
-    _emit_json(sidecar, sidecar_path)
+    _emit_model_json(sidecar, p, sidecar_path)
     return 0
 
 
+_GRID_DEFAULT = {"beta_grid": "0.01:2.0:0.01", "alpha_grid": "1.05:5:0.05"}
+
+
 def _cmd_figures(ns) -> int:
-    grid = grid_spec(ns.alpha_grid if ns.family == "sfhe" else ns.beta_grid)
+    read, unread = "beta_grid", "alpha_grid"
+    if ns.family == "sfhe":
+        read, unread = unread, read
+    if getattr(ns, unread) is not None:
+        flag = unread.replace("_", "-")
+        raise ValidationError(f"--{flag} does not apply to --family {ns.family}")
+    spec = getattr(ns, read)
+    grid = grid_spec(_GRID_DEFAULT[read] if spec is None else spec)
     rows = figure_rows(ns.family, ns.nu, ns.lam, grid)
     _emit(figure_csv(ns.family, ns.nu, ns.lam, rows), ns.out)
     return 0
@@ -340,14 +327,9 @@ def _command(sub, name: str, handler, model: bool = True) -> argparse.ArgumentPa
     sp.set_defaults(handler=handler)
     if model:
         sp.add_argument("--config", help="flat key=value parameter file")
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--beta", type=float)
-        sp.add_argument("--gamma", type=float)
-        sp.add_argument("--lambda", dest="lam", type=float)
-        sp.add_argument("--nu", type=float)
-        sp.add_argument("--dim", type=int)
-        sp.add_argument("--u0", type=float)
-        sp.add_argument("--u1", type=float)
+        for field in _MODEL_FIELDS:
+            flag = "--lambda" if field == "lam" else f"--{field}"
+            sp.add_argument(flag, dest=field, type=int if field == "dim" else float)
     sp.add_argument("--out", help="output file (default: stdout)")
     return sp
 
@@ -406,8 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", choices=list(_FIGURE_FAMILIES), required=True)
     sp.add_argument("--nu", type=float, default=1.0)
     sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    sp.add_argument("--beta-grid", dest="beta_grid", default="0.01:2.0:0.01")
-    sp.add_argument("--alpha-grid", dest="alpha_grid", default="1.05:5:0.05")
+    sp.add_argument("--beta-grid", dest="beta_grid")  # defaults in _GRID_DEFAULT
+    sp.add_argument("--alpha-grid", dest="alpha_grid")
     return ap
 
 
@@ -415,23 +397,10 @@ def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
         return ns.handler(ns)
-    except ValidationError as exc:
-        _error_json(exc)
-        return 2
-    except ConvergenceFailure as exc:
-        _error_json(exc)
-        return 3
-    except StabilityViolated as exc:
-        _error_json(exc)
-        return 4
     except SpdeMomentsError as exc:
-        _error_json(exc)
-        return 2
-
-
-def _error_json(exc: Exception):
-    payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    print(json.dumps(payload), file=sys.stderr)
+        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        print(json.dumps(payload), file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

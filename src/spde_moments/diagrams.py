@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specialfn as sf
-from .errors import InvalidParams, NotBalanced, TooLarge
+from .errors import InvalidParams, NotBalanced, TooLarge, finite_or_overflow
 from .model import ModelParams, derived_constants
 
 __all__ = [
@@ -260,7 +260,7 @@ def chaos_term(p: ModelParams, t: float, k: int) -> float:
     (u1 = 0): u0^2 (lambda^2 Theta Gamma(theta+1))^k t^{k(theta+1)}
     / Gamma(k(theta+1) + 1)."""
     dc = derived_constants(p)
-    if p.u1 != 0.0 and p.beta > 1.0:
+    if p.u1 != 0.0:
         raise InvalidParams("chaos terms implemented for u1 = 0")
     if t <= 0:
         raise InvalidParams("t must be > 0")
@@ -268,8 +268,11 @@ def chaos_term(p: ModelParams, t: float, k: int) -> float:
         raise InvalidParams("k must be a nonnegative integer")
     if k == 0:
         return p.u0**2
-    th = dc.theta
-    return p.u0**2 * dc.lyapunov_base**k * t ** (k * (th + 1.0)) * sf.rgamma(k * (th + 1.0) + 1.0)
+    n = k * (dc.theta + 1.0)
+    return finite_or_overflow(
+        lambda: p.u0**2 * dc.lyapunov_base**k * t**n * sf.rgamma(n + 1.0),
+        f"chaos term k={k} at t={t!r} exceeds the double range",
+    )
 
 
 def chaos_term_mc(
@@ -290,7 +293,7 @@ def chaos_term_mc(
     infinite variance once theta <= -1/2).
     """
     dc = derived_constants(p)
-    if p.u1 != 0.0 and p.beta > 1.0:
+    if p.u1 != 0.0:
         raise InvalidParams("chaos terms implemented for u1 = 0")
     if k < 0 or int(k) != k:
         raise InvalidParams("k must be a nonnegative integer")

@@ -1,17 +1,20 @@
 """Exception hierarchy shared by all modules.
 
-Exit-code mapping used by the CLI: validation errors -> 2,
-convergence errors -> 3, stability/domain errors -> 4, any other package
-error (such as ResultOverflow) -> 2.
+Each package error carries the CLI exit code it maps to in its `exit_code`
+class attribute; subclasses inherit it.
 """
+
+import math
 
 
 class SpdeMomentsError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 2
+
 
 class ValidationError(SpdeMomentsError, ValueError):
-    """Invalid parameters or inputs (CLI exit code 2)."""
+    """Invalid parameters or inputs."""
 
 
 class InvalidParams(ValidationError):
@@ -35,7 +38,9 @@ class NotBalanced(ValidationError):
 
 
 class ConvergenceFailure(SpdeMomentsError):
-    """A quadrature or series did not reach the requested accuracy (exit code 3)."""
+    """A quadrature or series did not reach the requested accuracy."""
+
+    exit_code = 3
 
 
 class StepTooCoarse(ConvergenceFailure):
@@ -46,8 +51,21 @@ class ResultOverflow(SpdeMomentsError, OverflowError):
     """A result lies outside the double range; the input itself is valid."""
 
 
+def finite_or_overflow(compute, message: str) -> float:
+    """compute(), or ResultOverflow(message) when it overflows or is not finite."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ResultOverflow(message)
+    return value
+
+
 class StabilityViolated(SpdeMomentsError):
-    """Simulation scheme constraint violated (exit code 4)."""
+    """Simulation scheme constraint violated."""
+
+    exit_code = 4
 
 
 class DomainTooSmall(StabilityViolated):

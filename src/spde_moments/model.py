@@ -5,7 +5,7 @@ of the fractional equation
 
     (d_t^beta + (nu/2) (-Laplace)^{alpha/2}) u = I_t^gamma [lambda u dW],
 
-with constant initial position u0 (and velocity u1 when beta > 1).  This
+with constant initial position u0 and, for beta > 1 only, velocity u1.  This
 module alone decides existence (`dalang_bound`, and the one DalangViolated
 gate) and forms theta, Theta and lambda^2 Theta Gamma(theta + 1): moments,
 diagrams and the CLI read them from the `derived_constants` record.  Theta
@@ -79,6 +79,8 @@ class ModelParams:
             raise InvalidParams(f"nu must be > 0, got {self.nu}")
         if int(self.dim) != self.dim or self.dim < 1:
             raise InvalidParams(f"dim must be a positive integer, got {self.dim}")
+        if self.beta <= 1 and self.u1 != 0:
+            raise InvalidParams(f"u1 must be 0 for beta <= 1 (no initial velocity), got {self.u1}")
 
 
 @dataclass(frozen=True)
@@ -384,11 +386,9 @@ def _l2_norm_kernel_quad(p: ModelParams, s: float) -> float:
 
 
 def j0(p: ModelParams, t: float) -> float:
-    """Homogeneous solution: u0 for beta <= 1, u0 + u1 t for beta in (1,2]."""
+    """Homogeneous solution u0 + u1 t (u1 = 0 for beta <= 1)."""
     if t < 0:
         raise InvalidParams("t must be >= 0")
-    if p.beta <= 1.0:
-        return p.u0
     return p.u0 + p.u1 * t
 
 

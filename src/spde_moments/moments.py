@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import specialfn as sf
-from .errors import InvalidParams, ResultOverflow, StepTooCoarse
+from .errors import InvalidParams, StepTooCoarse, finite_or_overflow
 from .model import DerivedConstants, ModelParams, derived_constants, j0
 
 __all__ = [
@@ -74,22 +74,20 @@ def _ml_sum(
     p: ModelParams, dc: DerivedConstants, t: float, rate: float, scale: float, overflow: str
 ) -> float:
     """scale * (u0^2 E_{theta+1}(z) + 2 u0 u1 t E_{theta+1,2}(z) + 2 u1^2 t^2
-    E_{theta+1,3}(z)) at z = rate * that, the u1 terms for beta > 1 only;
+    E_{theta+1,3}(z)) at z = rate * that, the u1 terms for u1 != 0 only;
     InvalidParams for t <= 0 (from that), ResultOverflow(overflow) outside
     the double range."""
     th = dc.theta
-    try:
+
+    def value():
         z = rate * dc.t_hat(t)
-        value = p.u0**2 * sf.ml(th + 1.0, 1.0, z)
-        if p.beta > 1.0:
-            value += 2.0 * p.u0 * p.u1 * t * sf.ml(th + 1.0, 2.0, z)
-            value += 2.0 * p.u1**2 * t**2 * sf.ml(th + 1.0, 3.0, z)
-        value *= scale
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ResultOverflow(overflow)
-    return value
+        total = p.u0**2 * sf.ml(th + 1.0, 1.0, z)
+        if p.u1 != 0.0:
+            total += 2.0 * p.u0 * p.u1 * t * sf.ml(th + 1.0, 2.0, z)
+            total += 2.0 * p.u1**2 * t**2 * sf.ml(th + 1.0, 3.0, z)
+        return total * scale
+
+    return finite_or_overflow(value, overflow)
 
 
 def second_moment(p: ModelParams, t: float) -> float:
@@ -112,13 +110,9 @@ def second_moment_log(p: ModelParams, t: float) -> float:
     th = dc.theta
     z = p.lam**2 * dc.t_hat(t)
     terms = [2.0 * math.log(p.u0) + sf.ml_log(th + 1.0, 1.0, z)]
-    if p.beta > 1.0 and p.u1 > 0:
-        terms.append(
-            math.log(2.0 * p.u0 * p.u1 * t) + sf.ml_log(th + 1.0, 2.0, z)
-        )
-        terms.append(
-            math.log(2.0 * p.u1**2 * t**2) + sf.ml_log(th + 1.0, 3.0, z)
-        )
+    if p.u1 > 0:
+        terms.append(math.log(2.0 * p.u0 * p.u1 * t) + sf.ml_log(th + 1.0, 2.0, z))
+        terms.append(math.log(2.0 * p.u1**2 * t**2) + sf.ml_log(th + 1.0, 3.0, z))
     top = max(terms)
     return top + math.log(sum(math.exp(v - top) for v in terms))
 
@@ -161,16 +155,11 @@ def second_lyapunov(p: ModelParams) -> float:
     """lim t^{-1} log E[u^2] = (lambda^2 Theta Gamma(theta+1))^{1/(theta+1)}."""
     dc = derived_constants(p)
     th = dc.theta
-    try:
-        rate = dc.lyapunov_base ** (1.0 / (th + 1.0))
-    except OverflowError:
-        rate = math.inf
-    if not math.isfinite(rate):
-        raise ResultOverflow(
-            f"second Lyapunov exponent exceeds the double range: alpha={p.alpha}, "
-            f"beta={p.beta}, gamma={p.gamma}, d={p.dim}, theta + 1 = {th + 1.0:.3g}"
-        )
-    return rate
+    return finite_or_overflow(
+        lambda: dc.lyapunov_base ** (1.0 / (th + 1.0)),
+        f"second Lyapunov exponent exceeds the double range: alpha={p.alpha}, "
+        f"beta={p.beta}, gamma={p.gamma}, d={p.dim}, theta + 1 = {th + 1.0:.3g}",
+    )
 
 
 def pth_moment_upper(p: ModelParams, t: float, pp: float) -> float:
@@ -191,7 +180,10 @@ def pth_lyapunov_upper(p: ModelParams, pp: float) -> float:
     if pp < 2:
         raise InvalidParams("moment order must be >= 2")
     r = 1.0 / (dc.theta + 1.0)
-    return 0.5 * (8.0 * dc.lyapunov_base) ** r * pp ** (1.0 + r)  # 8x: exact scaling
+    return finite_or_overflow(
+        lambda: 0.5 * (8.0 * dc.lyapunov_base) ** r * pp ** (1.0 + r),  # 8x: exact scaling
+        f"the p-th Lyapunov bound for p={pp!r} exceeds the double range",
+    )
 
 
 def she_exact_pth_lyapunov(lam: float, pp: float) -> float:
@@ -210,15 +202,18 @@ def resolvent_kernel(p: ModelParams, t: float) -> float:
         raise InvalidParams("t must be > 0")
     th = dc.theta
     a = dc.lyapunov_base
-    return a * t**th * sf.ml(th + 1.0, th + 1.0, a * t ** (th + 1.0))
+    return finite_or_overflow(
+        lambda: a * t**th * sf.ml(th + 1.0, th + 1.0, a * t ** (th + 1.0)),
+        f"the resolvent kernel at t={t!r} exceeds the double range",
+    )
 
 
 def _volterra_weights(th: float, h: float, n: int):
     """Product-integration weights for the kernel (t-s)^theta against a
     piecewise-linear interpolant on a uniform grid.
 
-    Returns (c0, coef) where eta_n gets weight c0 and eta_{n-k} gets
-    coef[k] for k = 1..n (coef[n] adjusted at the boundary by the caller).
+    Returns (wl, wr): the weights of panel m (tau in [(m-1)h, mh], at
+    index m-1) on its left and right node values, m = 1..n.
     """
     m = np.arange(0, n + 1, dtype=float)
     p1 = m ** (th + 1.0)

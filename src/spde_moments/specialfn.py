@@ -121,24 +121,17 @@ def _series_radius(a: float) -> float:
 
 
 def _series_float(a: float, b: float, z: float, max_terms: int = 600):
-    """Kahan-summed power series; returns (sum, max |term|, converged)."""
+    """Kahan-summed power series; returns (sum, max |term|, converged).
+
+    A sum whose z^k passes 1e290 is returned as unconverged: inside the
+    switch radius the series settles long before that.
+    """
     total = 0.0
     comp = 0.0
     max_abs = 0.0
     zpow = 1.0
-    log_mode = False
-    log_zpow = 0.0
-    log_absz = math.log(abs(z)) if z != 0.0 else -math.inf
-    sign_z = -1.0 if z < 0 else 1.0
     for k in range(max_terms):
-        if not log_mode:
-            term = zpow * rgamma(a * k + b)
-        else:
-            rg = rgamma(a * k + b)
-            mag = log_zpow + (math.log(abs(rg)) if rg != 0.0 else -math.inf)
-            term = 0.0 if rg == 0.0 else math.copysign(math.exp(mag), rg) * (
-                sign_z**k
-            )
+        term = zpow * rgamma(a * k + b)
         max_abs = max(max_abs, abs(term))
         y = term - comp
         t = total + y
@@ -146,13 +139,9 @@ def _series_float(a: float, b: float, z: float, max_terms: int = 600):
         total = t
         if k > 2 and abs(term) < 1e-17 * (abs(total) + 1e-300):
             return total, max_abs, True
-        if not log_mode:
-            zpow *= z
-            if abs(zpow) > 1e290:
-                log_mode = True
-                log_zpow = math.log(abs(zpow))
-        else:
-            log_zpow += log_absz
+        zpow *= z
+        if abs(zpow) > 1e290:
+            break
     return total, max_abs, False
 
 

@@ -119,6 +119,7 @@ class TestCurveCommands:
             ("second-moment", "--t-max", "5000"),
             ("figures", "--family", "sheswe", "--beta-grid", "0.668:0.668:0.1"),
             ("pth-bound", "--t", "5000"),
+            ("chaos", "--alpha", "2", "--beta", "1", "--lambda", "1e100", "--k", "4"),
         ],
         ids=" ".join,
     )
@@ -127,6 +128,28 @@ class TestCurveCommands:
         assert code == 2
         assert "Traceback" not in err
         assert json.loads(err)["error"]["type"] == "ResultOverflow"
+
+    def test_volterra_step_too_coarse_exit_code(self, capsys):
+        code, out, err = run_cli(
+            capsys, "volterra", "--t-max", "1", "--n-points", "16", "--rtol", "1e-12"
+        )
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "StepTooCoarse"
+
+    def test_json_curve(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "second-moment", "--beta", "1.5", "--u1", "0.5", "--t-max", "0.5",
+            "--n-points", "4", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["params", "method", "t", "value"]
+        assert payload["params"]["u1"] == 0.5
+        assert payload["method"] == "closed-form"
+        assert payload["t"] == [0.125, 0.25, 0.375, 0.5]
+        p = ModelParams(2.0, 1.5, u1=0.5)
+        assert payload["value"] == [mm.second_moment(p, t) for t in payload["t"]]
 
     def test_volterra_matches_closed(self, capsys):
         code, out, _ = run_cli(
@@ -219,6 +242,14 @@ class TestDiagramsCommand:
         code, out, _ = run_cli(capsys, "diagrams", "--p", "6", "--m", "7", "--count-only")
         assert code == 0
         assert "lower bound 36" in out
+
+    def test_balanced_listing(self, capsys):
+        code, out, _ = run_cli(capsys, "diagrams", "--p", "4", "--m", "3")
+        assert code == 0
+        header, *lines = out.splitlines()
+        assert header == "# balanced diagrams p=4 m=3: 8 (lower bound 2)"
+        assert len(lines) == 8
+        assert all(line.startswith("4 3 | ") for line in lines)
 
     def test_needs_arguments(self, capsys):
         code, _, err = run_cli(capsys, "diagrams")
@@ -324,6 +355,23 @@ class TestFiguresCommand:
         assert abs(rows[("1", "lyapunov")] - 0.125) < 1e-6
         assert abs(rows[("2", "lyapunov")] - 2**-0.5) < 1e-6
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("figures", "--family", "sfhe", "--beta-grid", "9:9:1"),
+            ("figures", "--family", "sheswe", "--alpha-grid", "9:9:1"),
+            ("figures", "--family", "tfspde", "--alpha-grid", "1.05:5:0.05"),
+        ],
+        ids=" ".join,
+    )
+    def test_grid_flag_of_another_family(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"] == f"{argv[3]} does not apply to --family {argv[2]}"
+
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(capsys, "figures", "--family", "she")
         assert code == 2
@@ -341,11 +389,18 @@ class TestConfigFile:
         assert abs(json.loads(out)["second_lyapunov"] - 0.125) < 1e-9
 
     def test_u1_ignored_warning(self, capsys):
+        # u1 at beta <= 1 is rejected, not dropped with a warning
         code, out, err = run_cli(
             capsys, "constants", "--alpha", "2", "--beta", "1", "--u1", "3"
         )
-        assert code == 0
-        assert "u1 is ignored" in err
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": {
+                "type": "InvalidParams",
+                "message": "u1 must be 0 for beta <= 1 (no initial velocity), got 3.0",
+            }
+        }
 
 
 class TestCrossingHelper:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from spde_moments import diagrams as dg
 from spde_moments import moments as mm
 from spde_moments.diagrams import FeynmanDiagram, Partition
-from spde_moments.errors import InvalidParams, NotBalanced, TooLarge
+from spde_moments.errors import InvalidParams, NotBalanced, ResultOverflow, TooLarge
 from spde_moments.model import ModelParams, big_theta, theta
 
 
@@ -178,6 +178,10 @@ class TestSerialization:
 class TestChaos:
     def test_level_zero(self):
         assert dg.chaos_term(SHE, 1.0, 0) == 1.0
+
+    def test_overflow(self):
+        with pytest.raises(ResultOverflow):
+            dg.chaos_term(ModelParams(2, 1, lam=1e100), 1.0, 4)
 
     def test_she_level_one(self):
         # Theta Gamma(1/2) / Gamma(3/2) with Theta = 1/sqrt(4 pi) equals 1/sqrt(pi)

@@ -46,6 +46,13 @@ class TestParams:
         with pytest.raises(InvalidParams):
             ModelParams(alpha=2, beta=1, gamma=-0.1)
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_u1_needs_beta_above_one(self, beta):
+        with pytest.raises(InvalidParams, match="u1 must be 0 for beta <= 1"):
+            ModelParams(alpha=2, beta=beta, u1=0.5)
+        assert ModelParams(alpha=2, beta=beta, u1=0.0).u1 == 0.0
+        assert ModelParams(alpha=2, beta=1.01, u1=0.5).u1 == 0.5
+
     def test_kv_roundtrip(self):
         p = ModelParams(alpha=2.5, beta=1.3, gamma=0.2, lam=-1.5, nu=3.0, dim=2, u0=0.5, u1=2.0)
         assert md.params_from_kv(md.params_to_kv(p)) == p

@@ -109,6 +109,12 @@ class TestLyapunov:
         ) ** (alpha / (3.0 * alpha - 2.0))
         assert rel(mm.second_lyapunov(p), want) < 1e-8
 
+    @pytest.mark.parametrize("p", [SHE, SWEEP[2], SWEEP[3], SWE_NU2])
+    def test_log_matches_small_time(self, p):
+        # small t keeps z inside ml's switch radius: ml_log's series branch
+        for t in (0.05, 0.5):
+            assert abs(mm.second_moment_log(p, t) - math.log(mm.second_moment(p, t))) < 1e-12
+
     @pytest.mark.parametrize(
         "p,budget",
         [
@@ -164,6 +170,11 @@ class TestPthBounds:
         for pp in np.linspace(2.0, 50.0, 25):
             assert mm.she_exact_pth_lyapunov(1.0, pp) <= mm.pth_lyapunov_upper(SHE, pp)
 
+    def test_lyapunov_bound_overflow(self):
+        # theta + 1 = 0.002: the rate's power exceeds the double range
+        with pytest.raises(ResultOverflow):
+            mm.pth_lyapunov_upper(ModelParams(2, 0.668), 2)
+
     def test_order_validation(self):
         with pytest.raises(InvalidParams):
             mm.pth_moment_upper(SHE, 1.0, 1.5)
@@ -213,6 +224,10 @@ class TestResolvent:
         kappa = p.lam**2 * big_theta(p)
         for t in (0.2, 1.0, 3.0):
             assert rel(mm.resolvent_kernel(p, t), kappa * math.exp(kappa * t)) < 1e-9
+
+    def test_overflow(self):
+        with pytest.raises(ResultOverflow):
+            mm.resolvent_kernel(ModelParams(2, 0.668), 5.0)
 
     def test_integrable_singularity(self):
         val, _ = integrate.quad(lambda s: mm.resolvent_kernel(SHE, s), 0, 1, points=[1e-9], limit=200)
