@@ -47,9 +47,14 @@ CASES = {
                               "--n-points", "3", "--format", "json"],
     "second_moment_out": ["second-moment", "--beta", "0.8", "--gamma", "0.3", "--n-points", "5",
                           "--out", "m.csv"],
+    "second_moment_switch_radius": ["second-moment", "--alpha", "2", "--beta", "1.5", "--u1",
+                                    "0.5", "--t-max", "60", "--n-points", "24"],
+    "second_moment_overflow": ["second-moment", "--t-max", "5000", "--n-points", "8"],
     "volterra_csv": ["volterra", "--n-points", "16"],
     "volterra_json_rtol": ["volterra", "--beta", "1.5", "--u1", "0.2", "--n-points", "32",
                            "--rtol", "0.1", "--format", "json"],
+    "volterra_u1_rtol": ["volterra", "--beta", "1.3", "--u1", "0.5", "--n-points", "600",
+                         "--rtol", "1e-3"],
     "volterra_step_too_coarse": ["volterra", "--t-max", "1", "--n-points", "16",
                                  "--rtol", "1e-12"],
     "lyapunov_wave": ["lyapunov", "--alpha", "3", "--beta", "2"],
