@@ -202,8 +202,7 @@ def _curve_text(curve: mm.MomentCurve, fmt: str) -> str:
 def _cmd_second_moment(ns) -> int:
     p = _resolve_params(ns)
     grid = _moment_grid(ns)
-    values = np.array([mm.second_moment(p, float(t)) for t in grid])
-    curve = mm.MomentCurve(grid, values, "closed-form", p)
+    curve = mm.MomentCurve(grid, mm.second_moment(p, grid), "closed-form", p)
     _emit(_curve_text(curve, ns.format), ns.out)
     return 0
 

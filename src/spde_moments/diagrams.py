@@ -269,10 +269,20 @@ def chaos_term(p: ModelParams, t: float, k: int) -> float:
     if k == 0:
         return p.u0**2
     n = k * (dc.theta + 1.0)
-    return finite_or_overflow(
-        lambda: p.u0**2 * dc.lyapunov_base**k * t**n * sf.rgamma(n + 1.0),
-        f"chaos term k={k} at t={t!r} exceeds the double range",
-    )
+
+    def value():
+        try:
+            term = p.u0**2 * dc.lyapunov_base**k * t**n * sf.rgamma(n + 1.0)
+        except OverflowError:
+            term = math.inf
+        if math.isfinite(term):
+            return term
+        # a power left the double range before the factors met: meet them
+        # in logs (lambda = 1e10, t = 1e-10, k = 20 gives 2.6e287)
+        log_term = k * math.log(dc.lyapunov_base) + n * math.log(t) - math.lgamma(n + 1.0)
+        return p.u0**2 * math.exp(log_term)
+
+    return finite_or_overflow(value, f"chaos term k={k} at t={t!r} exceeds the double range")
 
 
 def chaos_term_mc(

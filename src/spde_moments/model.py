@@ -184,7 +184,7 @@ def _tail_piece(p: float, lam: complex, u: float):
 
 
 @lru_cache(maxsize=256)
-def _radial_j(alpha: float, beta: float, gam: float, d: int):
+def _radial_j(alpha: float, beta: float, gam: float, d: int, epsabs: float = 1e-13):
     """J = int_0^inf E^2_{beta,b}(-r^alpha) r^{d-1} dr, b = beta + gamma,
     for 0 < beta <= 2, within _REL_TOL relative or ConvergenceFailure.
 
@@ -219,7 +219,11 @@ def _radial_j(alpha: float, beta: float, gam: float, d: int):
     most its share of _CUT_TOL times the head up to u_s, a lower bound on J.
 
     Error budget: the quad error estimates of all panels, the bounds at u_c
-    and the by-parts truncation errors, in sum at most _REL_TOL J.
+    and the by-parts truncation errors, in sum at most _REL_TOL J.  The head
+    quad stops at an absolute error epsabs, which may be a relative error
+    near 1 when J is tiny (large gamma: E(0) = 1/Gamma(b), J = 2.2e-7 at
+    alpha = 1.5, beta = 0.5, gamma = 7); when the budget is missed and
+    epsabs exceeds _REL_TOL J, J is computed again with epsabs scaled to it.
     """
     b = beta + gam
     sigma = max(beta, 1.0)
@@ -247,12 +251,12 @@ def _radial_j(alpha: float, beta: float, gam: float, d: int):
         for r0, r1 in zip(edges, edges[1:]):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                v, e = integrate.quad(f, r0, r1, limit=200, epsabs=1e-13, epsrel=3e-11)
+                v, e = integrate.quad(f, r0, r1, limit=200, epsabs=epsabs, epsrel=3e-11)
             val += v
             err += e
         return val, err
 
-    u_s = sf._series_radius(beta) ** (1.0 / sigma)
+    u_s = sf._series_radius(beta, b) ** (1.0 / sigma)
     head_s, err_s = head(0.0, u_s)
     bounds = []  # (k, e): k u_c^{-e}
     for j in (_N_ALG + 1, _N_ALG + 2):
@@ -278,6 +282,8 @@ def _radial_j(alpha: float, beta: float, gam: float, d: int):
     total = head_s + head_c + sigma / alpha * tail
     err = err_s + err_c + sigma / alpha * tail_err
     if err > _REL_TOL * abs(total):
+        if epsabs > _REL_TOL * abs(total):
+            return _radial_j(alpha, beta, gam, d, epsabs * abs(total))
         raise ConvergenceFailure(
             f"theta quadrature error {err:.2e} exceeds {_REL_TOL:.0e} relative"
         )
@@ -364,7 +370,7 @@ def _l2_norm_kernel_quad(p: ModelParams, s: float) -> float:
         raise InvalidParams("quadrature cross-check path requires beta < 2")
     d = p.dim
     c = 0.5 * p.nu * s**p.beta  # x = c r^alpha
-    r_big = max(4.0, (300.0 * sf._series_radius(p.beta) / c) ** (1.0 / p.alpha))
+    r_big = max(4.0, (300.0 * sf._series_radius(p.beta, p.beta + p.gamma) / c) ** (1.0 / p.alpha))
 
     def f(r: float) -> float:
         return kernel_ft(p, s, r) ** 2 * r ** (d - 1)

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import specialfn as sf
-from .errors import InvalidParams, StepTooCoarse, finite_or_overflow
+from .errors import InvalidParams, SpdeMomentsError, StepTooCoarse, finite_or_overflow
 from .model import DerivedConstants, ModelParams, derived_constants, j0
 
 __all__ = [
@@ -70,35 +70,62 @@ class MomentCurve:
         return buf.getvalue()
 
 
-def _ml_sum(
-    p: ModelParams, dc: DerivedConstants, t: float, rate: float, scale: float, overflow: str
-) -> float:
+def _ml_sum(p: ModelParams, dc: DerivedConstants, t, rate: float, scale: float, overflow: str):
     """scale * (u0^2 E_{theta+1}(z) + 2 u0 u1 t E_{theta+1,2}(z) + 2 u1^2 t^2
     E_{theta+1,3}(z)) at z = rate * that, the u1 terms for u1 != 0 only;
-    InvalidParams for t <= 0 (from that), ResultOverflow(overflow) outside
-    the double range."""
+    InvalidParams for t <= 0 (from that), ResultOverflow(overflow with t
+    filled in) outside the double range.
+
+    A 1-D array t gives the array of values: that, t^2 and the sums are
+    formed per point as for a scalar t, the E values by `ml_array`, so each
+    point equals the scalar call bit for bit.  When a point fails, the
+    per-point loop runs to raise the error it would have raised first.
+    """
     th = dc.theta
+    if np.ndim(t) == 0:
 
-    def value():
-        z = rate * dc.t_hat(t)
-        total = p.u0**2 * sf.ml(th + 1.0, 1.0, z)
-        if p.u1 != 0.0:
-            total += 2.0 * p.u0 * p.u1 * t * sf.ml(th + 1.0, 2.0, z)
-            total += 2.0 * p.u1**2 * t**2 * sf.ml(th + 1.0, 3.0, z)
-        return total * scale
+        def value():
+            z = rate * dc.t_hat(t)
+            total = p.u0**2 * sf.ml(th + 1.0, 1.0, z)
+            if p.u1 != 0.0:
+                total += 2.0 * p.u0 * p.u1 * t * sf.ml(th + 1.0, 2.0, z)
+                total += 2.0 * p.u1**2 * t**2 * sf.ml(th + 1.0, 3.0, z)
+            return total * scale
 
-    return finite_or_overflow(value, overflow)
+        return finite_or_overflow(value, overflow.format(t=t))
+
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim != 1:
+        raise InvalidParams(f"t must be a scalar or a 1-D array, got shape {ts.shape}")
+    points = ts.tolist()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = np.array([rate * dc.t_hat(v) for v in points])
+            total = p.u0**2 * sf.ml_array(th + 1.0, 1.0, z)
+            if p.u1 != 0.0:
+                total += 2.0 * p.u0 * p.u1 * ts * sf.ml_array(th + 1.0, 2.0, z)
+                t_sq = np.array([v**2 for v in points])
+                total += 2.0 * p.u1**2 * t_sq * sf.ml_array(th + 1.0, 3.0, z)
+            total *= scale
+        if np.all(np.isfinite(total)):
+            return total
+    except (SpdeMomentsError, ArithmeticError):
+        pass
+    return np.array([_ml_sum(p, dc, v, rate, scale, overflow) for v in points])
 
 
-def second_moment(p: ModelParams, t: float) -> float:
+def second_moment(p: ModelParams, t) -> float | np.ndarray:
     """E[u(t,x)^2], independent of x.
 
     u0^2 E_{theta+1}(lambda^2 that) for beta <= 1, plus the mixed and
-    quadratic initial-velocity terms for beta in (1, 2].
+    quadratic initial-velocity terms for beta in (1, 2].  A 1-D array t
+    gives the array of values, each equal bit for bit to the scalar call,
+    from one `specialfn.ml_array` pass per Mittag-Leffler term; a grid
+    raises the error the first failing point raises as a scalar.
     """
     return _ml_sum(
         p, derived_constants(p), t, p.lam**2, 1.0,
-        f"E[u^2] at t={t!r} exceeds the double range; second_moment_log gives its logarithm",
+        "E[u^2] at t={t!r} exceeds the double range; second_moment_log gives its logarithm",
     )
 
 
@@ -169,7 +196,7 @@ def pth_moment_upper(p: ModelParams, t: float, pp: float) -> float:
         raise InvalidParams("moment order must be >= 2")
     return _ml_sum(
         p, dc, t, 8.0 * pp * p.lam**2, 2.0,
-        f"the p-th moment bound at t={t!r} exceeds the double range",
+        "the p-th moment bound at t={t!r} exceeds the double range",
     )
 
 
@@ -261,18 +288,23 @@ def _volterra_solve(p: ModelParams, dc: DerivedConstants, h: float, n: int) -> n
     th = dc.theta
     kappa = p.lam**2 * dc.big_theta
     wl, wr = _volterra_weights(th, h, n)  # panel m at index m-1
-    g = np.array([j0(p, (i + 1) * h) ** 2 for i in range(n)])
-    eta = np.empty(n + 1)
-    eta[0] = j0(p, 0.0) ** 2
-    c0 = wr[0]  # implicit weight on eta_step (panel 1, right node)
+    g = [j0(p, (i + 1) * h) ** 2 for i in range(n)]
+    eta0 = j0(p, 0.0) ** 2
+    c0 = float(wr[0])  # implicit weight on eta_step (panel 1, right node)
     denom = 1.0 - kappa * c0
     if denom <= 0:
         raise StepTooCoarse("step too large for the implicit panel weight")
     # interior lag-d coefficient (d = step - i): wl of panel d + wr of panel d+1
     coefd = wl[:-1] + wr[1:]  # index d-1 holds lag d, d = 1..n-1
+    # eta reversed, rev[n - i] = eta[i]: the history eta[step-1], ..., eta[1]
+    # is then the contiguous rev[n-step+1 : n], which dot reads in place
+    # (a negative-stride view of eta is copied first)
+    rev = np.empty(n + 1)
+    rev[n] = eta0
+    wl = wl.tolist()
     for step in range(1, n + 1):
-        acc = wl[step - 1] * eta[0]
+        acc = wl[step - 1] * eta0
         if step >= 2:
-            acc += float(np.dot(coefd[: step - 1], eta[step - 1 : 0 : -1]))
-        eta[step] = (g[step - 1] + kappa * acc) / denom
-    return eta[1:]
+            acc += float(np.dot(coefd[: step - 1], rev[n - step + 1 : n]))
+        rev[n - step] = (g[step - 1] + kappa * acc) / denom
+    return rev[n - 1 :: -1].copy()

@@ -1,14 +1,17 @@
-"""Scalar special functions on the real line.
+"""Special functions on the real line.
 
 Gamma, the standard normal CDF, the two-parameter Mittag-Leffler function
 E_{a,b}(z), the Riemann-Liouville integral of a power function, and the
 oscillatory integral int_0^inf sin^2(b xi^{a/2}) xi^{-a} dxi in closed form.
+All take scalars except `ml_array`, which evaluates E_{a,b} on a 1-D array
+with the same value as `ml` for every element, bit for bit.
 
 `ml` tries its branches in this order:
 
 1. exp(z) for the heat kernel (a, b) = (1, 1), correctly rounded by libm;
-2. for |z| below the switch radius, the Kahan-summed float power series,
-   accepted when its roundoff estimate is at most 1e-11 of the sum;
+2. for |z| below the switch radius (|z|^{1/a} of 25 to 30, and at least
+   2|b|), the Kahan-summed float power series, accepted when its roundoff
+   estimate is at most 1e-11 of the sum;
 3. otherwise R. Garrappa's optimal parabolic-contour inversion of the
    Laplace transform (SIAM J. Numer. Anal. 53 (2015) 1350-1369) in double
    precision, accepted when 64 eps times its sum of |terms| is at most
@@ -40,6 +43,7 @@ __all__ = [
     "rgamma",
     "normal_cdf",
     "ml",
+    "ml_array",
     "ml_log",
     "ml_log_growth",
     "frac_int_power",
@@ -47,6 +51,7 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+_RGAMMA_ZERO = 171.6  # rgamma(x) is 0.0 from here on: Gamma(x) overflows
 
 
 def gamma(x: float) -> float:
@@ -80,7 +85,7 @@ def rgamma(x: float) -> float:
     if x <= 0 and x == math.floor(x):
         return 0.0
     if x > 0.5:
-        g = math.gamma(x) if x < 171.6 else math.inf
+        g = math.gamma(x) if x < _RGAMMA_ZERO else math.inf
         return 0.0 if math.isinf(g) else 1.0 / g
     # 1/Gamma(x) = Gamma(1-x) sin(pi x) / pi
     s = _sinpi(x)
@@ -109,29 +114,36 @@ def normal_cdf(x: float) -> float:
 # identity at the switch radius by ~1e-5.
 
 
-def _series_radius(a: float) -> float:
+def _series_radius(a: float, b: float = 0.0) -> float:
     # Below radius the power series (or, where its float sum cancels, the
     # contour or the mpmath series) is used.  The asymptotic branch
     # only reaches ~exp(-|z|^{1/a}) absolute accuracy (smallest term of
     # the algebraic series), so the radius keeps |z|^{1/a} >= 25 for a < 1
-    # and >= 29 for a > 1, where the series is still affordable.
+    # and >= 29 for a > 1, where the series is still affordable.  The
+    # algebraic terms grow while |a k - b| < |z|^{1/a}, and the branch cuts
+    # them near k = |z|^{1/a}/a, so it also needs |z|^{1/a} >= 2|b|.
     if a < 1.0:
-        return max(10.0 * a, 25.0**a)
-    return max(30.0, 29.0**a)
+        return max(10.0 * a, 25.0**a, (2.0 * abs(b)) ** a)
+    return max(30.0, 29.0**a, (2.0 * abs(b)) ** a)
 
 
 def _series_float(a: float, b: float, z: float, max_terms: int = 600):
     """Kahan-summed power series; returns (sum, max |term|, converged).
 
-    A sum whose z^k passes 1e290 is returned as unconverged: inside the
-    switch radius the series settles long before that.
+    A sum whose z^k passes 1e290, or whose next Gamma argument reaches
+    _RGAMMA_ZERO (where rgamma returns 0), is returned as unconverged:
+    inside the switch radius the series settles long before that unless b
+    is large.
     """
     total = 0.0
     comp = 0.0
     max_abs = 0.0
     zpow = 1.0
     for k in range(max_terms):
-        term = zpow * rgamma(a * k + b)
+        arg = a * k + b
+        if arg >= _RGAMMA_ZERO:
+            break
+        term = zpow * rgamma(arg)
         max_abs = max(max_abs, abs(term))
         y = term - comp
         t = total + y
@@ -143,6 +155,59 @@ def _series_float(a: float, b: float, z: float, max_terms: int = 600):
         if abs(zpow) > 1e290:
             break
     return total, max_abs, False
+
+
+def _series_float_array(a: float, b: float, z: np.ndarray, max_terms: int = 600):
+    """_series_float on every element of a 1-D z > 0 at once: the same
+    operations in the same order, each element frozen at its own stopping
+    term; returns arrays (sum, max |term|, converged)."""
+    total = np.zeros_like(z)
+    comp = np.zeros_like(z)
+    max_abs = np.zeros_like(z)
+    zpow = np.ones_like(z)
+    live = np.arange(z.size)  # element index of each working slot
+    out = (np.zeros_like(z), np.zeros_like(z), np.zeros(z.size, dtype=bool))
+
+    def freeze(stop, converged):
+        nonlocal total, comp, max_abs, zpow, live
+        out[0][live[stop]] = total[stop]
+        out[1][live[stop]] = max_abs[stop]
+        out[2][live[stop]] = converged
+        keep = ~stop
+        total, comp, max_abs, zpow, live = (v[keep] for v in (total, comp, max_abs, zpow, live))
+
+    for k in range(max_terms):
+        arg = a * k + b
+        if arg >= _RGAMMA_ZERO:
+            break
+        term = zpow * rgamma(arg)
+        max_abs = np.maximum(max_abs, np.abs(term))
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if k > 2:
+            freeze(np.abs(term) < 1e-17 * (np.abs(total) + 1e-300), True)
+        zpow = zpow * z[live]
+        freeze(np.abs(zpow) > 1e290, False)
+        if not live.size:
+            break
+    freeze(np.ones(live.size, dtype=bool), False)
+    return out
+
+
+def _series_accepted(a: float, b: float, z: float, total: float, max_abs: float) -> bool:
+    """Whether a settled float series pass is returned: its roundoff
+    estimate, max |term| times eps times the Gamma-argument amplification
+    (`_amplification`), is at most 1e-11 of the sum."""
+    return max_abs * _EPS * _amplification(a, b, z) <= 1e-11 * max(abs(total), 1e-300)
+
+
+def _amplification(a: float, b: float, z: float) -> float:
+    # double rounding of the Gamma argument a k + b is amplified by
+    # psi(arg) ~ log(arg)
+    arg_top = abs(z) ** (1.0 / a) + abs(b) + 2.0
+    return 4.0 * max(1.0, arg_top * math.log(max(arg_top, 3.0)))
 
 
 def _series_mp(a: float, b: float, z: float, digits: int, max_terms: int = 8000):
@@ -316,17 +381,13 @@ def _ml_series(a: float, b: float, z: float) -> float:
     sum|terms| of the contour value, else ConvergenceFailure.
     """
     total, max_abs, converged = _series_float(a, b, z)
+    if converged and _series_accepted(a, b, z, total, max_abs):
+        return total
     if not converged:
-        # did not settle in 600 float terms
+        # the float pass did not settle
         total = 0.0
         max_abs = max(max_abs, 1.0)
-    scale = max(abs(total), 1e-300)
-    # double rounding of the Gamma argument a k + b is amplified by
-    # psi(arg) ~ log(arg); fold that into the roundoff estimate
-    arg_top = abs(z) ** (1.0 / a) + abs(b) + 2.0
-    amplification = 4.0 * max(1.0, arg_top * math.log(max(arg_top, 3.0)))
-    if converged and max_abs * _EPS * amplification <= 1e-11 * scale:
-        return total
+    amplification = _amplification(a, b, z)
     contour = _ml_contour(a, b, z)
     if contour is not None:
         value, abs_sum = contour
@@ -397,7 +458,7 @@ def _ml_asym(a: float, b: float, z: float):
     # skipping terms whose Gamma argument is at a pole and stopping early
     # once terms stop mattering
     k_stop = min(4000, max(1, int(w / a) + 1))
-    floor_scale = 1e-18 * max(abs(exp_part), 1e-30)
+    floor_scale = 1e-18 * abs(exp_part)
     alg = 0.0
     comp = 0.0
     tiny_run = 0
@@ -442,7 +503,7 @@ def ml(a: float, b: float, z: float) -> float:
             return math.inf
     if z == 0.0:
         return rgamma(b)
-    radius = _series_radius(a)
+    radius = _series_radius(a, b)
     if abs(z) < radius:
         return _ml_series(a, b, z)
     if a > 2.0 and z < 0:
@@ -456,6 +517,35 @@ def ml(a: float, b: float, z: float) -> float:
         return _ml_asym(a, b, z)
     except OverflowError:
         return math.inf
+
+
+def ml_array(a: float, b: float, z) -> np.ndarray:
+    """E_{a,b}(z) on a 1-D array z, equal to [ml(a, b, x) for x in z] bit
+    for bit.
+
+    Every 0 < z < switch radius goes through one vectorised pass of the
+    float series (`_series_float_array`) under ml's acceptance rule
+    (`_series_accepted`); the other elements (z <= 0, z at or beyond the
+    radius, (a, b) = (1, 1), a float pass ml would not return) are handed
+    to scalar `ml` in index order, so the first error `ml` raises is the
+    one of the lowest such element.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1:
+        raise ValidationError(f"ml_array takes a 1-D array, got shape {z.shape}")
+    out = np.empty_like(z)
+    scalar = np.ones(z.size, dtype=bool)
+    if a > 0 and not (a == 1.0 and b == 1.0):
+        inside = np.flatnonzero((z > 0.0) & (z < _series_radius(a, b)))
+        zs = z[inside]
+        passes = (v.tolist() for v in (inside, zs, *_series_float_array(a, b, zs)))
+        for i, x, total, max_abs, converged in zip(*passes):
+            if converged and _series_accepted(a, b, x, total, max_abs):
+                out[i] = total
+                scalar[i] = False
+    for i in np.flatnonzero(scalar).tolist():
+        out[i] = ml(a, b, float(z[i]))
+    return out
 
 
 def ml_log(a: float, b: float, z: float) -> float:
@@ -473,7 +563,7 @@ def ml_log(a: float, b: float, z: float) -> float:
         if rg <= 0:
             raise ValidationError("E_{a,b}(0) <= 0; log undefined")
         return math.log(rg)
-    if z < _series_radius(a):
+    if z < _series_radius(a, b):
         val = _ml_series(a, b, z)
         if val <= 0:
             raise ArithmeticError("non-positive Mittag-Leffler value")

@@ -183,6 +183,12 @@ class TestChaos:
         with pytest.raises(ResultOverflow):
             dg.chaos_term(ModelParams(2, 1, lam=1e100), 1.0, 4)
 
+    def test_finite_term_with_overflowing_power(self):
+        # (lambda^2 Theta Gamma(1/2))^20 = 1e397 meets t^10 = 1e-100 in logs;
+        # 30-digit mpmath value of the same formula
+        got = dg.chaos_term(ModelParams(2, 1, lam=1e10), 1e-10, 20)
+        assert rel(got, 2.62807075729233933378667521045e287) < 1e-12
+
     def test_she_level_one(self):
         # Theta Gamma(1/2) / Gamma(3/2) with Theta = 1/sqrt(4 pi) equals 1/sqrt(pi)
         assert rel(dg.chaos_term(SHE, 1.0, 1), 1.0 / math.sqrt(math.pi)) < 1e-9

@@ -304,6 +304,26 @@ class TestBigTheta:
         # the first row of the `figures` default beta grid
         assert rel(md.big_theta(ModelParams(2, 0.01)), 2.228750186627787e-05) < 1e-13
 
+    @pytest.mark.parametrize(
+        "beta, gam, want",
+        [
+            # beta = 1: J = int_0^inf (1F1(1; b; -r^2)/Gamma(b))^2 dr, b = 1 +
+            # gamma, by mpmath at 50 digits on [0, R] plus the exact algebraic
+            # tail beyond R (R = 40 and 60 agree to 1e-16)
+            (1.0, 20.0, 6.008391485605343850869e-37),
+            (1.0, 40.0, 7.50823118414928972555e-96),
+            (1.0, 60.0, 8.823126704929773446209e-164),
+            # beta = 1.5: the power series in mpmath on [0, 30] plus the
+            # algebraic tail (R = 26 and 30 agree to 1e-14)
+            (1.5, 40.0, 4.6911525307158377086e-97),
+        ],
+    )
+    def test_large_gamma(self, beta, gam, want):
+        # J ~ 1/Gamma(beta + gamma)^2, far below the head quadrature's
+        # absolute tolerance, and E_{beta,b} beyond the default switch radius
+        assert rel(md._radial_j(2.0, beta, gam, 1), want) < 1e-10
+        assert rel(md.big_theta(ModelParams(2, beta, gam)), math.sqrt(2.0) / math.pi * want) < 1e-10
+
     def test_memoized_deterministic(self):
         p = ModelParams(2, 1.3, 0, 1, 1, 1)
         assert md.big_theta(p) == md.big_theta(p)

@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from spde_moments import moments as mm
 from spde_moments import specialfn as sf
 from spde_moments.errors import DalangViolated, InvalidParams, ResultOverflow, StepTooCoarse
-from spde_moments.model import ModelParams, t_hat, theta
+from spde_moments.model import ModelParams, derived_constants, j0, t_hat, theta
 
 
 def rel(a, b):
@@ -180,6 +180,91 @@ class TestPthBounds:
             mm.pth_moment_upper(SHE, 1.0, 1.5)
         with pytest.raises(InvalidParams):
             mm.she_exact_pth_lyapunov(1.0, 1.0)
+
+
+def _same_bits(values, ref):
+    return np.array_equal(np.asarray(values).view(np.int64), np.asarray(ref, dtype=float).view(np.int64))
+
+
+class TestSecondMomentGrid:
+    """second_moment on a 1-D array against the scalar calls, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([(2.0, 1.0, 0.0), (3.0, 1.0, 0.0), (1.5, 0.8, 0.2), (2.0, 1.3, 0.0),
+                         (2.0, 2.0, 0.0), (3.0, 1.3, 0.0), (2.0, 1.5, 0.0), (2.0, 0.9, 0.4)]),
+        st.floats(min_value=0.3, max_value=3.0),
+        st.floats(min_value=0.1, max_value=2.0),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.lists(st.floats(min_value=1e-3, max_value=80.0), min_size=1, max_size=40),
+    )
+    def test_matches_scalar_calls(self, shape, lam, u0, u1, ts):
+        alpha, beta, gamma = shape
+        p = ModelParams(alpha, beta, gamma, lam, 1.0, 1, u0=u0, u1=u1 if beta > 1 else 0.0)
+        kept, want = [], []
+        for t in ts:  # points whose value overflows are left out
+            try:
+                want.append(mm.second_moment(p, t))
+            except ResultOverflow:
+                continue
+            kept.append(t)
+        assert _same_bits(mm.second_moment(p, np.array(kept)), want)
+
+    @pytest.mark.parametrize("p", SWEEP)
+    def test_dense_grid_across_radius(self, p):
+        # the closed form's argument runs past ml's switch radius
+        grid = np.linspace(0.01, 40.0, 1500)
+        try:
+            want = [mm.second_moment(p, float(t)) for t in grid]
+        except ResultOverflow:
+            grid = grid[:400]
+            want = [mm.second_moment(p, float(t)) for t in grid]
+        assert _same_bits(mm.second_moment(p, grid), want)
+
+    def test_overflow_names_first_point(self):
+        grid = np.arange(1, 9) * 625.0
+        with pytest.raises(ResultOverflow, match=r"at t=3125\.0 exceeds"):
+            mm.second_moment(SHE, grid)
+
+    def test_first_error_wins(self):
+        # the per-point loop overflows at t = 3125 before it reaches t = -1
+        with pytest.raises(ResultOverflow, match=r"t=3125\.0"):
+            mm.second_moment(SHE, np.array([1.0, 3125.0, -1.0]))
+        with pytest.raises(InvalidParams, match="t must be > 0"):
+            mm.second_moment(SHE, np.array([1.0, 0.0, 3125.0]))
+
+    def test_shape(self):
+        assert mm.second_moment(SHE, np.array([])).shape == (0,)
+        with pytest.raises(InvalidParams):
+            mm.second_moment(SHE, np.ones((2, 2)))
+
+
+def _volterra_solve_negative_stride(p, h, n):
+    """The Volterra loop with the history as a negative-stride view of eta,
+    kept as the oracle of the contiguous one."""
+    dc = derived_constants(p)
+    kappa = p.lam**2 * dc.big_theta
+    wl, wr = mm._volterra_weights(dc.theta, h, n)
+    g = np.array([j0(p, (i + 1) * h) ** 2 for i in range(n)])
+    eta = np.empty(n + 1)
+    eta[0] = j0(p, 0.0) ** 2
+    denom = 1.0 - kappa * wr[0]
+    coefd = wl[:-1] + wr[1:]
+    for step in range(1, n + 1):
+        acc = wl[step - 1] * eta[0]
+        if step >= 2:
+            acc += float(np.dot(coefd[: step - 1], eta[step - 1 : 0 : -1]))
+        eta[step] = (g[step - 1] + kappa * acc) / denom
+    return eta[1:]
+
+
+class TestVolterraHistory:
+    @pytest.mark.parametrize("p", SWEEP)
+    @pytest.mark.parametrize("n", [1999, 2048])
+    def test_matches_negative_stride_loop(self, p, n):
+        h = 2.0 / n
+        got = mm._volterra_solve(p, derived_constants(p), h, n)
+        assert _same_bits(got, _volterra_solve_negative_stride(p, h, n))
 
 
 class TestVolterra:

@@ -260,6 +260,84 @@ class TestContour:
             sf.ml(0.005, 0.005, -1.0152)
 
 
+def _same_bits(values, ref):
+    return np.array_equal(np.asarray(values).view(np.int64), np.asarray(ref, dtype=float).view(np.int64))
+
+
+def _ml_series_60(a, b, z):
+    """E_{a,b}(z) by its power series at 60 digits plus the cancellation."""
+    with mp.workdps(60 + int(abs(z) ** (1.0 / a) / 2.0)):
+        total, term, k = mp.mpf(0), mp.mpf(1), 0
+        while k < 20 or abs(term) > mp.mpf(10) ** -70 * abs(total):
+            term = mp.mpf(z) ** k * mp.rgamma(mp.mpf(a) * k + b)
+            total += term
+            k += 1
+        return float(total)
+
+
+class TestMlArray:
+    """ml_array against [ml(a, b, x) for x in z], bit for bit."""
+
+    @staticmethod
+    def check(a, b, z):
+        z = np.asarray(z, dtype=float)
+        assert _same_bits(sf.ml_array(a, b, z), [sf.ml(a, b, float(x)) for x in z]), (a, b)
+
+    def test_contour_grid(self):
+        # every (a, b) of the TestContour grid on the grid's own z/radius
+        grid = _contour_grid()
+        fracs = np.array([z / sf._series_radius(a) for a, _, z in grid])
+        for a, b, _ in grid[:60]:
+            self.check(a, b, fracs * sf._series_radius(a, b))
+
+    @pytest.mark.parametrize(
+        "a, b", [(1.25, 1.0), (1.25, 2.0), (1.25, 3.0), (0.3, 1.0), (0.5, 0.5), (2.0, 1.0),
+                 (2.0, 3.0), (3.0, 2.0), (1.1, 1.1)],
+    )
+    def test_positive_grid_across_radius(self, a, b):
+        # the second-moment arguments: orders theta + 1 and b in {1, 2, 3}
+        self.check(a, b, np.linspace(0.0, 1.5 * sf._series_radius(a, b), 4097)[1:])
+
+    def test_special_elements(self):
+        r = sf._series_radius(1.5)
+        special = [0.0, -0.0, -3.0, -0.5 * r, -2.0 * r, r, math.nextafter(r, 0.0), 1e-300, 1e6, 2.0]
+        for a, b in [(1.5, 1.0), (1.5, 2.0), (1.0, 1.0), (0.7, 0.7)]:
+            self.check(a, b, special)
+        assert sf.ml_array(1.5, 1.0, [1e6])[0] == math.inf
+        assert sf.ml_array(1.0, 1.0, [700.0, 800.0]).tolist() == [math.exp(700.0), math.inf]
+
+    def test_empty_and_shape(self):
+        assert sf.ml_array(1.5, 1.0, []).shape == (0,)
+        with pytest.raises(ValidationError):
+            sf.ml_array(1.5, 1.0, np.ones((2, 2)))
+        with pytest.raises(ValidationError):
+            sf.ml_array(-1.0, 1.0, [1.0])
+
+    def test_large_b_float_pass_stops_at_rgamma_zero(self):
+        # rgamma(x) is 0 from x = 171.6 on; a pass that reaches it has not
+        # converged, so the elements go to the scalar branches
+        a, b, z = 1.0, 61.0, np.array([100.0, 120.0])
+        total, _, converged = sf._series_float_array(a, b, z)
+        assert not converged.any()
+        self.check(a, b, z)
+
+
+class TestLargeB:
+    """E_{a,b} for b far above the default switch radius: the radius keeps
+    |z|^{1/a} >= 2|b|, where the algebraic terms have stopped growing."""
+
+    @pytest.mark.parametrize("a, b", [(1.0, 41.0), (1.5, 41.5), (1.0, 61.0), (2.0, 41.0)])
+    @pytest.mark.parametrize("frac", [-2.5, -1.01, -0.99, -0.5, 0.5, 0.99, 1.01])
+    def test_matches_series(self, a, b, frac):
+        z = frac * sf._series_radius(a, b)
+        assert rel(sf.ml(a, b, z), _ml_series_60(a, b, z)) < 1e-12
+
+    def test_radius_grows_with_b_only_past_the_default(self):
+        for a in (0.5, 1.0, 1.5):
+            assert sf._series_radius(a, 3.0) == sf._series_radius(a)
+        assert sf._series_radius(1.0, 41.0) == 82.0
+
+
 class TestMlLogGrowth:
     def test_exp_case(self):
         assert abs(sf.ml_log_growth(1, 1, 2.0, [50.0]) - 2.0) < 1e-3
