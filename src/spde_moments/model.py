@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -258,6 +259,12 @@ def _radial_j(alpha: float, beta: float, gam: float, d: int, epsabs: float = 1e-
 
     u_s = sf._series_radius(beta, b) ** (1.0 / sigma)
     head_s, err_s = head(0.0, u_s)
+    if head_s < sys.float_info.min:
+        # E(0)^2 = 1/Gamma(b)^2 leaves the double range near b = 98, and J
+        # is of the size of its head
+        raise ResultOverflow(
+            f"the Theta integral lies below the double range (beta + gamma = {b!r})"
+        )
     bounds = []  # (k, e): k u_c^{-e}
     for j in (_N_ALG + 1, _N_ALG + 2):
         r_j = 2.0 * abs(sf.rgamma(b - beta * j))

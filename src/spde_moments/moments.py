@@ -293,7 +293,13 @@ def _volterra_solve(p: ModelParams, dc: DerivedConstants, h: float, n: int) -> n
     c0 = float(wr[0])  # implicit weight on eta_step (panel 1, right node)
     denom = 1.0 - kappa * c0
     if denom <= 0:
-        raise StepTooCoarse("step too large for the implicit panel weight")
+        # c0 = h^{theta+1} / ((theta+1)(theta+2)), so denom > 0 exactly below
+        h_max = ((th + 1.0) * (th + 2.0) / kappa) ** (1.0 / (th + 1.0))
+        raise StepTooCoarse(
+            f"step h={h:.6g} is above h_max={h_max:.6g}, the largest step at which "
+            f"the implicit first panel can be solved (theta={th:.6g}); "
+            "use more grid points"
+        )
     # interior lag-d coefficient (d = step - i): wl of panel d + wr of panel d+1
     coefd = wl[:-1] + wr[1:]  # index d-1 holds lag d, d = 1..n-1
     # eta reversed, rev[n - i] = eta[i]: the history eta[step-1], ..., eta[1]

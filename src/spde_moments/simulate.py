@@ -7,13 +7,25 @@ counter-based Philox streams keyed by (seed, time step) for the heat scheme
 and (seed, time step, absolute cell index) for the wave scheme, so results
 are bit-reproducible and, for the wave case, independent of the domain
 truncation inside the light cone.
+
+The heat scheme's noise is drawn a few steps ahead on up to two worker
+threads while the main thread steps the scheme; the wave scheme draws its
+many short per-cell streams on the main thread.  Since every draw is
+addressed by its Philox counter, not by the state of a shared stream, the
+results do not depend on the number of threads or on how they are
+scheduled.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -104,11 +116,51 @@ def _probe_output(
     return SimOutput(curve, np.mean(x, axis=1), np.std(x, axis=1, ddof=1) / root_n, meta)
 
 
-def _she_noise(seed: int, step: int, shape) -> np.ndarray:
+# bytes of noise in flight, which set how many steps are drawn ahead (17
+# for a 500-path, 119-cell heat step): a deep queue rides out a stall of a
+# draw or of the stencil, and a few MiB leave the resident set flat
+_NOISE_BYTES = 4 << 20
+_MIN_AHEAD, _MAX_AHEAD = 4, 32
+
+
+def _noise_workers() -> int:
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return min(2, cores)
+
+
+def _prefetched(
+    draw: Callable[[int, np.ndarray], None], n_steps: int, shape, dtype
+) -> Iterator[np.ndarray]:
+    """Yield step n's noise for n = 0, ..., n_steps - 1, in order, each
+    filled by draw(n, out) on a worker thread some steps in advance.
+
+    The yielded array is one of a ring of buffers: it is refilled with a
+    later step as soon as the caller asks for the next one.  Closing the
+    generator early cancels the pending draws and joins the threads.
+    """
+    step_bytes = math.prod(shape) * np.dtype(dtype).itemsize
+    ahead = min(n_steps, max(_MIN_AHEAD, min(_MAX_AHEAD, _NOISE_BYTES // step_bytes)))
+    ring = [np.empty(shape, dtype) for _ in range(ahead)]
+    pool = ThreadPoolExecutor(_noise_workers(), thread_name_prefix="spde-noise")
+    try:
+        pending = deque(pool.submit(draw, n, ring[n]) for n in range(ahead))
+        for n in range(n_steps):
+            pending.popleft().result()
+            yield ring[n % ahead]
+            if n + ahead < n_steps:
+                pending.append(pool.submit(draw, n + ahead, ring[n % ahead]))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _she_noise(seed: int, step: int, out: np.ndarray) -> None:
     gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, step, 0]))
     # single precision: the per-cell noise enters one multiply before the
     # O(1e-2) Monte Carlo error; halves the generation cost
-    return gen.standard_normal(shape, dtype=np.float32)
+    gen.standard_normal(out=out, dtype=np.float32)
 
 
 def simulate_she(
@@ -147,13 +199,25 @@ def simulate_she(
     noise_std = np.float32(p.lam * math.sqrt(cfg.dt / cfg.dx))
     want = set(steps)
     samples = []
-    for n in range(n_steps):
-        xi = _she_noise(cfg.seed, n, (cfg.n_paths, m - 2))
-        interior = u[:, 1:-1]
-        lap = u[:, 2:] - 2.0 * interior + u[:, :-2]
-        u[:, 1:-1] = interior + coef * lap + interior * xi * noise_std
-        if (n + 1) in want:
-            samples.append(u[:, jp].astype(np.float64))
+    interior = u[:, 1:-1]
+    # the stencil's two scratch arrays; the operation order is that of
+    # (u[2:] - 2 u[1:-1] + u[:-2]) and (u + coef lap + u xi noise_std),
+    # so the field is the same bit for bit as with temporaries
+    lap = np.empty_like(interior)
+    kick = np.empty_like(interior)
+    draw = functools.partial(_she_noise, cfg.seed)
+    with contextlib.closing(_prefetched(draw, n_steps, interior.shape, np.float32)) as noise:
+        for n, xi in enumerate(noise):
+            np.multiply(interior, 2.0, out=lap)
+            np.subtract(u[:, 2:], lap, out=lap)
+            np.add(lap, u[:, :-2], out=lap)
+            np.multiply(lap, coef, out=lap)
+            np.add(interior, lap, out=lap)
+            np.multiply(interior, xi, out=kick)
+            np.multiply(kick, noise_std, out=kick)
+            np.add(lap, kick, out=interior)
+            if (n + 1) in want:
+                samples.append(u[:, jp].astype(np.float64))
     out = _probe_output(p, cfg, probes, x_probe, "she-explicit-fd", samples)
     if check_domain:
         # widen to the nearest dx multiple of 1.5 L and rerun
@@ -171,13 +235,20 @@ def simulate_she(
     return out
 
 
-def _swe_noise(seed: int, step: int, cell_abs: int, n_paths: int) -> np.ndarray:
+def _swe_noise(seed: int, cell_abs0: int, step: int, out: np.ndarray) -> None:
+    """Fill row k of out with the noise of absolute cell cell_abs0 + k."""
     # one Philox counter block per (step, absolute cell); streams never
-    # collide because draws only advance the low counter word
-    gen = np.random.Generator(
-        np.random.Philox(key=seed, counter=[0, 0, step, cell_abs + 2**32])
-    )
-    return gen.standard_normal(n_paths)
+    # collide because draws only advance the low counter word.  One bit
+    # generator is rewound to each cell's fresh state, which draws the same
+    # bits as a new Philox(key=seed, counter=...) for a fifth of its set-up cost
+    bits = np.random.Philox(key=seed)
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    counter = fresh["state"]["counter"]
+    for k, row in enumerate(out):
+        counter[:] = (0, 0, step, cell_abs0 + k + 2**32)
+        bits.state = fresh
+        gen.standard_normal(out=row)
 
 
 def simulate_swe(
@@ -223,11 +294,12 @@ def simulate_swe(
     v, a_last, a_before = (np.zeros((cfg.n_paths, m + 2)) for _ in range(3))
     want = set(steps)
     samples = []
+    # drawn on this thread: a cell's draw is short and mostly holds the GIL,
+    # so worker threads would only contend with the step for it
+    rows = np.empty((m, cfg.n_paths))
     for n in range(n_steps):
-        dw = np.empty((cfg.n_paths, m))
-        for k in range(m):
-            dw[:, k] = _swe_noise(cfg.seed, n, cell_abs0 + k, cfg.n_paths)
-        dw *= noise_scale
+        _swe_noise(cfg.seed, cell_abs0, n, rows)
+        dw = rows.T * noise_scale
         v[:, 1:-1] = u * dw
         a_before[:, 1:-1] = (
             a_last[:, :-2] + a_last[:, 2:] - a_before[:, 1:-1]

@@ -384,9 +384,12 @@ def _ml_series(a: float, b: float, z: float) -> float:
     if converged and _series_accepted(a, b, z, total, max_abs):
         return total
     if not converged:
-        # the float pass did not settle
+        # the float pass did not settle.  Its largest term, at least the
+        # first one 1/Gamma(b), is the scale of the mpmath roundoff, so
+        # values near 1/Gamma(b) settle (E_{1,91}(-150) ~ 2.5e-139); with no
+        # term formed (b past _RGAMMA_ZERO) the scale is 1
         total = 0.0
-        max_abs = max(max_abs, 1.0)
+        max_abs = max_abs or 1.0
     amplification = _amplification(a, b, z)
     contour = _ml_contour(a, b, z)
     if contour is not None:
@@ -395,10 +398,11 @@ def _ml_series(a: float, b: float, z: float) -> float:
             return value
     digits = 25
     for _ in range(4):
-        cancel = max_abs * amplification / max(abs(total), max_abs * 10.0 ** (-digits))
+        # in ratios to max_abs, which may lie near the bottom of the range
+        cancel = amplification / max(abs(total) / max_abs, 10.0 ** (-digits))
         digits = min(300, 25 + int(math.log10(max(cancel, 1.0))))
         total, ok = _series_mp(a, b, z, digits)
-        if ok and max_abs * 10.0 ** (-digits) <= 1e-13 * max(abs(total), 1e-300):
+        if ok and 10.0 ** (-digits) <= 1e-13 * abs(total) / max_abs:
             return total
     if contour is not None and abs(total - contour[0]) <= 64.0 * _EPS * contour[1]:
         return total

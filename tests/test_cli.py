@@ -87,6 +87,15 @@ class TestConstants:
         assert payload["theta"] == -0.5
         assert abs(payload["big_theta"] - 1 / math.sqrt(4 * math.pi)) < 1e-8
 
+    def test_large_gamma(self, capsys):
+        # Theta needs E_{1,91} at values near 1/Gamma(91) ~ 1e-139
+        code, out, _ = run_cli(capsys, "constants", "--gamma", "90")
+        assert code == 0
+        assert 0.0 < json.loads(out)["big_theta"] < 1e-270
+        code, _, err = run_cli(capsys, "constants", "--gamma", "100")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "ResultOverflow"
+
     def test_dalang_gate_is_clean(self, capsys):
         code, _, err = run_cli(capsys, "constants", "--alpha", "2", "--beta", "0.6")
         assert code == 2

@@ -287,6 +287,24 @@ class TestVolterra:
         with pytest.raises(StepTooCoarse):
             mm.volterra_second_moment(SHE, np.arange(1, 17) * (2.0 / 16), rtol=1e-6)
 
+    def test_first_panel_names_largest_step(self):
+        p = ModelParams(2, 0.7, 0, 1, 1, 1)  # theta = -0.95
+        with pytest.raises(StepTooCoarse, match=r"h=0\.01 is above h_max=1\.87421e-09"):
+            mm.volterra_second_moment(p, np.arange(1, 201) * 0.01)
+
+    @pytest.mark.parametrize("p", [ModelParams(2, 0.7, 0, 1, 1, 1), ModelParams(2, 1, 0, 30, 1, 1)])
+    def test_first_panel_gate_at_largest_step(self, p):
+        dc = derived_constants(p)
+        th, kappa = dc.theta, p.lam**2 * dc.big_theta
+        h_max = ((th + 1.0) * (th + 2.0) / kappa) ** (1.0 / (th + 1.0))
+        for h, solvable in ((0.99 * h_max, True), (1.01 * h_max, False)):
+            assert bool(1.0 - kappa * mm._volterra_weights(th, h, 2)[1][0] > 0) is solvable
+            if solvable:
+                assert np.all(np.isfinite(mm._volterra_solve(p, dc, h, 2)))
+            else:
+                with pytest.raises(StepTooCoarse, match="h_max"):
+                    mm._volterra_solve(p, dc, h, 2)
+
     def test_richardson_pass(self):
         grid = np.arange(1, 513) * (1.0 / 512)
         curve = mm.volterra_second_moment(SHE, grid, rtol=1e-3)

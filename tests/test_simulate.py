@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -94,7 +97,9 @@ class TestMildForm:
         u = np.full((3, m), j0(p, 0.0))
         history, probe = [], {}
         for n in range(n_steps):
-            dw = np.stack([sim._swe_noise(11, n, k - jp, 3) for k in range(m)], axis=1)
+            dw = np.empty((m, 3))
+            sim._swe_noise(11, -jp, n, dw)
+            dw = dw.T
             history.append(u * dw * math.sqrt(cfg.dt * cfg.dx))
             acc = np.zeros((3, m))
             for i, v in enumerate(history):
@@ -177,6 +182,165 @@ class TestAgainstClosedForms:
             ses.append(out.curve.stderr[0])
         assert errs[2] <= errs[0] + 3.0 * math.hypot(ses[0], ses[2])
         assert errs[1] <= errs[0] + 3.0 * math.hypot(ses[0], ses[1])
+
+
+def _serial_she(p, cfg, probes, x_probe=0.0):
+    """simulate_she's step loop as it was before the noise was drawn ahead
+    on worker threads: the bit-identity oracle."""
+    m = int(round(2.0 * cfg.domain_half_width / cfg.dx)) + 1
+    jp = sim._grid_index(cfg, x_probe, m)
+    steps = sim._probe_steps(cfg, probes)
+    u = np.full((cfg.n_paths, m), p.u0, dtype=np.float32)
+    coef = np.float32(p.nu * cfg.dt / (2.0 * cfg.dx**2))
+    noise_std = np.float32(p.lam * math.sqrt(cfg.dt / cfg.dx))
+    samples = []
+    for n in range(steps[-1]):
+        gen = np.random.Generator(np.random.Philox(key=cfg.seed, counter=[0, 0, n, 0]))
+        xi = gen.standard_normal((cfg.n_paths, m - 2), dtype=np.float32)
+        interior = u[:, 1:-1]
+        lap = u[:, 2:] - 2.0 * interior + u[:, :-2]
+        u[:, 1:-1] = interior + coef * lap + interior * xi * noise_std
+        if (n + 1) in steps:
+            samples.append(u[:, jp].astype(np.float64))
+    return sim._probe_output(p, cfg, probes, x_probe, "she-explicit-fd", samples)
+
+
+def _serial_swe(p, cfg, probes, x_probe=0.0):
+    """simulate_swe's step loop as it was before the noise was drawn ahead,
+    one strided column per cell: the bit-identity oracle."""
+    kappa = math.sqrt(p.nu / 2.0)
+    m = int(round(2.0 * cfg.domain_half_width / cfg.dx)) + 1
+    jp = sim._grid_index(cfg, x_probe, m)
+    steps = sim._probe_steps(cfg, probes)
+    cell_abs0 = -int(round(cfg.domain_half_width / cfg.dx))
+    noise_scale = math.sqrt(cfg.dt * cfg.dx)
+    u = np.full((cfg.n_paths, m), j0(p, 0.0))
+    v, a_last, a_before = (np.zeros((cfg.n_paths, m + 2)) for _ in range(3))
+    samples = []
+    for n in range(steps[-1]):
+        dw = np.empty((cfg.n_paths, m))
+        for k in range(m):
+            gen = np.random.Generator(
+                np.random.Philox(key=cfg.seed, counter=[0, 0, n, cell_abs0 + k + 2**32])
+            )
+            dw[:, k] = gen.standard_normal(cfg.n_paths)
+        dw *= noise_scale
+        v[:, 1:-1] = u * dw
+        a_before[:, 1:-1] = (
+            a_last[:, :-2] + a_last[:, 2:] - a_before[:, 1:-1]
+            + v[:, 1:-1] + 0.5 * (v[:, :-2] + v[:, 2:])
+        )
+        a_last, a_before = a_before, a_last
+        u = j0(p, (n + 1) * cfg.dt) + (p.lam / (2.0 * kappa)) * a_last[:, 1:-1]
+        if (n + 1) in steps:
+            samples.append(u[:, jp].astype(np.float64))
+    return sim._probe_output(p, cfg, probes, x_probe, "swe-mild-convolution", samples)
+
+
+def _assert_same_bits(out, ref):
+    for name in ("values", "stderr"):
+        assert np.array_equal(getattr(out.curve, name), getattr(ref.curve, name)), name
+    assert np.array_equal(out.mean, ref.mean)
+    assert np.array_equal(out.mean_stderr, ref.mean_stderr)
+
+
+SEEDS = (1, 2**63 + 5, 2024)
+PATHS = (3, 500, 1001)
+# 50 heat and 20 wave steps: more than are drawn ahead at 500 and 1001
+# paths, so the ring buffers are refilled; the first probe is the first step
+SHE_CASE = dict(dx=0.05, dt=1e-3, domain_half_width=0.5, t_end=0.05)
+SHE_PROBES = [0.001, 0.02, 0.05]
+SWE_CASE = dict(dx=0.05, dt=0.05, domain_half_width=1.3, t_end=1.0)
+SWE_PROBES = [0.05, 0.5, 1.0]
+
+
+class TestMatchesSerialLoops:
+    @pytest.mark.parametrize("n_paths", PATHS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_she(self, seed, n_paths):
+        cfg = SimConfig(**SHE_CASE, n_paths=n_paths, seed=seed)
+        _assert_same_bits(sim.simulate_she(SHE, cfg, SHE_PROBES), _serial_she(SHE, cfg, SHE_PROBES))
+
+    @pytest.mark.parametrize("n_paths", PATHS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_swe(self, seed, n_paths):
+        cfg = SimConfig(**SWE_CASE, n_paths=n_paths, seed=seed)
+        _assert_same_bits(sim.simulate_swe(SWE, cfg, SWE_PROBES), _serial_swe(SWE, cfg, SWE_PROBES))
+
+    def test_she_check_domain(self):
+        cfg = SimConfig(dx=0.04, dt=4e-4, domain_half_width=1.2, t_end=0.2, n_paths=200, seed=17)
+        out = sim.simulate_she(SHE, cfg, [0.1, 0.2], check_domain=True)
+        _assert_same_bits(out, _serial_she(SHE, cfg, [0.1, 0.2]))
+
+    def test_one_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert sim._noise_workers() == 1
+        cfg = SimConfig(**SHE_CASE, n_paths=500, seed=2024)
+        _assert_same_bits(sim.simulate_she(SHE, cfg, SHE_PROBES), _serial_she(SHE, cfg, SHE_PROBES))
+        cfg = SimConfig(**SWE_CASE, n_paths=500, seed=2024)
+        _assert_same_bits(sim.simulate_swe(SWE, cfg, SWE_PROBES), _serial_swe(SWE, cfg, SWE_PROBES))
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        # a buffer refilled while its step is still in use would show here
+        monkeypatch.setattr(sim, "_noise_workers", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cfg = SimConfig(**SHE_CASE, n_paths=500, seed=1)
+            out = sim.simulate_she(SHE, cfg, SHE_PROBES)
+            cfg_w = SimConfig(**SWE_CASE, n_paths=500, seed=1)
+            out_w = sim.simulate_swe(SWE, cfg_w, SWE_PROBES)
+        finally:
+            sys.setswitchinterval(interval)
+        _assert_same_bits(out, _serial_she(SHE, cfg, SHE_PROBES))
+        _assert_same_bits(out_w, _serial_swe(SWE, cfg_w, SWE_PROBES))
+
+    def test_workers_without_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert sim._noise_workers() == min(2, os.cpu_count() or 1)
+
+
+def _fill_step(n, out):
+    out.fill(n)
+
+
+class TestPrefetched:
+    def test_steps_in_order_through_a_reused_ring(self):
+        # 2.4 MB a step: the 4 MiB budget clamps to 4 steps ahead
+        seen, buffers = [], set()
+        for buf in sim._prefetched(_fill_step, 11, (600_000,), np.float32):
+            assert buf.min() == buf.max()
+            seen.append(int(buf[0]))
+            buffers.add(id(buf))
+        assert seen == list(range(11))
+        assert len(buffers) == 4
+
+    def test_simulators_leave_no_thread(self):
+        before = threading.active_count()
+        sim.simulate_she(SHE, SimConfig(**SHE_CASE, n_paths=3, seed=1), SHE_PROBES)
+        assert threading.active_count() == before
+        sim.simulate_swe(SWE, SimConfig(**SWE_CASE, n_paths=3, seed=1), SWE_PROBES)
+        assert threading.active_count() == before
+
+    def test_close_after_first_step_joins_threads(self):
+        before = threading.active_count()
+        noise = sim._prefetched(_fill_step, 50, (1000,), np.float64)
+        assert next(noise)[0] == 0
+        assert threading.active_count() > before
+        noise.close()
+        assert threading.active_count() == before
+
+    def test_failed_draw_raises_and_joins_threads(self):
+        def draw(n, out):
+            if n == 2:
+                raise ValueError("draw failed")
+            out.fill(n)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="draw failed"):
+            for _ in sim._prefetched(draw, 20, (10,), np.float64):
+                pass
+        assert threading.active_count() == before
 
 
 class TestWaveOverlap:

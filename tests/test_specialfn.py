@@ -332,6 +332,14 @@ class TestLargeB:
         z = frac * sf._series_radius(a, b)
         assert rel(sf.ml(a, b, z), _ml_series_60(a, b, z)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "b, z, want",
+        # 1F1(1; b; z) / Gamma(b); the float pass stops at Gamma(171.6)
+        [(91.0, -150.0, 2.5306326521943321634e-139), (170.0, 0.5, 2.3493413535660198368e-305)],
+    )
+    def test_tiny_value_after_unsettled_float_pass(self, b, z, want):
+        assert rel(sf.ml(1.0, b, z), want) < 1e-12
+
     def test_radius_grows_with_b_only_past_the_default(self):
         for a in (0.5, 1.0, 1.5):
             assert sf._series_radius(a, 3.0) == sf._series_radius(a)
