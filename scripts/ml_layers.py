@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Time scalar Mittag-Leffler calls per branch and cold Theta.
+
+Prints, for one (a, b, z) per branch of `specialfn.ml`, the branches the
+call went through and its median time in microseconds, once with the Gamma
+tables warm and once with every table cleared before each call.  Then
+prints the median time of a cold Theta integral (`model._radial_j`, its
+cache and the Gamma tables cleared before each run) at the ROADMAP points
+(alpha, beta) = (2, 0.5), (2, 1.3), (2, 1.7), (2, 1.95) and (4, 2) in d = 3,
+with the number of `ml` calls each makes.
+
+    PYTHONPATH=src python scripts/ml_layers.py [--repeat N]
+"""
+
+import argparse
+import math
+import statistics
+import time
+
+from spde_moments import model
+from spde_moments import specialfn as sf
+
+# (label, a, b, z): the branch ml takes at each point is printed, not assumed
+BRANCH_POINTS = [
+    ("exp", 1.0, 1.0, -3.0),
+    ("float series", 1.3, 1.6, -2.0),
+    ("contour", 1.3, 1.6, -20.0),
+    ("mpmath series", 2.0, 1.0, -((3.5 * math.pi) ** 2)),
+    ("asymptotic", 1.3, 1.6, -80.0),
+    ("float series, z > 0", 1.3, 1.6, 20.0),
+]
+THETA_POINTS = [(2.0, 0.5, 1), (2.0, 1.3, 1), (2.0, 1.7, 1), (2.0, 1.95, 1), (4.0, 2.0, 3)]
+_ROUTES = {
+    "_series_float": "float",
+    "_ml_contour": "contour",
+    "_series_mp": "mp",
+    "_ml_asym": "asym",
+}
+
+
+def clear_tables():
+    # a tree without the tables (before they were added) has nothing to clear
+    for table in getattr(sf, "_TABLES", ()):
+        table.clear()
+
+
+def route(a, b, z) -> str:
+    """The branches one ml(a, b, z) call goes through, in order."""
+    seen = []
+    saved = {name: getattr(sf, name) for name in _ROUTES}
+
+    def spy(name):
+        def call(*args):
+            seen.append(_ROUTES[name])
+            return saved[name](*args)
+
+        return call
+
+    try:
+        for name in _ROUTES:
+            setattr(sf, name, spy(name))
+        sf.ml(a, b, z)
+    finally:
+        for name, fn in saved.items():
+            setattr(sf, name, fn)
+    return ">".join(seen) or "closed form"
+
+
+def median_us(fn, repeat: int, before=None) -> float:
+    times = []
+    for _ in range(repeat):
+        if before is not None:
+            before()
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return 1e6 * statistics.median(times)
+
+
+def theta_calls(alpha, beta, d) -> int:
+    count = 0
+    ml = sf.ml
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return ml(*args)
+
+    clear_tables()
+    model._radial_j.cache_clear()
+    sf.ml = counted
+    try:
+        model._radial_j(alpha, beta, 0.0, d)
+    finally:
+        sf.ml = ml
+    return count
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--repeat", type=int, default=21, help="timed runs per entry (median)")
+    args = ap.parse_args()
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+
+    print("scalar ml per branch (median us)")
+    print(f"{'branch':<20} {'a':>5} {'b':>5} {'z':>9}  {'route':<16} {'warm':>8} {'cold':>8}")
+    for label, a, b, z in BRANCH_POINTS:
+        sf.ml(a, b, z)  # fill the tables for the warm runs
+        warm = median_us(lambda: sf.ml(a, b, z), args.repeat)
+        cold = median_us(lambda: sf.ml(a, b, z), args.repeat, before=clear_tables)
+        print(f"{label:<20} {a:>5g} {b:>5g} {z:>9.4g}  {route(a, b, z):<16} {warm:>8.1f} {cold:>8.1f}")
+
+    def cold_theta():
+        clear_tables()
+        model._radial_j.cache_clear()
+
+    print("\ncold Theta, gamma = 0 (median ms)")
+    print(f"{'alpha':>5} {'beta':>5} {'d':>2} {'ml calls':>9} {'ms':>8}")
+    for alpha, beta, d in THETA_POINTS:
+        ms = median_us(lambda: model._radial_j(alpha, beta, 0.0, d), max(1, args.repeat // 4), before=cold_theta)
+        print(f"{alpha:>5g} {beta:>5g} {d:>2} {theta_calls(alpha, beta, d):>9} {ms / 1e3:>8.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

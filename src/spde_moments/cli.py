@@ -22,7 +22,7 @@ import numpy as np
 from . import diagrams as dg
 from . import moments as mm
 from . import simulate as sim
-from .errors import InvalidParams, SpdeMomentsError, ValidationError
+from .errors import InvalidParams, ResultOverflow, SpdeMomentsError, ValidationError
 from .model import (
     ModelParams,
     big_theta,
@@ -49,8 +49,17 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _json_text(payload: dict) -> str:
+    """payload as indented JSON; ResultOverflow for a non-finite number,
+    which JSON cannot hold."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ResultOverflow("a result is not finite in double precision") from None
+
+
 def _emit_json(payload: dict, out_path):
-    _emit(json.dumps(payload, indent=2) + "\n", out_path)
+    _emit(_json_text(payload), out_path)
 
 
 def _emit_model_json(payload: dict, p: ModelParams, out_path, **tail):
@@ -194,7 +203,7 @@ def _curve_text(curve: mm.MomentCurve, fmt: str) -> str:
         }
         if curve.stderr is not None:
             payload["stderr"] = [float(v) for v in curve.stderr]
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_text(payload)
     header = " ".join(f"{k}={v!r}" for k, v in params_to_dict(curve.params).items())
     return f"# {header}\n" + curve.to_csv()
 

@@ -324,12 +324,25 @@ def big_theta(p: ModelParams) -> float:
 
 def derived_constants(p: ModelParams) -> DerivedConstants:
     """The record of one model's constants; DalangViolated outside Dalang's
-    condition, ResultOverflow when lambda^2 exceeds the double range."""
+    condition, ResultOverflow when lambda^2, or lambda^2 Theta Gamma(theta +
+    1) formed past the overflow of Gamma(theta + 1), exceeds the double
+    range."""
     _require_dalang(p)
     th = theta(p)
     bt = big_theta(p)
+    gamma_th = sf.gamma(th + 1.0)
+    if math.isinf(gamma_th):
+        # Gamma(theta + 1) overflows for theta > 170 while the product with
+        # a tiny Theta may not: form it through lgamma
+        log_base = 2.0 * math.log(abs(p.lam)) + math.log(bt) + math.lgamma(th + 1.0)
+        try:
+            return DerivedConstants(th, bt, math.exp(log_base))
+        except OverflowError:
+            raise ResultOverflow(
+                f"lambda^2 Theta Gamma(theta + 1) exceeds the double range: theta={th!r}"
+            ) from None
     try:
-        return DerivedConstants(th, bt, p.lam**2 * bt * sf.gamma(th + 1.0))
+        return DerivedConstants(th, bt, p.lam**2 * bt * gamma_th)
     except OverflowError:
         raise ResultOverflow(f"lambda^2 exceeds the double range: lambda={p.lam!r}") from None
 

@@ -24,17 +24,34 @@ with the same value as `ml` for every element, bit for bit.
 5. for |z| at or beyond the radius, the asymptotic expansion, whose
    absolute error is about exp(-|z|^{1/a}) times the exponential terms.
 
-All functions are pure; safe to call from any number of threads.
+On the negative axis (with b > 0) the contour of step 3 is formed before
+the series of step 2 where the series' largest term shows that its sum must
+cancel, and the contour value is returned at once only when that term
+proves the float series would have been rejected (`_ml_series`); every
+value is the one of the order above, bit for bit.
+
+The Gamma factors of the three series, 1/Gamma(a k + b), 1/Gamma(b - a k)
+and mpmath's Gamma(a k + b) at each working precision, depend on (a, b)
+alone: the Theta quadrature calls `ml` a hundred times and more at one
+(a, b).  They are kept in bounded LRU tables (`_Rows`) and grown on demand;
+a row is an immutable tuple, replaced by a longer one under a lock, so a
+reader never sees a row change.
+
+The functions are pure apart from those tables and safe to call from any
+number of threads: the mpmath series passes its precision to each
+operation and never sets mpmath's process-wide one.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 import warnings
+from collections import OrderedDict
 
-import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 from .errors import ConvergenceFailure, GammaPole, MittagLefflerAccuracyWarning, ValidationError
 
@@ -127,7 +144,106 @@ def _series_radius(a: float, b: float = 0.0) -> float:
     return max(30.0, 29.0**a, (2.0 * abs(b)) ** a)
 
 
-def _series_float(a: float, b: float, z: float, max_terms: int = 600):
+class _Rows:
+    """Rows key -> (entry 0, entry 1, ...) that depend on the key alone,
+    kept in a bounded LRU map and grown on demand, 32 entries at a time,
+    to at most `limit` entries; `entries(key, start, stop)` computes
+    entries start..stop - 1 and returns fewer where the row ends.
+
+    A row is an immutable tuple.  Growing one publishes a new, longer tuple
+    under the lock, so a caller still reading the old one is undisturbed;
+    rows are filled outside the lock, and two threads filling the same row
+    publish equal entries.
+    """
+
+    def __init__(self, entries, limit: int, maxsize: int):
+        self._entries = entries
+        self._limit = limit
+        self.maxsize = maxsize
+        self._rows = OrderedDict()  # key -> (row, ended)
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def clear(self):
+        with self._lock:
+            self._rows.clear()
+
+    def get(self, key, n: int) -> tuple:
+        """The row of key with at least min(n, limit) entries, or all of it
+        where it ends before."""
+        with self._lock:
+            held = self._rows.get(key)
+            if held is not None:
+                self._rows.move_to_end(key)
+        row, ended = held or ((), False)
+        if ended or len(row) >= n:
+            return row
+        stop = min(self._limit, max(n, len(row) + 32))
+        new = self._entries(key, len(row), stop)
+        ended = stop == self._limit or len(new) < stop - len(row)
+        row += tuple(new)
+        with self._lock:
+            held = self._rows.get(key)
+            if held is None or len(held[0]) < len(row):
+                self._rows[key] = (row, ended)
+            self._rows.move_to_end(key)
+            if len(self._rows) > self.maxsize:
+                self._rows.popitem(last=False)
+        return row
+
+
+_FLOAT_TERMS = 600  # term cap of the float series
+_ASYM_TERMS = 4000  # term cap of the algebraic asymptotic series
+_MP_TERMS = 8000  # term cap of the mpmath series
+_RND = libmp.round_nearest  # the rounding of mpmath's arithmetic
+
+
+def _series_entries(key, start, stop):
+    # rgamma(a k + b), up to the first argument at _RGAMMA_ZERO
+    a, b = key
+    out = []
+    for k in range(start, stop):
+        arg = a * k + b
+        if arg >= _RGAMMA_ZERO:
+            break
+        out.append(rgamma(arg))
+    return out
+
+
+def _asym_entries(key, start, stop):
+    a, b = key
+    return [rgamma(b - a * k) for k in range(start, stop)]
+
+
+def _mp_entries(key, start, stop):
+    # Gamma(a k + b) as raw mpmath numbers at `digits`, None at its poles;
+    # the argument is formed exactly: in double it picks up ~k eps, which
+    # psi(arg) amplifies into O(1) term errors
+    a, b, digits = key
+    prec = libmp.dps_to_prec(digits)
+    am = libmp.from_float(a)
+    bm = libmp.from_float(b)
+    out = []
+    for k in range(start, stop):
+        arg = libmp.mpf_add(libmp.mpf_mul_int(am, k, prec, _RND), bm, prec, _RND)
+        pole = libmp.mpf_le(arg, libmp.fzero) and libmp.mpf_eq(
+            arg, libmp.mpf_floor(arg, prec, _RND)
+        )
+        out.append(None if pole else libmp.mpf_gamma(arg, prec, _RND))
+    return out
+
+
+# the Gamma factors of the three series, per (a, b) or (a, b, digits): the
+# Theta quadrature calls ml a hundred times and more at one (a, b)
+_SERIES_RGAMMA = _Rows(_series_entries, _FLOAT_TERMS, maxsize=64)
+_ASYM_RGAMMA = _Rows(_asym_entries, _ASYM_TERMS + 1, maxsize=64)
+_MP_GAMMA = _Rows(_mp_entries, _MP_TERMS, maxsize=16)
+_TABLES = (_SERIES_RGAMMA, _ASYM_RGAMMA, _MP_GAMMA)
+
+
+def _series_float(a: float, b: float, z: float):
     """Kahan-summed power series; returns (sum, max |term|, converged).
 
     A sum whose z^k passes 1e290, or whose next Gamma argument reaches
@@ -139,11 +255,8 @@ def _series_float(a: float, b: float, z: float, max_terms: int = 600):
     comp = 0.0
     max_abs = 0.0
     zpow = 1.0
-    for k in range(max_terms):
-        arg = a * k + b
-        if arg >= _RGAMMA_ZERO:
-            break
-        term = zpow * rgamma(arg)
+    for k, rg in enumerate(_SERIES_RGAMMA.get((a, b), _FLOAT_TERMS)):
+        term = zpow * rg
         max_abs = max(max_abs, abs(term))
         y = term - comp
         t = total + y
@@ -157,7 +270,7 @@ def _series_float(a: float, b: float, z: float, max_terms: int = 600):
     return total, max_abs, False
 
 
-def _series_float_array(a: float, b: float, z: np.ndarray, max_terms: int = 600):
+def _series_float_array(a: float, b: float, z: np.ndarray):
     """_series_float on every element of a 1-D z > 0 at once: the same
     operations in the same order, each element frozen at its own stopping
     term; returns arrays (sum, max |term|, converged)."""
@@ -176,11 +289,8 @@ def _series_float_array(a: float, b: float, z: np.ndarray, max_terms: int = 600)
         keep = ~stop
         total, comp, max_abs, zpow, live = (v[keep] for v in (total, comp, max_abs, zpow, live))
 
-    for k in range(max_terms):
-        arg = a * k + b
-        if arg >= _RGAMMA_ZERO:
-            break
-        term = zpow * rgamma(arg)
+    for k, rg in enumerate(_SERIES_RGAMMA.get((a, b), _FLOAT_TERMS)):
+        term = zpow * rg
         max_abs = np.maximum(max_abs, np.abs(term))
         y = term - comp
         t = total + y
@@ -194,6 +304,31 @@ def _series_float_array(a: float, b: float, z: np.ndarray, max_terms: int = 600)
             break
     freeze(np.ones(live.size, dtype=bool), False)
     return out
+
+
+def _peak_term(a: float, b: float, z: float) -> float:
+    """A lower bound on the largest |term| of the float pass at z < 0 and
+    b > 0 whenever that pass settles; inf where it cannot settle.
+
+    Each a k + b is positive and log Gamma is convex there, so log|term_k|
+    = k log|z| - log Gamma(a k + b) is concave in k: the terms grow to one
+    peak and then fall.  A settled pass stops at a term below 1e-17 of its
+    sum, which no term can be while the terms still grow, so the pass forms
+    every term up to the peak.  This walk forms them with the pass's own
+    operations (the same products, bit for bit) and stops at the first
+    fall; a pass whose z^k passes 1e290 before the peak never settles.
+    """
+    peak = 0.0
+    zpow = 1.0
+    for rg in _SERIES_RGAMMA.get((a, b), _FLOAT_TERMS):
+        term = abs(zpow * rg)
+        if term < peak:
+            break
+        peak = term
+        zpow *= z
+        if abs(zpow) > 1e290:
+            return math.inf
+    return peak
 
 
 def _series_accepted(a: float, b: float, z: float, total: float, max_abs: float) -> bool:
@@ -210,26 +345,37 @@ def _amplification(a: float, b: float, z: float) -> float:
     return 4.0 * max(1.0, arg_top * math.log(max(arg_top, 3.0)))
 
 
-def _series_mp(a: float, b: float, z: float, digits: int, max_terms: int = 8000):
-    with mp.workdps(digits):
-        total = mp.mpf(0)
-        zm = mp.mpf(z)
-        am = mp.mpf(a)
-        bm = mp.mpf(b)
-        zpow = mp.mpf(1)
-        tiny = mp.mpf(10) ** -300
-        tol = mp.mpf(10) ** (-(digits - 4))
-        for k in range(max_terms):
-            # the Gamma argument must be formed exactly: in double it picks
-            # up ~k eps, which psi(arg) amplifies into O(1) term errors
-            arg = am * k + bm
-            if not (arg <= 0 and arg == mp.floor(arg)):
-                term = zpow / mp.gamma(arg)
-                total += term
-                if k > 2 and abs(term) < tol * (abs(total) + tiny):
-                    return float(total), True
-            zpow *= zm
-        return float(total), False
+def _series_mp(a: float, b: float, z: float, digits: int):
+    """The power series summed in mpmath at `digits`; returns (sum as a
+    float, settled).
+
+    It works on mpmath's raw numbers with the precision passed to each
+    operation: these are the operations mpf arithmetic performs inside
+    mp.workdps(digits), bit for bit, but they leave mpmath's process-wide
+    precision alone, so threads do not disturb each other.
+    """
+    prec = libmp.dps_to_prec(digits)
+    ten = libmp.from_int(10)
+    tiny = libmp.mpf_pow_int(ten, -300, prec, _RND)
+    tol = libmp.mpf_pow_int(ten, -(digits - 4), prec, _RND)
+    zm = libmp.from_float(z)
+    zpow = libmp.fone
+    total = libmp.fzero
+    gammas = ()
+    for k in range(_MP_TERMS):
+        if k >= len(gammas):
+            gammas = _MP_GAMMA.get((a, b, digits), k + 1)
+        if gammas[k] is not None:
+            term = libmp.mpf_div(zpow, gammas[k], prec, _RND)
+            total = libmp.mpf_add(total, term, prec, _RND)
+            # |term| < tol (|total| + tiny)
+            bound = libmp.mpf_add(libmp.mpf_abs(total, prec, _RND), tiny, prec, _RND)
+            if k > 2 and libmp.mpf_lt(
+                libmp.mpf_abs(term, prec, _RND), libmp.mpf_mul(tol, bound, prec, _RND)
+            ):
+                return libmp.to_float(total, rnd=_RND), True
+        zpow = libmp.mpf_mul(zpow, zm, prec, _RND)
+    return libmp.to_float(total, rnd=_RND), False
 
 
 _LOG_EPS = math.log(_EPS)
@@ -284,8 +430,13 @@ def _contour_ru(phi_j, p_j):
         n = math.ceil(phib_j / math.pi * (1.0 - 1.5 * lt + math.sqrt(1.0 - 2.0 * lt)))
         big_a = math.pi * n / phib_j
         sq_mu = sqb_j * abs(4.0 - big_a) / abs(7.0 - math.sqrt(1.0 + 12.0 * big_a))
-        if p_j < 1e-14 or 1.0 < ((sqb_j - sq_j) / sq_mu) ** (-p_j) < 10.0:
+        if p_j < 1e-14:
             break
+        try:
+            if 1.0 < ((sqb_j - sq_j) / sq_mu) ** (-p_j) < 10.0:
+                break
+        except OverflowError:
+            pass  # an overflowing weight is not in (1, 10)
         sqb_j = 5.0 ** (-1.0 / p_j) * sq_mu + sq_j
         phib_j = sqb_j * sqb_j
     else:
@@ -364,9 +515,35 @@ def _ml_contour(a: float, b: float, z: float):
     return value, abs_sum
 
 
+def _contour_accepted(value: float, abs_sum: float) -> bool:
+    """Whether a contour value is returned: 64 eps times its sum of |terms|
+    is at most 1e-11 of it."""
+    return 64.0 * _EPS * abs_sum <= 1e-11 * abs(value)
+
+
+def _pass_rejected(peak: float, amplification: float, bound: float) -> bool:
+    """Whether the float pass at z < 0, b > 0 is surely rejected, given its
+    `_peak_term` and a bound on |E|:
+
+        peak eps (amp - 1e-5) > 1e-11 max(bound, 1e-300) (1 + 1e-9).
+
+    A settled pass forms its peak term, so its max |term| is at least peak.
+    It has at most n = 600 terms, each at most max |term| and each adding
+    a relative error below (n + 1000) eps: n products for z^k, the rounding
+    of a k + b < 171.6 amplified by psi (below 900 eps), math.gamma and
+    the Kahan sum; its tail past the stop is below 1e-15 max |term|.  So
+    |sum| <= |E| + 9.6e5 eps max |term|, and as 1e-11 * 9.6e5 < 1e-5 the
+    inequality gives max |term| eps amp > 1e-11 max(|sum|, 1e-300): the
+    roundoff test rejects the pass.  The factor 1 + 1e-9 covers the
+    rounding of both sides.
+    """
+    return peak * _EPS * (amplification - 1e-5) > 1e-11 * max(bound, 1e-300) * (1.0 + 1e-9)
+
+
 def _ml_series(a: float, b: float, z: float) -> float:
     """E_{a,b}(z) for |z| below the switch radius: float series, then the
-    contour, then the mpmath series.
+    contour, then the mpmath series; for z < 0 and b > 0 the contour is
+    tried first where that order provably returns the same value.
 
     The Kahan-summed float series is returned when its roundoff estimate
     (max |term| times eps times the Gamma-argument amplification) is at
@@ -379,7 +556,28 @@ def _ml_series(a: float, b: float, z: float) -> float:
     mpmath at a precision chosen from the observed cancellation, to 1e-13
     relative; a sum that does not settle is returned only within 64 eps
     sum|terms| of the contour value, else ConvergenceFailure.
+
+    Contour first.  For z < 0 and b > 0 an accepted contour value V with
+    sum of |terms| S is returned at once when `_pass_rejected` holds with
+    |E| <= |V| + 64 eps S, the error bound that accepts the contour: then
+    the float pass is rejected and the contour answers in either order.
+    The contour is formed first only where the same test already holds
+    with 1/Gamma(b) = E(0) in place of |E|, i.e. where the float pass can
+    only cancel badly; elsewhere, and wherever the test fails, the float
+    pass runs as before, and its (total, max_abs) choose the mpmath
+    precision.  The contour is never formed twice.
     """
+    amplification = _amplification(a, b, z)
+    first = z < 0.0 and b > 0.0
+    if first:
+        peak = _peak_term(a, b, z)
+        first = _pass_rejected(peak, amplification, rgamma(b))
+    if first:
+        contour = _ml_contour(a, b, z)
+        if contour is not None and _contour_accepted(*contour):
+            value, abs_sum = contour
+            if _pass_rejected(peak, amplification, abs(value) + 64.0 * _EPS * abs_sum):
+                return value
     total, max_abs, converged = _series_float(a, b, z)
     if converged and _series_accepted(a, b, z, total, max_abs):
         return total
@@ -390,12 +588,10 @@ def _ml_series(a: float, b: float, z: float) -> float:
         # term formed (b past _RGAMMA_ZERO) the scale is 1
         total = 0.0
         max_abs = max_abs or 1.0
-    amplification = _amplification(a, b, z)
-    contour = _ml_contour(a, b, z)
-    if contour is not None:
-        value, abs_sum = contour
-        if 64.0 * _EPS * abs_sum <= 1e-11 * abs(value):
-            return value
+    if not first:
+        contour = _ml_contour(a, b, z)
+    if contour is not None and _contour_accepted(*contour):
+        return contour[0]
     digits = 25
     for _ in range(4):
         # in ratios to max_abs, which may lie near the bottom of the range
@@ -461,13 +657,16 @@ def _ml_asym(a: float, b: float, z: float):
     # a the minimum sits at k ~ w/a which can run to hundreds of terms),
     # skipping terms whose Gamma argument is at a pole and stopping early
     # once terms stop mattering
-    k_stop = min(4000, max(1, int(w / a) + 1))
+    k_stop = min(_ASYM_TERMS, max(1, int(w / a) + 1))
     floor_scale = 1e-18 * abs(exp_part)
     alg = 0.0
     comp = 0.0
     tiny_run = 0
+    rgs = ()
     for k in range(1, k_stop + 1):
-        rg = rgamma(b - a * k)
+        if k >= len(rgs):
+            rgs = _ASYM_RGAMMA.get((a, b), k + 1)
+        rg = rgs[k]
         if rg == 0.0:
             continue
         term = rg * z ** (-k)

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from spde_moments import cli
 from spde_moments import moments as mm
 from spde_moments.cli import _build_parser, figure_rows, locate_crossing, main
-from spde_moments.model import ModelParams, dalang_bound, dalang_satisfied
+from spde_moments.errors import ResultOverflow
+from spde_moments.model import DerivedConstants, ModelParams, dalang_bound, dalang_satisfied
 
 
 def run_cli(capsys, *argv):
@@ -18,6 +20,10 @@ def run_cli(capsys, *argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
 
 
 def readme_examples() -> list[list[str]]:
@@ -94,6 +100,31 @@ class TestConstants:
         assert 0.0 < json.loads(out)["big_theta"] < 1e-270
         code, _, err = run_cli(capsys, "constants", "--gamma", "100")
         assert code == 2
+        assert json.loads(err)["error"]["type"] == "ResultOverflow"
+
+    def test_large_gamma_base_through_lgamma(self, capsys):
+        # Gamma(theta + 1) = Gamma(180.5) overflows; lambda^2 Theta Gamma(180.5)
+        # = 2.28e52 does not, and the output is strict JSON
+        code, out, _ = run_cli(capsys, "constants", "--gamma", "90")
+        assert code == 0
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["theta"] == 179.5
+        want = math.exp(math.log(payload["big_theta"]) + math.lgamma(180.5))
+        assert abs(payload["lyapunov_base"] - want) <= 1e-12 * want
+        assert abs(payload["lyapunov_base"] / 2.28e52 - 1.0) < 1e-2
+
+    def test_contour_weight_overflow_is_a_json_error(self, capsys):
+        # E_{1,130} on the negative axis used to raise a raw OverflowError in
+        # the contour; now Theta is reported below the double range
+        code, out, err = run_cli(capsys, "constants", "--gamma", "129")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "ResultOverflow"
+
+    def test_non_finite_payload_is_an_overflow_error(self, capsys, monkeypatch):
+        forced = DerivedConstants(theta=-0.5, big_theta=math.nan, lyapunov_base=math.inf)
+        monkeypatch.setattr(cli, "derived_constants", lambda p: forced)
+        code, out, err = run_cli(capsys, "constants", "--alpha", "2", "--beta", "1")
+        assert (code, out) == (ResultOverflow.exit_code, "")
         assert json.loads(err)["error"]["type"] == "ResultOverflow"
 
     def test_dalang_gate_is_clean(self, capsys):

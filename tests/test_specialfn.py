@@ -1,4 +1,7 @@
+import cmath
 import math
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -340,10 +343,261 @@ class TestLargeB:
     def test_tiny_value_after_unsettled_float_pass(self, b, z, want):
         assert rel(sf.ml(1.0, b, z), want) < 1e-12
 
+    def test_contour_weight_overflow(self):
+        # the parabola's singularity weight ((sqb - sq)/sq_mu)^(-2(b - a - 1))
+        # overflows a double at b = 130; such a weight is not in (1, 10)
+        with mp.workdps(40):
+            want = mp.hyp1f1(1, 130, -104) / mp.gamma(130)
+        try:
+            got = sf.ml(1.0, 130.0, -104.0)
+        except ConvergenceFailure:
+            return
+        assert rel(got, float(want)) < 1e-12
+
     def test_radius_grows_with_b_only_past_the_default(self):
         for a in (0.5, 1.0, 1.5):
             assert sf._series_radius(a, 3.0) == sf._series_radius(a)
         assert sf._series_radius(1.0, 41.0) == 82.0
+
+
+# --- the per-term loops and the float-first order of ml before its Gamma
+# tables and contour-first order, kept as oracles ---------------------------
+
+
+def _oracle_series_float(a, b, z, max_terms=600):
+    total = 0.0
+    comp = 0.0
+    max_abs = 0.0
+    zpow = 1.0
+    for k in range(max_terms):
+        arg = a * k + b
+        if arg >= sf._RGAMMA_ZERO:
+            break
+        term = zpow * sf.rgamma(arg)
+        max_abs = max(max_abs, abs(term))
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if k > 2 and abs(term) < 1e-17 * (abs(total) + 1e-300):
+            return total, max_abs, True
+        zpow *= z
+        if abs(zpow) > 1e290:
+            break
+    return total, max_abs, False
+
+
+def _oracle_series_mp(a, b, z, digits, max_terms=8000):
+    with mp.workdps(digits):
+        total = mp.mpf(0)
+        zm = mp.mpf(z)
+        am = mp.mpf(a)
+        bm = mp.mpf(b)
+        zpow = mp.mpf(1)
+        tiny = mp.mpf(10) ** -300
+        tol = mp.mpf(10) ** (-(digits - 4))
+        for k in range(max_terms):
+            arg = am * k + bm
+            if not (arg <= 0 and arg == mp.floor(arg)):
+                term = zpow / mp.gamma(arg)
+                total += term
+                if k > 2 and abs(term) < tol * (abs(total) + tiny):
+                    return float(total), True
+            zpow *= zm
+        return float(total), False
+
+
+def _oracle_ml_asym(a, b, z):
+    x = abs(z)
+    w = x ** (1.0 / a)
+    arg = 0.0 if z > 0 else math.pi
+    exp_total = 0.0 + 0.0j
+    terms = []
+    for weight, zeta in sf._saddle_points(a, arg, w):
+        if zeta.real > 700.0:
+            raise OverflowError("ml overflow in exponential term")
+        if zeta.real < -745.0:
+            continue
+        terms.append(weight * zeta ** (1.0 - b) * cmath.exp(zeta))
+    scale = 0.0
+    for t in sorted(terms, key=abs):
+        exp_total += t
+        scale += abs(t)
+    exp_part = exp_total.real / a
+    if abs(exp_total.imag) > 1e-8 * (scale + 1e-290):
+        raise ArithmeticError("asymptotic exponential sum not real")
+    k_stop = min(4000, max(1, int(w / a) + 1))
+    floor_scale = 1e-18 * abs(exp_part)
+    alg = 0.0
+    comp = 0.0
+    tiny_run = 0
+    for k in range(1, k_stop + 1):
+        rg = sf.rgamma(b - a * k)
+        if rg == 0.0:
+            continue
+        term = rg * z ** (-k)
+        y = term - comp
+        t = alg + y
+        comp = (t - alg) - y
+        alg = t
+        if abs(term) < max(1e-18 * abs(alg), floor_scale):
+            tiny_run += 1
+            if tiny_run >= 3:
+                break
+        else:
+            tiny_run = 0
+    return exp_part - alg
+
+
+def _oracle_float_accepted(a, b, z):
+    total, max_abs, converged = _oracle_series_float(a, b, z)
+    return converged and sf._series_accepted(a, b, z, total, max_abs)
+
+
+def _oracle_ml_series(a, b, z):
+    total, max_abs, converged = _oracle_series_float(a, b, z)
+    if converged and sf._series_accepted(a, b, z, total, max_abs):
+        return total
+    if not converged:
+        total = 0.0
+        max_abs = max_abs or 1.0
+    amplification = sf._amplification(a, b, z)
+    contour = sf._ml_contour(a, b, z)
+    if contour is not None:
+        value, abs_sum = contour
+        if 64.0 * sf._EPS * abs_sum <= 1e-11 * abs(value):
+            return value
+    digits = 25
+    for _ in range(4):
+        cancel = amplification / max(abs(total) / max_abs, 10.0 ** (-digits))
+        digits = min(300, 25 + int(math.log10(max(cancel, 1.0))))
+        total, ok = _oracle_series_mp(a, b, z, digits)
+        if ok and 10.0 ** (-digits) <= 1e-13 * abs(total) / max_abs:
+            return total
+    if contour is not None and abs(total - contour[0]) <= 64.0 * sf._EPS * contour[1]:
+        return total
+    raise ConvergenceFailure(f"E_{{{a!r},{b!r}}}({z!r}): the mpmath series did not settle")
+
+
+def _clear_tables():
+    for table in sf._TABLES:
+        table.clear()
+
+
+# (a, b) on both sides of a = 1 and 2 b - a - 1 = 0 (the contour's branch
+# strength), z on both axes inside and beyond the switch radius, plus a zero
+# of cos(sqrt x) (the mpmath series) and a tiny large-b value
+_ORACLE_AB = [(a, b) for a in (0.3, 0.65, 0.95, 1.0, 1.35, 1.7, 2.0)
+              for b in (a, a + 0.25, a + 1.0, 2.0)]
+_ORACLE_FRACS = (0.02, 0.1, 0.3, 0.5, 0.7, 0.85, 0.99, 1.3)
+_ORACLE_GRID = [
+    (a, b, s * f * sf._series_radius(a, b))
+    for a, b in _ORACLE_AB for f in _ORACLE_FRACS for s in (-1.0, 1.0)
+] + [(2.0, 1.0, -((3.5 * math.pi) ** 2)), (1.0, 91.0, -150.0), (1.0, 41.0, -70.0)]
+
+
+@pytest.fixture(scope="module")
+def oracle_values():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sf, "_ml_series", _oracle_ml_series)
+        patch.setattr(sf, "_ml_asym", _oracle_ml_asym)
+        return [sf.ml(a, b, z) for a, b, z in _ORACLE_GRID]
+
+
+class TestGammaTables:
+    """ml with its per-(a, b) Gamma tables and contour-first order against
+    the per-term loops and float-first order above, bit for bit."""
+
+    def test_ml_cold_and_warm(self, oracle_values):
+        cold = []
+        for a, b, z in _ORACLE_GRID:
+            _clear_tables()
+            cold.append(sf.ml(a, b, z))
+        warm = [sf.ml(a, b, z) for a, b, z in _ORACLE_GRID]
+        assert _same_bits(cold, oracle_values)
+        assert _same_bits(warm, oracle_values)
+
+    def test_ml_array_cold_and_warm(self, oracle_values):
+        by_ab = {}
+        for (a, b, z), want in zip(_ORACLE_GRID, oracle_values):
+            by_ab.setdefault((a, b), ([], []))
+            by_ab[(a, b)][0].append(z)
+            by_ab[(a, b)][1].append(want)
+        _clear_tables()
+        for (a, b), (zs, want) in by_ab.items():
+            assert _same_bits(sf.ml_array(a, b, zs), want), (a, b)
+            assert _same_bits(sf.ml_array(a, b, zs), want), (a, b)
+
+    def test_contour_first_only_where_float_pass_fails(self, monkeypatch):
+        calls = []
+        series_float, contour = sf._series_float, sf._ml_contour
+        monkeypatch.setattr(sf, "_series_float", lambda *a: calls.append("float") or series_float(*a))
+        monkeypatch.setattr(sf, "_ml_contour", lambda *a: calls.append("contour") or contour(*a))
+        first = 0
+        for a, b, z in _ORACLE_GRID:
+            if z >= 0.0:
+                continue
+            calls.clear()
+            sf.ml(a, b, z)
+            if calls == ["contour"]:
+                first += 1
+                assert not _oracle_float_accepted(a, b, z), (a, b, z)
+        assert first >= 40
+
+    def test_threads_on_cold_tables(self):
+        # E_{2,1}(z) from the float series, the contour, the asymptotic
+        # expansion and, at the zeros of cos(sqrt x), the mpmath series
+        a, b = 2.0, 1.0
+        zs = [s * f * sf._series_radius(a, b) for f in _ORACLE_FRACS for s in (-1.0, 1.0)]
+        zs += [-(((k + 0.5) * math.pi) ** 2) for k in range(2, 9)]
+        _clear_tables()
+        serial = [sf.ml(a, b, z) for z in zs]
+        _clear_tables()
+        start = threading.Barrier(8)
+        results = [None] * 8
+
+        def work(i):
+            start.wait(timeout=30)
+            order = zs if i % 2 else zs[::-1]
+            got = {z: sf.ml(a, b, z) for z in order}
+            results[i] = [got[z] for z in zs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert got is not None and _same_bits(got, serial)
+
+    def test_repeat_mp_series_makes_no_gamma_call(self, monkeypatch):
+        calls = []
+        gamma = sf.libmp.mpf_gamma
+        monkeypatch.setattr(sf.libmp, "mpf_gamma", lambda *x: calls.append(x) or gamma(*x))
+        _clear_tables()
+        first = sf._series_mp(2.0, 1.0, -120.0, 40)
+        assert first == _oracle_series_mp(2.0, 1.0, -120.0, 40)
+        made = len(calls)
+        assert made > 0
+        assert sf._series_mp(2.0, 1.0, -120.0, 40) == first
+        assert len(calls) == made
+
+    def test_tables_stay_within_bound(self):
+        _clear_tables()
+        for i in range(sf._SERIES_RGAMMA.maxsize + 8):
+            a = 0.5 + i / 128.0
+            sf.ml(a, 1.5, -0.5 * sf._series_radius(a, 1.5))
+            sf.ml(a, 1.5, -1.5 * sf._series_radius(a, 1.5))
+        for digits in range(25, 25 + sf._MP_GAMMA.maxsize + 8):
+            sf._series_mp(1.5, 1.0, -0.5, digits)
+        for table in sf._TABLES:
+            assert len(table) == table.maxsize
 
 
 class TestMlLogGrowth:
