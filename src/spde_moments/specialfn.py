@@ -26,9 +26,12 @@ with the same value as `ml` for every element, bit for bit.
 
 On the negative axis (with b > 0) the contour of step 3 is formed before
 the series of step 2 where the series' largest term shows that its sum must
-cancel, and the contour value is returned at once only when that term
-proves the float series would have been rejected (`_ml_series`); every
-value is the one of the order above, bit for bit.
+cancel, and the contour value is returned at once only when that term,
+with the contour's error bound, shows the float series would have been
+rejected (`_ml_series`).  That bound (64 eps sum|terms| of roundoff, after
+a measured maximum of 53, plus the 1e-15 truncation target) is measured,
+not derived, so the equality with the order above rests on it; it is
+checked bit for bit on the oracle grids of tests/test_specialfn.py.
 
 The Gamma factors of the three series, 1/Gamma(a k + b), 1/Gamma(b - a k)
 and mpmath's Gamma(a k + b) at each working precision, depend on (a, b)
@@ -236,7 +239,9 @@ def _mp_entries(key, start, stop):
 
 
 # the Gamma factors of the three series, per (a, b) or (a, b, digits): the
-# Theta quadrature calls ml a hundred times and more at one (a, b)
+# Theta quadrature calls ml a hundred times and more at one (a, b), and
+# nearby z there cancel alike, so mpmath calls repeat a precision (on the
+# `sweep` benchmark about 60 % of the mpmath Gamma values read are hits)
 _SERIES_RGAMMA = _Rows(_series_entries, _FLOAT_TERMS, maxsize=64)
 _ASYM_RGAMMA = _Rows(_asym_entries, _ASYM_TERMS + 1, maxsize=64)
 _MP_GAMMA = _Rows(_mp_entries, _MP_TERMS, maxsize=16)
@@ -379,7 +384,8 @@ def _series_mp(a: float, b: float, z: float, digits: int):
 
 
 _LOG_EPS = math.log(_EPS)
-_CONTOUR_LOG_TOL = math.log(1e-15)  # target of the contour quadrature
+_CONTOUR_TOL = 1e-15  # truncation target of the contour quadrature
+_CONTOUR_LOG_TOL = math.log(_CONTOUR_TOL)
 _CONTOUR_MAX_N = 200  # node cap; beyond it the target is not met
 
 
@@ -522,8 +528,8 @@ def _contour_accepted(value: float, abs_sum: float) -> bool:
 
 
 def _pass_rejected(peak: float, amplification: float, bound: float) -> bool:
-    """Whether the float pass at z < 0, b > 0 is surely rejected, given its
-    `_peak_term` and a bound on |E|:
+    """Whether the float pass at z < 0, b > 0 is rejected whenever
+    |E| <= bound, given its `_peak_term`:
 
         peak eps (amp - 1e-5) > 1e-11 max(bound, 1e-300) (1 + 1e-9).
 
@@ -540,10 +546,20 @@ def _pass_rejected(peak: float, amplification: float, bound: float) -> bool:
     return peak * _EPS * (amplification - 1e-5) > 1e-11 * max(bound, 1e-300) * (1.0 + 1e-9)
 
 
+def _contour_error_bound(value: float, abs_sum: float) -> float:
+    """A bound on |E| from a contour value V with sum of |terms| S:
+    |V| + 64 eps S of roundoff (`_contour_accepted`) + 1e-15 S, the
+    quadrature's truncation target taken on the scale of its terms.  The
+    roundoff factor is the measured maximum of 53 with a margin and the
+    truncation target is Garrappa's design error, so the bound is measured,
+    not derived."""
+    return abs(value) + (64.0 * _EPS + _CONTOUR_TOL) * abs_sum
+
+
 def _ml_series(a: float, b: float, z: float) -> float:
     """E_{a,b}(z) for |z| below the switch radius: float series, then the
     contour, then the mpmath series; for z < 0 and b > 0 the contour is
-    tried first where that order provably returns the same value.
+    tried first where the float pass is shown to be rejected.
 
     The Kahan-summed float series is returned when its roundoff estimate
     (max |term| times eps times the Gamma-argument amplification) is at
@@ -557,10 +573,11 @@ def _ml_series(a: float, b: float, z: float) -> float:
     relative; a sum that does not settle is returned only within 64 eps
     sum|terms| of the contour value, else ConvergenceFailure.
 
-    Contour first.  For z < 0 and b > 0 an accepted contour value V with
-    sum of |terms| S is returned at once when `_pass_rejected` holds with
-    |E| <= |V| + 64 eps S, the error bound that accepts the contour: then
-    the float pass is rejected and the contour answers in either order.
+    Contour first.  For z < 0 and b > 0 an accepted contour value V is
+    returned at once when `_pass_rejected` holds with |E| bounded by
+    `_contour_error_bound`: then, as far as that measured bound holds, the
+    float pass is rejected and the contour answers in either order (checked
+    bit for bit against the float-first order on the oracle grids).
     The contour is formed first only where the same test already holds
     with 1/Gamma(b) = E(0) in place of |E|, i.e. where the float pass can
     only cancel badly; elsewhere, and wherever the test fails, the float
@@ -576,7 +593,7 @@ def _ml_series(a: float, b: float, z: float) -> float:
         contour = _ml_contour(a, b, z)
         if contour is not None and _contour_accepted(*contour):
             value, abs_sum = contour
-            if _pass_rejected(peak, amplification, abs(value) + 64.0 * _EPS * abs_sum):
+            if _pass_rejected(peak, amplification, _contour_error_bound(value, abs_sum)):
                 return value
     total, max_abs, converged = _series_float(a, b, z)
     if converged and _series_accepted(a, b, z, total, max_abs):
