@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from spde_moments import cli
 from spde_moments import moments as mm
 from spde_moments import specialfn as sf
 from spde_moments.errors import DalangViolated, InvalidParams, ResultOverflow, StepTooCoarse
 from spde_moments.model import ModelParams, derived_constants, j0, t_hat, theta
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def rel(a, b):
@@ -258,13 +267,61 @@ def _volterra_solve_negative_stride(p, h, n):
     return eta[1:]
 
 
+# lambda = 3 on [0, 8]: the values reach 4.6e70
+_VOLTERRA_ORACLE_CASES = [(p, 2.0) for p in SWEEP] + [(ModelParams(2, 1, 0, 3, 1, 1), 8.0)]
+
+
+def _max_rel(values, ref):
+    return float(np.max(np.abs(values - ref) / np.abs(ref)))
+
+
 class TestVolterraHistory:
-    @pytest.mark.parametrize("p", SWEEP)
-    @pytest.mark.parametrize("n", [1999, 2048])
-    def test_matches_negative_stride_loop(self, p, n):
-        h = 2.0 / n
+    @pytest.mark.parametrize(
+        "p,t_max", _VOLTERRA_ORACLE_CASES, ids=[f"p{i}" for i in range(len(_VOLTERRA_ORACLE_CASES))]
+    )
+    @pytest.mark.parametrize("n", [1999, 2048, 16384])
+    def test_matches_negative_stride_loop(self, p, t_max, n):
+        h = t_max / n
         got = mm._volterra_solve(p, derived_constants(p), h, n)
-        assert _same_bits(got, _volterra_solve_negative_stride(p, h, n))
+        assert _max_rel(got, _volterra_solve_negative_stride(p, h, n)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["volterra_csv", "volterra_json_rtol", "volterra_u1_rtol"])
+    def test_golden_values_match_loop(self, name):
+        """Each value in the recorded CLI output agrees with the per-step
+        loop within 1e-12 relative."""
+        record = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+        ns = cli._build_parser().parse_args(record["argv"])
+        p, grid = cli._resolve_params(ns), cli._moment_grid(ns)
+        if ns.format == "json":
+            values = np.array(json.loads(record["stdout"])["value"])
+        else:
+            values = np.array([float(row.split(",")[1]) for row in record["stdout"].splitlines()[2:]])
+        assert values.size == grid.size
+        ref = _volterra_solve_negative_stride(p, float(grid[0]), grid.size)
+        assert _max_rel(values, ref) <= 1e-12
+
+    def test_bits_independent_of_blas_threads(self):
+        """The 16 384-step solve gives the same bytes on one and two BLAS
+        threads (a per-step dot over the history does not: OpenBLAS threads
+        long dots)."""
+        script = (
+            "import hashlib\n"
+            "from spde_moments import moments as mm\n"
+            "from spde_moments.model import ModelParams, derived_constants\n"
+            "p = ModelParams(2, 1.3, 0, 1, 1, 1, u0=1, u1=0.5)\n"
+            "eta = mm._volterra_solve(p, derived_constants(p), 2.0 / 16384, 16384)\n"
+            "print(hashlib.sha256(eta.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(mm.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            digests.append(run.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 class TestVolterra:
