@@ -10,6 +10,7 @@ contributions and a seeded Monte Carlo cross-check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -91,12 +92,30 @@ class FeynmanDiagram:
         covered = {v for e in self.edges for v in e}
         return covered == set(self.partition.vertices())
 
+    @classmethod
+    def _from_sorted(cls, partition: Partition, edges: tuple[Edge, ...]) -> "FeynmanDiagram":
+        """A diagram from edges that are already integer pairs, sorted,
+        upward-pointing and vertex-disjoint, as `enumerate_admissible` builds
+        them.  Skips the checks of `__post_init__` and keeps the order for
+        `sorted_edges`; any other caller must use the validating constructor.
+        """
+        diagram = object.__new__(cls)
+        # frozen: fill the instance dict directly, as __setattr__ refuses
+        diagram.__dict__.update(partition=partition, edges=frozenset(edges), _sorted=edges)
+        return diagram
+
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        known = self.__dict__.get("_sorted")
+        return list(known) if known is not None else sorted(self.edges)
 
 
 def enumerate_admissible(partition: Partition) -> list[FeynmanDiagram]:
-    """All perfect matchings with cross-column, upward-pointing edges."""
+    """All perfect matchings with cross-column, upward-pointing edges.
+
+    The recursion always pairs the lowest remaining vertex with a later one
+    in a higher column, so each matching's edges come out sorted, pointing
+    upward and disjoint; they are wrapped without re-validation.
+    """
     total = partition.total
     if total % 2:
         raise InvalidParams("partition total must be even")
@@ -107,7 +126,7 @@ def enumerate_admissible(partition: Partition) -> list[FeynmanDiagram]:
 
     def extend(remaining: tuple[Vertex, ...], acc: list[Edge]):
         if not remaining:
-            out.append(FeynmanDiagram(partition, frozenset(acc)))
+            out.append(FeynmanDiagram._from_sorted(partition, tuple(acc)))
             return
         v = remaining[0]
         rest = remaining[1:]
@@ -371,13 +390,25 @@ def stirling_sandwich_holds(n: int) -> bool:
     return log_lower < log_fact < log_lower + math.log(2.0)
 
 
+class _VertexLabels(dict):
+    """`(k,l)` labels of a partition's vertices; a vertex outside the
+    partition (a diagram may hold one) is formatted on each lookup."""
+
+    def __missing__(self, v: Vertex) -> str:
+        return f"({v[0]},{v[1]})"
+
+
+@functools.lru_cache(maxsize=64)
+def _line_labels(part: Partition) -> tuple[str, _VertexLabels]:
+    """The line header `p m | n1,...,np | ` and the vertex labels."""
+    header = f"{part.p} {part.total // 2} | {','.join(map(str, part.n))} | "
+    return header, _VertexLabels({(k, l): f"({k},{l})" for k, l in part.vertices()})
+
+
 def diagram_to_line(diagram: FeynmanDiagram) -> str:
     """`p m | n1,...,np | (k1,l1)-(k2,l2); ...` fixture format."""
-    part = diagram.partition
-    edges = "; ".join(
-        f"({k1},{l1})-({k2},{l2})" for (k1, l1), (k2, l2) in diagram.sorted_edges()
-    )
-    return f"{part.p} {part.total // 2} | {','.join(map(str, part.n))} | {edges}"
+    header, label = _line_labels(diagram.partition)
+    return header + "; ".join(f"{label[a]}-{label[b]}" for a, b in diagram.sorted_edges())
 
 
 def diagram_from_line(line: str) -> FeynmanDiagram:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from spde_moments import diagrams as dg
 from spde_moments import moments as mm
+from spde_moments.cli import main
 from spde_moments.diagrams import FeynmanDiagram, Partition
 from spde_moments.errors import InvalidParams, NotBalanced, ResultOverflow, TooLarge
 from spde_moments.model import ModelParams, big_theta, theta
@@ -87,6 +90,93 @@ class TestAdmissible:
     def test_cap(self):
         with pytest.raises(TooLarge):
             dg.enumerate_admissible(Partition((7, 7)))
+
+
+def _oracle_validated_edges(edges):
+    """The validation FeynmanDiagram ran on every enumerated diagram before
+    enumeration skipped it: integer labels, upward edges, disjoint edges."""
+    edges = frozenset(((int(a), int(b)), (int(c), int(d))) for (a, b), (c, d) in edges)
+    for (k1, _), (k2, _) in edges:
+        assert k1 < k2
+    seen = set()
+    for e in edges:
+        for v in e:
+            assert v not in seen
+            seen.add(v)
+    return edges
+
+
+def _oracle_listing(partition: Partition) -> list[str]:
+    """The `diagrams --partition` lines as enumeration, validation, sorting
+    and formatting produced them before the listing skipped re-validation."""
+    out = []
+
+    def extend(remaining, acc):
+        if not remaining:
+            out.append(_oracle_validated_edges(frozenset(acc)))
+            return
+        v = remaining[0]
+        rest = remaining[1:]
+        for j, w in enumerate(rest):
+            if w[0] == v[0]:
+                continue
+            a, b = (v, w) if v[0] < w[0] else (w, v)
+            extend(rest[:j] + rest[j + 1 :], acc + [(a, b)])
+
+    extend(tuple(partition.vertices()), [])
+    head = f"{partition.p} {partition.total // 2} | {','.join(map(str, partition.n))} | "
+    lines = [f"# admissible diagrams for n={partition.n}: {len(out)}"]
+    for edges in out:
+        lines.append(head + "; ".join(
+            f"({k1},{l1})-({k2},{l2})" for (k1, l1), (k2, l2) in sorted(edges)
+        ))
+    return lines
+
+
+def _compositions(total: int):
+    """Every tuple of positive integers summing to total."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
+# the partitions of 10 to 12 vertices that the benchmark lists
+_LISTED_PARTITIONS = [(2, 2, 2, 2, 2, 2), (3, 3, 3, 3), (1, 2, 3, 2, 2, 2), (3, 3, 2, 2, 2), (4, 4, 2, 2)]
+
+
+class TestListingOracle:
+    @pytest.mark.parametrize("total", [2, 4, 6, 8, 10])
+    def test_cli_matches_oracle_up_to_ten_vertices(self, total):
+        for n in _compositions(total):
+            want = "\n".join(_oracle_listing(Partition(n))) + "\n"
+            assert _cli_listing(n) == want, n
+
+    @pytest.mark.parametrize("n", _LISTED_PARTITIONS)
+    def test_cli_matches_oracle_listed(self, n):
+        assert _cli_listing(n) == "\n".join(_oracle_listing(Partition(n))) + "\n"
+
+    @pytest.mark.parametrize("n", [(1, 1), (2, 2), (1, 2, 2, 3), (1, 2, 1, 2, 1, 3), *_LISTED_PARTITIONS])
+    def test_enumerated_equal_validated(self, n):
+        part = Partition(n)
+        for d in dg.enumerate_admissible(part):
+            checked = FeynmanDiagram(part, d.edges)
+            assert d == checked and hash(d) == hash(checked)
+            assert d.sorted_edges() == checked.sorted_edges() == sorted(d.edges)
+            assert dg.diagram_to_line(d) == dg.diagram_to_line(checked)
+
+    def test_line_of_vertex_outside_partition(self):
+        d = FeynmanDiagram(Partition((1, 1)), frozenset([((1, 5), (3, 2))]))
+        assert dg.diagram_to_line(d) == "2 1 | 1,1 | (1,5)-(3,2)"
+
+
+def _cli_listing(n) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["diagrams", "--partition", ",".join(map(str, n))]) == 0
+    return out.getvalue()
 
 
 class TestBalanced:
