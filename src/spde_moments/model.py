@@ -96,7 +96,16 @@ class DerivedConstants:
         """Theta * Gamma(theta+1) * t^(theta+1)."""
         if t <= 0:
             raise InvalidParams("t must be > 0")
-        return self.big_theta * sf.gamma(self.theta + 1.0) * t ** (self.theta + 1.0)
+        gamma_th = sf.gamma(self.theta + 1.0)
+        if math.isinf(gamma_th):
+            # as in derived_constants: a tiny Theta may bring the product
+            # back into range, so form it through lgamma
+            return math.exp(
+                math.log(self.big_theta)
+                + math.lgamma(self.theta + 1.0)
+                + (self.theta + 1.0) * math.log(t)
+            )
+        return self.big_theta * gamma_th * t ** (self.theta + 1.0)
 
 
 class KernelSign(enum.Enum):

@@ -113,6 +113,20 @@ class TestConstants:
         assert abs(payload["lyapunov_base"] - want) <= 1e-12 * want
         assert abs(payload["lyapunov_base"] / 2.28e52 - 1.0) < 1e-2
 
+    def test_large_gamma_second_moment_through_lgamma(self, capsys):
+        # Theta Gamma(180.5) t^180.5 is tiny although Gamma(180.5) overflows,
+        # so E[u^2] is close to 1 instead of a ResultOverflow
+        code, out, _ = run_cli(capsys, "second-moment", "--gamma", "90", "--t-max", "0.5",
+                               "--n-points", "2")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        assert len(rows) == 2
+        p = ModelParams(2, 1, 90, 1, 1, 1)
+        for t, value, _ in rows:
+            assert math.isfinite(float(value))
+            want = math.exp(mm.second_moment_log(p, float(t)))
+            assert abs(float(value) - want) <= 1e-13 * want
+
     def test_contour_weight_overflow_is_a_json_error(self, capsys):
         # E_{1,130} on the negative axis used to raise a raw OverflowError in
         # the contour; now Theta is reported below the double range
