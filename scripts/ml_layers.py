@@ -7,17 +7,23 @@ tables warm and once with every table cleared before each call.  Then
 prints the median time of a cold Theta integral (`model._radial_j`, its
 cache and the Gamma tables cleared before each run) at the ROADMAP points
 (alpha, beta) = (2, 0.5), (2, 1.3), (2, 1.7), (2, 1.95) and (4, 2) in d = 3,
-with the number of `ml` calls each makes.
+with the number of `ml` calls each makes.  Last, the median time of one
+Volterra solve (`moments._volterra_solve`, 8192 and 16 384 steps on
+[0, 2]) and of one `diagrams --partition 2,2,2,2,2,2` call (6040
+diagrams, stdout discarded).
 
     PYTHONPATH=src python scripts/ml_layers.py [--repeat N]
 """
 
 import argparse
+import contextlib
+import io
 import math
 import statistics
 import time
 
-from spde_moments import model
+from spde_moments import cli, model
+from spde_moments import moments as mm
 from spde_moments import specialfn as sf
 
 # (label, a, b, z): the branch ml takes at each point is printed, not assumed
@@ -30,6 +36,9 @@ BRANCH_POINTS = [
     ("float series, z > 0", 1.3, 1.6, 20.0),
 ]
 THETA_POINTS = [(2.0, 0.5, 1), (2.0, 1.3, 1), (2.0, 1.7, 1), (2.0, 1.95, 1), (4.0, 2.0, 3)]
+VOLTERRA_PARAMS = model.ModelParams(2.0, 1.3, 0.0, 1.0, 1.0, 1, u0=1.0, u1=0.5)
+VOLTERRA_STEPS = [8192, 16384]
+DIAGRAM_ARGV = ["diagrams", "--partition", "2,2,2,2,2,2"]
 _ROUTES = {
     "_series_float": "float",
     "_ml_contour": "contour",
@@ -120,6 +129,20 @@ def main() -> int:
     for alpha, beta, d in THETA_POINTS:
         ms = median_us(lambda: model._radial_j(alpha, beta, 0.0, d), max(1, args.repeat // 4), before=cold_theta)
         print(f"{alpha:>5g} {beta:>5g} {d:>2} {theta_calls(alpha, beta, d):>9} {ms / 1e3:>8.2f}")
+
+    print("\none Volterra solve on [0, 2] (median ms)")
+    print(f"{'steps':>6} {'ms':>8}")
+    dc = model.derived_constants(VOLTERRA_PARAMS)
+    for n in VOLTERRA_STEPS:
+        ms = median_us(lambda: mm._volterra_solve(VOLTERRA_PARAMS, dc, 2.0 / n, n), args.repeat) / 1e3
+        print(f"{n:>6} {ms:>8.2f}")
+
+    def listing():
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(DIAGRAM_ARGV)
+
+    ms = median_us(listing, max(1, args.repeat // 4)) / 1e3
+    print(f"\n{' '.join(DIAGRAM_ARGV)} (median ms): {ms:.1f}")
     return 0
 
 
