@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import io
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Optional
 
@@ -345,8 +346,12 @@ def _volterra_solve(p: ModelParams, dc: DerivedConstants, h: float, n: int) -> n
     coefd = wl[:-1] + wr[1:]  # index d-1 holds lag d, d = 1..n-1
     size = min(_VOLTERRA_BLOCK, n)
     lags = np.concatenate((np.zeros(size - 1), [denom], -kappa * coefd[: size - 1]))
+    # an anonymous mapping, unmapped when the solve returns: from the heap,
+    # the 8 MB block would stay resident for the rest of the process
+    buffer = mmap.mmap(-1, size * size * 8)
+    block = np.frombuffer(buffer, dtype=np.float64).reshape((size, size), order="F")
     # row i, column j of the reversed windows reads lags[size - 1 + i - j]
-    block = np.asfortranarray(sliding_window_view(lags, size)[:, ::-1])
+    block[...] = sliding_window_view(lags, size)[:, ::-1]
     eta = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging eta ends as inf
         for start in range(0, n, size):
