@@ -66,6 +66,21 @@ class Partition:
     def vertices(self) -> list[Vertex]:
         return [(k, l) for k, nk in enumerate(self.n, start=1) for l in range(1, nk + 1)]
 
+    @functools.cached_property
+    def _line_labels(self) -> tuple[str, "_VertexLabels"]:
+        """The `diagram_to_line` header `p m | n1,...,np | ` and vertex
+        labels, kept on the partition so that they go with it."""
+        header = f"{self.p} {self.total // 2} | {','.join(map(str, self.n))} | "
+        return header, _VertexLabels({v: f"({v[0]},{v[1]})" for v in self.vertices()})
+
+
+class _VertexLabels(dict):
+    """`(k,l)` labels of a partition's vertices; a vertex outside the
+    partition (a diagram may hold one) is formatted on each lookup."""
+
+    def __missing__(self, v: Vertex) -> str:
+        return f"({v[0]},{v[1]})"
+
 
 @dataclass(frozen=True)
 class FeynmanDiagram:
@@ -121,23 +136,30 @@ def enumerate_admissible(partition: Partition) -> list[FeynmanDiagram]:
         raise InvalidParams("partition total must be even")
     if total > _ENUM_CAP:
         raise TooLarge(f"enumeration capped at {_ENUM_CAP} vertices, got {total}")
-    verts = partition.vertices()
     out: list[FeynmanDiagram] = []
-
-    def extend(remaining: tuple[Vertex, ...], acc: list[Edge]):
-        if not remaining:
-            out.append(FeynmanDiagram._from_sorted(partition, tuple(acc)))
-            return
-        v = remaining[0]
-        rest = remaining[1:]
-        for j, w in enumerate(rest):
-            if w[0] == v[0]:
-                continue  # same column never pairs
-            a, b = (v, w) if v[0] < w[0] else (w, v)
-            extend(rest[:j] + rest[j + 1 :], acc + [(a, b)])
-
-    extend(tuple(verts), [])
+    _extend_matchings(partition, tuple(partition.vertices()), [], out)
     return out
+
+
+def _extend_matchings(
+    partition: Partition, remaining: tuple[Vertex, ...], acc: list[Edge], out: list
+):
+    """Append to out each matching of the remaining vertices after acc.
+
+    A module-level function: a nested one that calls itself is a reference
+    cycle, which would keep `out` and every diagram in it alive until the
+    next full garbage collection.
+    """
+    if not remaining:
+        out.append(FeynmanDiagram._from_sorted(partition, tuple(acc)))
+        return
+    v = remaining[0]
+    rest = remaining[1:]
+    for j, w in enumerate(rest):
+        if w[0] == v[0]:
+            continue  # same column never pairs
+        # remaining is in column order, so w lies in a higher column than v
+        _extend_matchings(partition, rest[:j] + rest[j + 1 :], acc + [(v, w)], out)
 
 
 def _balance_data(p: int, m: int) -> tuple[int, int]:
@@ -390,24 +412,9 @@ def stirling_sandwich_holds(n: int) -> bool:
     return log_lower < log_fact < log_lower + math.log(2.0)
 
 
-class _VertexLabels(dict):
-    """`(k,l)` labels of a partition's vertices; a vertex outside the
-    partition (a diagram may hold one) is formatted on each lookup."""
-
-    def __missing__(self, v: Vertex) -> str:
-        return f"({v[0]},{v[1]})"
-
-
-@functools.lru_cache(maxsize=64)
-def _line_labels(part: Partition) -> tuple[str, _VertexLabels]:
-    """The line header `p m | n1,...,np | ` and the vertex labels."""
-    header = f"{part.p} {part.total // 2} | {','.join(map(str, part.n))} | "
-    return header, _VertexLabels({(k, l): f"({k},{l})" for k, l in part.vertices()})
-
-
 def diagram_to_line(diagram: FeynmanDiagram) -> str:
     """`p m | n1,...,np | (k1,l1)-(k2,l2); ...` fixture format."""
-    header, label = _line_labels(diagram.partition)
+    header, label = diagram.partition._line_labels
     return header + "; ".join(f"{label[a]}-{label[b]}" for a, b in diagram.sorted_edges())
 
 
