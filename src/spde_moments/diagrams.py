@@ -71,15 +71,15 @@ class Partition:
         """The `diagram_to_line` header `p m | n1,...,np | ` and vertex
         labels, kept on the partition so that they go with it."""
         header = f"{self.p} {self.total // 2} | {','.join(map(str, self.n))} | "
-        return header, _VertexLabels({v: f"({v[0]},{v[1]})" for v in self.vertices()})
+        return header, _VertexLabels()
 
 
 class _VertexLabels(dict):
-    """`(k,l)` labels of a partition's vertices; a vertex outside the
-    partition (a diagram may hold one) is formatted on each lookup."""
+    """`(k,l)` labels of vertices, each formatted on its first lookup."""
 
     def __missing__(self, v: Vertex) -> str:
-        return f"({v[0]},{v[1]})"
+        label = self[v] = f"({v[0]},{v[1]})"
+        return label
 
 
 @dataclass(frozen=True)

@@ -295,6 +295,13 @@ def volterra_second_moment(
 
 
 _VOLTERRA_BLOCK = 1024  # steps per triangular solve
+# where the platform has it, map the block with its pages already faulted
+# in: one call instead of a fault per 4 kB page halves the cost of the map
+_PREFAULTED = (
+    {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE}
+    if hasattr(mmap, "MAP_POPULATE")
+    else {}
+)
 
 
 def _volterra_solve(p: ModelParams, dc: DerivedConstants, h: float, n: int) -> np.ndarray:
@@ -348,7 +355,7 @@ def _volterra_solve(p: ModelParams, dc: DerivedConstants, h: float, n: int) -> n
     lags = np.concatenate((np.zeros(size - 1), [denom], -kappa * coefd[: size - 1]))
     # an anonymous mapping, unmapped when the solve returns: from the heap,
     # the 8 MB block would stay resident for the rest of the process
-    buffer = mmap.mmap(-1, size * size * 8)
+    buffer = mmap.mmap(-1, size * size * 8, **_PREFAULTED)
     block = np.frombuffer(buffer, dtype=np.float64).reshape((size, size), order="F")
     # row i, column j of the reversed windows reads lags[size - 1 + i - j]
     block[...] = sliding_window_view(lags, size)[:, ::-1]
