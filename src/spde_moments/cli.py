@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -353,7 +354,10 @@ def _curve_options(sp, t_max: float):
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building its ten
+    subcommands takes longer than a warm `lyapunov` call."""
     ap = argparse.ArgumentParser(
         prog="spde-moments",
         description="Moments and Lyapunov exponents for fractional "

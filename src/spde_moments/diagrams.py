@@ -360,7 +360,7 @@ def chaos_term_mc(
     # gaps g_0..g_k with sum t; weighted factors attach to g_1..g_k
     tilt = (3.0 * th + 1.0) / 2.0
     conc = np.array([1.0] + [1.0 + tilt] * k)
-    gam = rng.gamma(shape=np.tile(conc, (samples, 1)), scale=1.0)
+    gam = rng.gamma(shape=conc, scale=1.0, size=(samples, k + 1))
     gaps = gam / gam.sum(axis=1, keepdims=True) * t
     # integrand prod g_r^theta over the simplex, importance weight =
     # dirichlet density on the scaled simplex

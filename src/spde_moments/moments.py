@@ -56,7 +56,7 @@ class MomentCurve:
 
     t_grid: np.ndarray
     values: np.ndarray
-    method: str  # "closed-form" | "volterra" | "monte-carlo"
+    method: str  # "closed-form" | "volterra" | "monte-carlo" | "scheme-exact"
     params: ModelParams
     stderr: Optional[np.ndarray] = None
 

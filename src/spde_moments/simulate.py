@@ -1,31 +1,22 @@
-"""Seeded Monte Carlo simulators for the 1-D heat and wave cases, plus the
-wave-kernel overlap integrals.
+"""Seeded Monte Carlo simulators for the 1-D heat and wave cases, the exact
+second moments of the heat scheme, and the wave-kernel overlap integrals.
 
 The wave scheme steps the mild solution on its characteristic lattice
-(kappa dt = dx) with the discrete d'Alembert recursion.  Noise is drawn from
-counter-based Philox streams keyed by (seed, time step) for the heat scheme
-and (seed, time step, absolute cell index) for the wave scheme, so results
-are bit-reproducible and, for the wave case, independent of the domain
-truncation inside the light cone.
-
-The heat scheme's noise is drawn a few steps ahead on up to two worker
-threads while the main thread steps the scheme; the wave scheme draws its
-many short per-cell streams on the main thread.  Since every draw is
-addressed by its Philox counter, not by the state of a shared stream, the
-results do not depend on the number of threads or on how they are
-scheduled.
+(kappa dt = dx) with the discrete d'Alembert recursion.  All noise comes from
+counter-based Philox streams addressed by (seed, time step, absolute cell),
+so results are bit-reproducible and a cell's noise does not depend on the
+domain truncation.  The heat scheme takes Rademacher (+-1) increments, one
+raw bit per path, so its first and second moments are those of the Gaussian
+scheme (higher moments are not) and a path's noise does not depend on the
+number of paths; the wave scheme keeps Gaussian increments, since its
+fourth moments depend on the law.  Both run on the calling thread.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate
@@ -34,7 +25,10 @@ from .errors import DomainTooSmall, InvalidParams, StabilityViolated
 from .model import ModelParams, j0
 from .moments import MomentCurve
 
-__all__ = ["SimConfig", "SimOutput", "simulate_she", "simulate_swe", "wave_overlap"]
+__all__ = [
+    "SimConfig", "SimOutput", "she_scheme_second_moment", "simulate_she", "simulate_swe",
+    "wave_overlap",
+]
 
 
 @dataclass(frozen=True)
@@ -116,51 +110,70 @@ def _probe_output(
     return SimOutput(curve, np.mean(x, axis=1), np.std(x, axis=1, ddof=1) / root_n, meta)
 
 
-# bytes of noise in flight, which set how many steps are drawn ahead (17
-# for a 500-path, 119-cell heat step): a deep queue rides out a stall of a
-# draw or of the stencil, and a few MiB leave the resident set flat
-_NOISE_BYTES = 4 << 20
-_MIN_AHEAD, _MAX_AHEAD = 4, 32
+def _she_grid(p: ModelParams, cfg: SimConfig, probes: Sequence[float], x_probe: float):
+    """Cell count, probe cell and probe steps of the heat scheme."""
+    if not (p.alpha == 2 and p.beta == 1 and p.gamma == 0 and p.dim == 1):
+        raise InvalidParams("simulate_she requires alpha=2, beta=1, gamma=0, d=1")
+    if cfg.dt > cfg.dx**2 / (2.0 * p.nu) + 1e-15:
+        raise StabilityViolated(
+            f"explicit scheme needs dt <= dx^2/(2 nu) = {cfg.dx**2/(2*p.nu):.3e}"
+        )
+    m = int(round(2.0 * cfg.domain_half_width / cfg.dx)) + 1
+    return m, _grid_index(cfg, x_probe, m), _probe_steps(cfg, probes)
 
 
-def _noise_workers() -> int:
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    return min(2, cores)
+# bit k of byte value v, as a (256, 8) table: turns the little-endian bytes of
+# a row of Philox words into one entry per path, in path order
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+# 256-path blocks stepped together: at 512 paths the field and its scratch
+# arrays stay in a core's L2 cache, which halves the time per path-step at
+# 10 000 paths against stepping them all at once (2-core Xeon, 2 MiB L2)
+_CHUNK_BLOCKS = 2
 
 
-def _prefetched(
-    draw: Callable[[int, np.ndarray], None], n_steps: int, shape, dtype
-) -> Iterator[np.ndarray]:
-    """Yield step n's noise for n = 0, ..., n_steps - 1, in order, each
-    filled by draw(n, out) on a worker thread some steps in advance.
-
-    The yielded array is one of a ring of buffers: it is refilled with a
-    later step as soon as the caller asks for the next one.  Closing the
-    generator early cancels the pending draws and joins the threads.
-    """
-    step_bytes = math.prod(shape) * np.dtype(dtype).itemsize
-    ahead = min(n_steps, max(_MIN_AHEAD, min(_MAX_AHEAD, _NOISE_BYTES // step_bytes)))
-    ring = [np.empty(shape, dtype) for _ in range(ahead)]
-    pool = ThreadPoolExecutor(_noise_workers(), thread_name_prefix="spde-noise")
-    try:
-        pending = deque(pool.submit(draw, n, ring[n]) for n in range(ahead))
-        for n in range(n_steps):
-            pending.popleft().result()
-            yield ring[n % ahead]
-            if n + ahead < n_steps:
-                pending.append(pool.submit(draw, n + ahead, ring[n % ahead]))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _she_noise(seed: int, step: int, out: np.ndarray) -> None:
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, step, 0]))
-    # single precision: the per-cell noise enters one multiply before the
-    # O(1e-2) Monte Carlo error; halves the generation cost
-    gen.standard_normal(out=out, dtype=np.float32)
+def _she_paths(
+    p: ModelParams, cfg: SimConfig, m: int, jp: int, steps: list[int], block0: int, blocks: int
+) -> np.ndarray:
+    """simulate_she's probe values (probe times, paths) for the paths of
+    256-path blocks block0, ..., block0 + blocks - 1."""
+    # single-precision field: scheme error O(dx) and sampling error O(1e-2)
+    # both dwarf float32 roundoff; statistics are reduced in double.  Cell
+    # major, so each stencil operand is one contiguous block
+    u = np.full((m, 256 * blocks), p.u0, dtype=np.float32)
+    coef = np.float32(p.nu * cfg.dt / (2.0 * cfg.dx**2))
+    noise_std = np.float32(p.lam * math.sqrt(cfg.dt / cfg.dx))
+    # interior * (+-noise_std) is (interior * xi) * noise_std bit for bit
+    kicks = np.where(_BYTE_BITS, -noise_std, noise_std).astype(np.float32)
+    interior = u[1:-1]
+    words = np.empty((m - 2, blocks, 4), dtype="<u8")
+    row_bytes = words.view(np.uint8).reshape(m - 2, 32 * blocks)
+    bits = np.random.Philox(key=cfg.seed)
+    fresh = bits.state
+    counter = fresh["state"]["counter"]
+    first_cell = 1 - int(round(cfg.domain_half_width / cfg.dx)) + 2**32
+    want = set(steps)
+    samples = []
+    # the stencil's two scratch arrays; the operation order is that of
+    # (u[2:] - 2 u[1:-1] + u[:-2]) and (u + coef lap + u xi noise_std)
+    lap = np.empty_like(interior)
+    kick = np.empty_like(interior)
+    for n in range(steps[-1]):
+        # one Philox stream per block runs over the interior cells; rewinding
+        # one bit generator costs a fifth of making a new one
+        for b in range(blocks):
+            counter[:] = (first_cell, block0 + b, n, 1)
+            bits.state = fresh
+            words[:, b] = bits.random_raw(4 * (m - 2)).reshape(m - 2, 4)
+        np.multiply(interior, 2.0, out=lap)
+        np.subtract(u[2:], lap, out=lap)
+        np.add(lap, u[:-2], out=lap)
+        np.multiply(lap, coef, out=lap)
+        np.add(interior, lap, out=lap)
+        np.multiply(interior, kicks.take(row_bytes, axis=0).reshape(interior.shape), out=kick)
+        np.add(lap, kick, out=interior)
+        if (n + 1) in want:
+            samples.append(u[jp].astype(np.float64))
+    return np.array(samples)
 
 
 def simulate_she(
@@ -176,49 +189,28 @@ def simulate_she(
         u_{n+1,j} = u_{n,j} + (nu dt / 2 dx^2) Lap u_{n,j}
                     + lambda u_{n,j} xi_{n,j} sqrt(dt/dx),
 
-    with the boundary pinned at u0 on a truncated domain.  With
-    check_domain the run is repeated on a 1.5x wider domain; probe
-    estimates must agree within one combined standard error or
-    DomainTooSmall is raised.
-    """
-    if not (p.alpha == 2 and p.beta == 1 and p.gamma == 0 and p.dim == 1):
-        raise InvalidParams("simulate_she requires alpha=2, beta=1, gamma=0, d=1")
-    if cfg.dt > cfg.dx**2 / (2.0 * p.nu) + 1e-15:
-        raise StabilityViolated(
-            f"explicit scheme needs dt <= dx^2/(2 nu) = {cfg.dx**2/(2*p.nu):.3e}"
-        )
-    m = int(round(2.0 * cfg.domain_half_width / cfg.dx)) + 1
-    jp = _grid_index(cfg, x_probe, m)
-    steps = _probe_steps(cfg, probes)
-    n_steps = steps[-1]
+    with the boundary pinned at u0 on a truncated domain.  The increments
+    are Rademacher: the scheme is linear in u with noise independent of the
+    past, so E[u_n] and E[u_n u_n^T] are those of Gaussian xi (see
+    she_scheme_second_moment); higher moments are not.  For path i in
+    absolute cell a (x = a dx) at step n, xi = -1 if bit i % 64 of
+    w[(i // 64) % 4] is set and +1 otherwise, where
 
-    # single-precision field: scheme error O(dx) and sampling error O(1e-2)
-    # both dwarf float32 roundoff; statistics are reduced in double
-    u = np.full((cfg.n_paths, m), p.u0, dtype=np.float32)
-    coef = np.float32(p.nu * cfg.dt / (2.0 * cfg.dx**2))
-    noise_std = np.float32(p.lam * math.sqrt(cfg.dt / cfg.dx))
-    want = set(steps)
-    samples = []
-    interior = u[:, 1:-1]
-    # the stencil's two scratch arrays; the operation order is that of
-    # (u[2:] - 2 u[1:-1] + u[:-2]) and (u + coef lap + u xi noise_std),
-    # so the field is the same bit for bit as with temporaries
-    lap = np.empty_like(interior)
-    kick = np.empty_like(interior)
-    draw = functools.partial(_she_noise, cfg.seed)
-    with contextlib.closing(_prefetched(draw, n_steps, interior.shape, np.float32)) as noise:
-        for n, xi in enumerate(noise):
-            np.multiply(interior, 2.0, out=lap)
-            np.subtract(u[:, 2:], lap, out=lap)
-            np.add(lap, u[:, :-2], out=lap)
-            np.multiply(lap, coef, out=lap)
-            np.add(interior, lap, out=lap)
-            np.multiply(interior, xi, out=kick)
-            np.multiply(kick, noise_std, out=kick)
-            np.add(lap, kick, out=interior)
-            if (n + 1) in want:
-                samples.append(u[:, jp].astype(np.float64))
-    out = _probe_output(p, cfg, probes, x_probe, "she-explicit-fd", samples)
+        w = Philox(key=seed, counter=(a + 2**32, i // 256, n, 1)).random_raw(4).
+
+    So the first P paths of a larger run are those of a P-path run, and a
+    wider domain shares the signs of the common cells.  With check_domain
+    the run is repeated on a 1.5x wider domain; probe estimates must agree
+    within one combined standard error or DomainTooSmall is raised.
+    """
+    m, jp, steps = _she_grid(p, cfg, probes, x_probe)
+    blocks = -(-cfg.n_paths // 256)
+    chunks = [
+        _she_paths(p, cfg, m, jp, steps, b, min(_CHUNK_BLOCKS, blocks - b))
+        for b in range(0, blocks, _CHUNK_BLOCKS)
+    ]
+    samples = list(np.hstack(chunks)[:, : cfg.n_paths])
+    out = _probe_output(p, cfg, probes, x_probe, "she-explicit-fd-rademacher", samples)
     if check_domain:
         # widen to the nearest dx multiple of 1.5 L and rerun
         wide_l = math.ceil(1.5 * cfg.domain_half_width / cfg.dx) * cfg.dx
@@ -233,6 +225,46 @@ def simulate_she(
                     f"the domain grows to {wide_l:g}"
                 )
     return out
+
+
+def she_scheme_second_moment(
+    p: ModelParams,
+    cfg: SimConfig,
+    probes: Sequence[float],
+    x_probe: float = 0.0,
+) -> MomentCurve:
+    """E[u_n(x_probe)^2] of simulate_she's scheme in double-precision
+    arithmetic, with no sampling error: the oracle for its Monte Carlo
+    estimate, whatever the law of the increments (mean 0, variance 1,
+    independent of the past).  cfg.n_paths and cfg.seed are not used.
+
+    Write one step as u_{n+1} = B u_n + s D(xi_n) u_n, where B applies the
+    stencil on the interior and keeps the two pinned boundary cells (the
+    constant component), D(xi) is diagonal with xi on the interior and 0 on
+    the boundary, and s = lambda sqrt(dt/dx).  Then M_n = E[u_n u_n^T] obeys
+
+        M_{n+1} = B M_n B^T + s^2 diag(M_n on the interior),    M_0 = u0^2,
+
+    and since B is tridiagonal a step costs O(m^2).  The gap to the closed
+    form she_second_moment is the scheme's bias.
+    """
+    m, jp, steps = _she_grid(p, cfg, probes, x_probe)
+    coef = p.nu * cfg.dt / (2.0 * cfg.dx**2)
+    var = p.lam**2 * cfg.dt / cfg.dx
+    mom = np.full((m, m), float(p.u0) ** 2)
+    inner = np.arange(1, m - 1)
+    want = set(steps)
+    values = []
+    for n in range(steps[-1]):
+        kick = var * mom[inner, inner]
+        # B M, then B (B M)^T = B M B^T, as M is symmetric
+        for _ in range(2):
+            mom[1:-1] = mom[1:-1] + coef * (mom[2:] - 2.0 * mom[1:-1] + mom[:-2])
+            mom = mom.T
+        mom[inner, inner] += kick
+        if (n + 1) in want:
+            values.append(mom[jp, jp])
+    return MomentCurve(np.asarray(probes, dtype=float), np.array(values), "scheme-exact", p)
 
 
 def _swe_noise(seed: int, cell_abs0: int, step: int, out: np.ndarray) -> None:

@@ -114,6 +114,15 @@ def test_cli_output_unchanged(name, tmp_path, monkeypatch):
     assert run_case(CASES[name]) == expected
 
 
+def test_parser_reused_after_a_rejection(tmp_path, monkeypatch):
+    # the parser is built once per process: a command line that argparse
+    # rejects must not change what the next command prints
+    monkeypatch.chdir(tmp_path)
+    for name in ("parser_rejects_format", "second_moment_csv", "parser_rejects_format",
+                 "lyapunov_wave"):
+        assert run_case(CASES[name]) == json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+
+
 def _regenerate():
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in CASES.items():

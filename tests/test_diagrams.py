@@ -334,6 +334,16 @@ class TestChaos:
         b = dg.chaos_term_mc(SHE, 1.0, 2, 5000, seed=9)
         assert a == b
 
+    def test_mc_bits_of_the_tiled_draw(self):
+        # recorded when the gamma shapes were tiled to (samples, k + 1):
+        # broadcasting them over size=(samples, k + 1) takes the same bits
+        assert dg.chaos_term_mc(SHE, 1.0, 1, 100_000, seed=7) == (
+            0.5631577675593464, 0.0009724410922022124
+        )
+        assert dg.chaos_term_mc(SHE, 1.0, 4, 100_000, seed=7) == (
+            0.031087451823472965, 0.0001130190087761339
+        )
+
     def test_mc_cap(self):
         with pytest.raises(TooLarge):
             dg.chaos_term_mc(SHE, 1.0, 5, 100, seed=0)

@@ -1,6 +1,4 @@
 import math
-import os
-import sys
 import threading
 
 import numpy as np
@@ -77,12 +75,87 @@ class TestReproducibility:
         b = sim.simulate_she(SHE, cfg2, [0.05])
         assert a.curve.values[0] != b.curve.values[0]
 
+    def test_simulators_leave_no_thread(self):
+        before = threading.active_count()
+        sim.simulate_she(SHE, SimConfig(**SHE_CASE, n_paths=3, seed=1), SHE_PROBES)
+        assert threading.active_count() == before
+        sim.simulate_swe(SWE, SimConfig(**SWE_CASE, n_paths=3, seed=1), SWE_PROBES)
+        assert threading.active_count() == before
+
     def test_swe_finite_speed_domain_invariance(self):
         cfgA = SimConfig(dx=0.02, dt=0.02, domain_half_width=0.62, t_end=0.5, n_paths=40, seed=5)
         cfgB = SimConfig(dx=0.02, dt=0.02, domain_half_width=1.24, t_end=0.5, n_paths=40, seed=5)
         a = sim.simulate_swe(SWE, cfgA, [0.5])
         b = sim.simulate_swe(SWE, cfgB, [0.5])
         assert a.curve.values[0] == b.curve.values[0]
+
+
+def _dense_scheme_moment(p, cfg, t):
+    """E[u_n^2] at x = 0 from the dense recursion on the interior plus one
+    constant component for the pinned boundary: w = (u_interior, 1),
+    w' = A w + s diag(xi, 0) w, so E[w w^T] <- A E[w w^T] A^T + s^2 diag."""
+    m = int(round(2.0 * cfg.domain_half_width / cfg.dx)) + 1
+    k = m - 2
+    c = p.nu * cfg.dt / (2.0 * cfg.dx**2)
+    a = np.zeros((k + 1, k + 1))
+    a[:k, :k] = (1 - 2 * c) * np.eye(k) + c * (np.eye(k, k=1) + np.eye(k, k=-1))
+    a[0, k] = a[k - 1, k] = c * p.u0
+    a[k, k] = 1.0
+    w0 = np.append(np.full(k, p.u0), 1.0)
+    mom = np.outer(w0, w0)
+    for _ in range(round(t / cfg.dt)):
+        noise = np.diag(np.append(np.diag(mom)[:k], 0.0)) * p.lam**2 * cfg.dt / cfg.dx
+        mom = a @ mom @ a.T + noise
+    return mom[k // 2, k // 2]
+
+
+class TestSchemeSecondMoment:
+    def test_matches_dense_recursion(self):
+        p = ModelParams(2, 1, 0, 1.3, 0.8, 1, u0=0.7)
+        cfg = SimConfig(dx=0.1, dt=0.005, domain_half_width=0.8, t_end=0.3, n_paths=2, seed=0)
+        exact = sim.she_scheme_second_moment(p, cfg, [0.1, 0.3])
+        assert exact.method == "scheme-exact"
+        for t, v in zip((0.1, 0.3), exact.values):
+            assert v == pytest.approx(_dense_scheme_moment(p, cfg, t), rel=1e-13)
+
+    def test_acceptance_grid_value(self):
+        # the acceptance 05 grid: a dense prototype gave 1.4048802588577
+        cfg = SimConfig(dx=0.02, dt=1e-4, domain_half_width=1.2, t_end=0.3, n_paths=2, seed=0)
+        value = sim.she_scheme_second_moment(SHE, cfg, [0.3]).values[0]
+        assert value == pytest.approx(1.4048802588577, rel=1e-12)
+        # scheme bias 0.146 % against the closed form
+        assert abs(value / mm.she_second_moment(1, 1, 1, 0.3) - 1.0) < 0.0015
+
+    def test_bias_falls_with_the_step(self):
+        # first order in dx (dt = dx^2 / 8 nu): each halving of dx cuts the
+        # gap to the closed form by a factor 0.52 to 0.65
+        t = 0.2
+        exact = mm.she_second_moment(1, 1, 1, t)
+        bias = []
+        for dx, dt in ((0.16, t / 32), (0.08, t / 128), (0.04, t / 512)):
+            cfg = SimConfig(dx=dx, dt=dt, domain_half_width=1.28, t_end=t, n_paths=2, seed=0)
+            bias.append(sim.she_scheme_second_moment(SHE, cfg, [t]).values[0] / exact - 1.0)
+        assert 0.0 < bias[2] < bias[1] < bias[0] < 0.01
+        assert 0.4 < bias[1] / bias[0] < 0.8 and 0.4 < bias[2] / bias[1] < 0.8
+
+    def test_zero_noise(self):
+        p = ModelParams(2, 1, 0, 1e-300, 1, 1, u0=2.5)
+        cfg = SimConfig(dx=0.05, dt=1e-3, domain_half_width=0.5, t_end=0.05, n_paths=2, seed=0)
+        assert sim.she_scheme_second_moment(p, cfg, [0.05]).values[0] == pytest.approx(6.25, rel=1e-14)
+
+    def test_guards(self):
+        cfg = SimConfig(dx=0.1, dt=0.01, domain_half_width=1.0, t_end=0.1, n_paths=2, seed=0)
+        with pytest.raises(StabilityViolated):
+            sim.she_scheme_second_moment(SHE, cfg, [0.1])
+        with pytest.raises(InvalidParams):
+            sim.she_scheme_second_moment(SWE, cfg, [0.1])
+
+    def test_monte_carlo_within_4_se(self):
+        cfg = SimConfig(dx=0.04, dt=4e-4, domain_half_width=1.2, t_end=0.2, n_paths=3000, seed=404)
+        out = sim.simulate_she(SHE, cfg, [0.1, 0.2])
+        exact = sim.she_scheme_second_moment(SHE, cfg, [0.1, 0.2])
+        for v, e, x in zip(out.curve.values, out.curve.stderr, exact.values):
+            assert abs(v - x) <= 4.0 * e
 
 
 class TestMildForm:
@@ -185,24 +258,32 @@ class TestAgainstClosedForms:
 
 
 def _serial_she(p, cfg, probes, x_probe=0.0):
-    """simulate_she's step loop as it was before the noise was drawn ahead
-    on worker threads: the bit-identity oracle."""
+    """simulate_she's scheme as one loop over the whole field, with each
+    sign read at its documented Philox address: the bit-identity oracle."""
     m = int(round(2.0 * cfg.domain_half_width / cfg.dx)) + 1
     jp = sim._grid_index(cfg, x_probe, m)
     steps = sim._probe_steps(cfg, probes)
+    half = int(round(cfg.domain_half_width / cfg.dx))
     u = np.full((cfg.n_paths, m), p.u0, dtype=np.float32)
     coef = np.float32(p.nu * cfg.dt / (2.0 * cfg.dx**2))
     noise_std = np.float32(p.lam * math.sqrt(cfg.dt / cfg.dx))
     samples = []
     for n in range(steps[-1]):
-        gen = np.random.Generator(np.random.Philox(key=cfg.seed, counter=[0, 0, n, 0]))
-        xi = gen.standard_normal((cfg.n_paths, m - 2), dtype=np.float32)
+        xi = np.empty((cfg.n_paths, m - 2), dtype=np.float32)
+        for j in range(1, m - 1):
+            for start in range(0, cfg.n_paths, 256):
+                i = np.arange(start, min(start + 256, cfg.n_paths))
+                w = np.random.Philox(
+                    key=cfg.seed, counter=[j - half + 2**32, start // 256, n, 1]
+                ).random_raw(4)
+                bit = (w[(i // 64) % 4] >> (i % 64).astype(np.uint64)) & np.uint64(1)
+                xi[i, j - 1] = np.where(bit == 1, -1.0, 1.0)
         interior = u[:, 1:-1]
         lap = u[:, 2:] - 2.0 * interior + u[:, :-2]
         u[:, 1:-1] = interior + coef * lap + interior * xi * noise_std
         if (n + 1) in steps:
             samples.append(u[:, jp].astype(np.float64))
-    return sim._probe_output(p, cfg, probes, x_probe, "she-explicit-fd", samples)
+    return sim._probe_output(p, cfg, probes, x_probe, "she-explicit-fd-rademacher", samples)
 
 
 def _serial_swe(p, cfg, probes, x_probe=0.0):
@@ -246,8 +327,8 @@ def _assert_same_bits(out, ref):
 
 SEEDS = (1, 2**63 + 5, 2024)
 PATHS = (3, 500, 1001)
-# 50 heat and 20 wave steps: more than are drawn ahead at 500 and 1001
-# paths, so the ring buffers are refilled; the first probe is the first step
+# 50 heat and 20 wave steps; 1001 heat paths fill two chunks of 512 paths,
+# the second with a partial 256-path block; the first probe is the first step
 SHE_CASE = dict(dx=0.05, dt=1e-3, domain_half_width=0.5, t_end=0.05)
 SHE_PROBES = [0.001, 0.02, 0.05]
 SWE_CASE = dict(dx=0.05, dt=0.05, domain_half_width=1.3, t_end=1.0)
@@ -272,75 +353,45 @@ class TestMatchesSerialLoops:
         out = sim.simulate_she(SHE, cfg, [0.1, 0.2], check_domain=True)
         _assert_same_bits(out, _serial_she(SHE, cfg, [0.1, 0.2]))
 
-    def test_one_worker(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert sim._noise_workers() == 1
-        cfg = SimConfig(**SHE_CASE, n_paths=500, seed=2024)
-        _assert_same_bits(sim.simulate_she(SHE, cfg, SHE_PROBES), _serial_she(SHE, cfg, SHE_PROBES))
-        cfg = SimConfig(**SWE_CASE, n_paths=500, seed=2024)
-        _assert_same_bits(sim.simulate_swe(SWE, cfg, SWE_PROBES), _serial_swe(SWE, cfg, SWE_PROBES))
 
-    def test_more_workers_than_cores(self, monkeypatch):
-        # a buffer refilled while its step is still in use would show here
-        monkeypatch.setattr(sim, "_noise_workers", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            cfg = SimConfig(**SHE_CASE, n_paths=500, seed=1)
-            out = sim.simulate_she(SHE, cfg, SHE_PROBES)
-            cfg_w = SimConfig(**SWE_CASE, n_paths=500, seed=1)
-            out_w = sim.simulate_swe(SWE, cfg_w, SWE_PROBES)
-        finally:
-            sys.setswitchinterval(interval)
-        _assert_same_bits(out, _serial_she(SHE, cfg, SHE_PROBES))
-        _assert_same_bits(out_w, _serial_swe(SWE, cfg_w, SWE_PROBES))
+@pytest.fixture
+def she_paths(monkeypatch):
+    """simulate_she as a function of (cfg, probes, x_probe) that returns the
+    per-path probe values (probe times, paths) it reduces."""
+    seen = []
+    reduce = sim._probe_output
 
-    def test_workers_without_affinity_call(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert sim._noise_workers() == min(2, os.cpu_count() or 1)
+    def spy(p, cfg, probes, x_probe, scheme, samples):
+        seen.append(np.array(samples))
+        return reduce(p, cfg, probes, x_probe, scheme, samples)
+
+    monkeypatch.setattr(sim, "_probe_output", spy)
+
+    def run(cfg, probes, x_probe=0.0):
+        sim.simulate_she(SHE, cfg, probes, x_probe=x_probe)
+        return seen.pop()
+
+    return run
 
 
-def _fill_step(n, out):
-    out.fill(n)
+class TestSheNoiseAddress:
+    def test_first_paths_of_a_larger_run(self, she_paths):
+        big = she_paths(SimConfig(**SHE_CASE, n_paths=1001, seed=7), SHE_PROBES)
+        for n_paths in (3, 256, 500, 700):
+            small = she_paths(SimConfig(**SHE_CASE, n_paths=n_paths, seed=7), SHE_PROBES)
+            assert np.array_equal(small, big[:, :n_paths])
 
-
-class TestPrefetched:
-    def test_steps_in_order_through_a_reused_ring(self):
-        # 2.4 MB a step: the 4 MiB budget clamps to 4 steps ahead
-        seen, buffers = [], set()
-        for buf in sim._prefetched(_fill_step, 11, (600_000,), np.float32):
-            assert buf.min() == buf.max()
-            seen.append(int(buf[0]))
-            buffers.add(id(buf))
-        assert seen == list(range(11))
-        assert len(buffers) == 4
-
-    def test_simulators_leave_no_thread(self):
-        before = threading.active_count()
-        sim.simulate_she(SHE, SimConfig(**SHE_CASE, n_paths=3, seed=1), SHE_PROBES)
-        assert threading.active_count() == before
-        sim.simulate_swe(SWE, SimConfig(**SWE_CASE, n_paths=3, seed=1), SWE_PROBES)
-        assert threading.active_count() == before
-
-    def test_close_after_first_step_joins_threads(self):
-        before = threading.active_count()
-        noise = sim._prefetched(_fill_step, 50, (1000,), np.float64)
-        assert next(noise)[0] == 0
-        assert threading.active_count() > before
-        noise.close()
-        assert threading.active_count() == before
-
-    def test_failed_draw_raises_and_joins_threads(self):
-        def draw(n, out):
-            if n == 2:
-                raise ValueError("draw failed")
-            out.fill(n)
-
-        before = threading.active_count()
-        with pytest.raises(ValueError, match="draw failed"):
-            for _ in sim._prefetched(draw, 20, (10,), np.float64):
-                pass
-        assert threading.active_count() == before
+    def test_wider_domain_shares_signs(self, she_paths):
+        # after one step u = u0 (1 +- noise_std) in every interior cell, so
+        # the probe values show the signs of the probe cell
+        one_step = dict(SHE_CASE, t_end=SHE_CASE["dt"])
+        wide = dict(one_step, domain_half_width=1.5 * SHE_CASE["domain_half_width"])
+        for j in range(-9, 10):
+            x = j * SHE_CASE["dx"]
+            a = she_paths(SimConfig(**one_step, n_paths=300, seed=3), [one_step["t_end"]], x)
+            b = she_paths(SimConfig(**wide, n_paths=300, seed=3), [one_step["t_end"]], x)
+            assert np.array_equal(a, b)
+            assert len(np.unique(a)) == 2
 
 
 class TestWaveOverlap:
