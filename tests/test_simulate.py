@@ -127,8 +127,8 @@ class TestSchemeSecondMoment:
         assert abs(value / mm.she_second_moment(1, 1, 1, 0.3) - 1.0) < 0.0015
 
     def test_bias_falls_with_the_step(self):
-        # first order in dx (dt = dx^2 / 8 nu): each halving of dx cuts the
-        # gap to the closed form by a factor 0.52 to 0.65
+        # first order in dx (dt proportional to dx^2): each halving of dx cuts
+        # the gap to the closed form by a factor 0.55 to 0.65
         t = 0.2
         exact = mm.she_second_moment(1, 1, 1, t)
         bias = []
@@ -141,7 +141,8 @@ class TestSchemeSecondMoment:
     def test_zero_noise(self):
         p = ModelParams(2, 1, 0, 1e-300, 1, 1, u0=2.5)
         cfg = SimConfig(dx=0.05, dt=1e-3, domain_half_width=0.5, t_end=0.05, n_paths=2, seed=0)
-        assert sim.she_scheme_second_moment(p, cfg, [0.05]).values[0] == pytest.approx(6.25, rel=1e-14)
+        value = sim.she_scheme_second_moment(p, cfg, [0.05]).values[0]
+        assert value == pytest.approx(6.25, rel=1e-14)
 
     def test_guards(self):
         cfg = SimConfig(dx=0.1, dt=0.01, domain_half_width=1.0, t_end=0.1, n_paths=2, seed=0)
