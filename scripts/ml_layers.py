@@ -8,9 +8,11 @@ prints the median time of a cold Theta integral (`model._radial_j`, its
 cache and the Gamma tables cleared before each run) at the ROADMAP points
 (alpha, beta) = (2, 0.5), (2, 1.3), (2, 1.7), (2, 1.95) and (4, 2) in d = 3,
 with the number of `ml` calls each makes.  Last, the median time of one
-Volterra solve (`moments._volterra_solve`, 8192 and 16 384 steps on
-[0, 2]) and of one `diagrams --partition 2,2,2,2,2,2` call (6040
-diagrams, stdout discarded).
+Volterra solve (`moments._volterra_solve` by recursive halving, 8192 and
+16 384 steps on [0, 2]), of one `diagrams --partition 2,2,2,2,2,2` call
+(6040 diagrams, stdout discarded), and of a cold `import spde_moments.cli`
+in a fresh interpreter (9 subprocesses, after one untimed import that
+byte-compiles the sources; the import alone, not the interpreter start).
 
     PYTHONPATH=src python scripts/ml_layers.py [--repeat N]
 """
@@ -20,6 +22,8 @@ import contextlib
 import io
 import math
 import statistics
+import subprocess
+import sys
 import time
 
 from spde_moments import cli, model
@@ -39,6 +43,13 @@ THETA_POINTS = [(2.0, 0.5, 1), (2.0, 1.3, 1), (2.0, 1.7, 1), (2.0, 1.95, 1), (4.
 VOLTERRA_PARAMS = model.ModelParams(2.0, 1.3, 0.0, 1.0, 1.0, 1, u0=1.0, u1=0.5)
 VOLTERRA_STEPS = [8192, 16384]
 DIAGRAM_ARGV = ["diagrams", "--partition", "2,2,2,2,2,2"]
+IMPORT_RUNS = 9
+_IMPORT_SCRIPT = (
+    "import time\n"
+    "t0 = time.perf_counter()\n"
+    "import spde_moments.cli\n"
+    "print(time.perf_counter() - t0)\n"
+)
 _ROUTES = {
     "_series_float": "float",
     "_ml_contour": "contour",
@@ -105,6 +116,17 @@ def theta_calls(alpha, beta, d) -> int:
     return count
 
 
+def cold_import_ms() -> float:
+    """Median time of `import spde_moments.cli` in a fresh interpreter."""
+    subprocess.run([sys.executable, "-c", "import spde_moments.cli"], check=True)
+    times = [
+        float(subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT], check=True,
+                             capture_output=True, text=True).stdout)
+        for _ in range(IMPORT_RUNS)
+    ]
+    return 1e3 * statistics.median(times)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--repeat", type=int, default=21, help="timed runs per entry (median)")
@@ -143,6 +165,7 @@ def main() -> int:
 
     ms = median_us(listing, max(1, args.repeat // 4)) / 1e3
     print(f"\n{' '.join(DIAGRAM_ARGV)} (median ms): {ms:.1f}")
+    print(f"cold import spde_moments.cli (median of {IMPORT_RUNS}, ms): {cold_import_ms():.0f}")
     return 0
 
 

@@ -245,6 +245,8 @@ def _cmd_pth_bound(ns) -> int:
 
 def _cmd_chaos(ns) -> int:
     p = _resolve_params(ns)
+    if ns.k < 0:
+        raise ValidationError(f"--k must be >= 0, got {ns.k}")
     terms = [dg.chaos_term(p, ns.t, k) for k in range(ns.k + 1)]
     payload = {
         "t": ns.t,

@@ -11,7 +11,9 @@ gate) and forms theta, Theta and lambda^2 Theta Gamma(theta + 1): moments,
 diagrams and the CLI read them from the `derived_constants` record.  Theta
 is one quadrature for every beta <= 2 with a closed-form tail (see
 `_radial_j`), or the sine-integral closed form at beta = 2, gamma = 0,
-d = 1.  Also: the kernel's Fourier transform and the nonnegativity lookup.
+d = 1; the quadrature is the package's port of QUADPACK's adaptive
+21-point Gauss-Kronrod routine (`_quadpack.quad`).  Also: the kernel's
+Fourier transform and the nonnegativity lookup.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ import cmath
 import enum
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
-from scipy import integrate
 
 from . import specialfn as sf
+from ._quadpack import quad
 from .errors import ConvergenceFailure, DalangViolated, InvalidParams, ResultOverflow
 
 __all__ = [
@@ -216,8 +217,10 @@ def _radial_j(alpha: float, beta: float, gam: float, d: int, epsabs: float = 1e-
     and {0} (A^2), each integrated by _tail_piece; only the -2c piece as
     beta -> 2 has a small |lam| u_c and takes gammainc.
 
-    Head: quad in r on panels whose ends in u are the zeros k pi/s of the
-    saddle oscillation (beta > 1), ml's switch radius u_s and u_c.
+    Head: `_quadpack.quad` in r (QUADPACK's dqagse, relative target 3e-11,
+    at most 200 subintervals each) on panels whose ends in u are the zeros
+    k pi/s of the saddle oscillation (beta > 1), ml's switch radius u_s and
+    u_c.
 
     Cut: |R| <= sum_j R_j, R_j = 2 |c_j| u^{-sigma j}, c_j = 1/Gamma(b -
     beta j), over j = _N_ALG + 1, _N_ALG + 2: one of the two may be zero
@@ -259,9 +262,7 @@ def _radial_j(alpha: float, beta: float, gam: float, d: int, epsabs: float = 1e-
         edges = [x ** (sigma / alpha) for x in (lo, *(k * step for k in ks), hi)]
         val = err = 0.0
         for r0, r1 in zip(edges, edges[1:]):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                v, e = integrate.quad(f, r0, r1, limit=200, epsabs=epsabs, epsrel=3e-11)
+            v, e = quad(f, r0, r1, epsabs, 3e-11, 200)
             val += v
             err += e
         return val, err
@@ -404,9 +405,7 @@ def _l2_norm_kernel_quad(p: ModelParams, s: float) -> float:
     def f(r: float) -> float:
         return kernel_ft(p, s, r) ** 2 * r ** (d - 1)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(f, 0.0, r_big, limit=400, epsrel=1e-11, epsabs=1e-14)
+    val, _ = quad(f, 0.0, r_big, 1e-14, 1e-11, 400)
     # tail from E(-x) ~ c1/x + c2/x^2, squared
     b = p.beta + p.gamma
     c1, c2, _ = _asym_coeffs(p.beta, b)

@@ -10,10 +10,11 @@ equation
 
 by product integration against a piecewise-linear eta, which handles the
 weakly singular theta in (-1, 0) range exactly at the panel level.  The
-discrete equations are solved 1024 steps at a time: one lower-triangular
-Toeplitz solve per block, with the history before the block brought in by
-one FFT convolution.  Every weight, g and eta is positive for theta > -1,
-so the history sums do not cancel and the FFT's rounding error stays
+discrete equations, a lower-triangular Toeplitz system, are solved by
+recursive halving: each first half's effect on its second half comes in
+by one FFT convolution, and ranges of 256 steps are solved with the
+inverse's first column.  Every weight, g and eta is positive for theta >
+-1, so the sums do not cancel and the FFT's rounding error stays
 relative; the values agree with a per-step loop within 1e-12 relative,
 and their bits do not depend on the number of BLAS threads.
 """
@@ -22,14 +23,10 @@ from __future__ import annotations
 
 import io
 import math
-import mmap
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import next_fast_len
-from scipy.linalg import solve_triangular
 
 from . import specialfn as sf
 from .errors import InvalidParams, SpdeMomentsError, StepTooCoarse, finite_or_overflow
@@ -294,45 +291,43 @@ def volterra_second_moment(
     return MomentCurve(t, eta, "volterra", p)
 
 
-_VOLTERRA_BLOCK = 1024  # steps per triangular solve
-# where the platform has it, map the block with its pages already faulted
-# in: one call instead of a fault per 4 kB page halves the cost of the map
-_PREFAULTED = (
-    {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE}
-    if hasattr(mmap, "MAP_POPULATE")
-    else {}
-)
+_VOLTERRA_LEAF = 256  # steps solved directly with the inverse's first column
 
 
 def _volterra_solve(p: ModelParams, dc: DerivedConstants, h: float, n: int) -> np.ndarray:
-    """eta at t = h, 2h, ..., nh, solved block by block.
+    """eta at t = h, 2h, ..., nh, by recursive halving.
 
     Step s (1-based) of the product-integration scheme reads
 
         denom eta_s - kappa sum_{d=1}^{s-1} c_d eta_{s-d} = g_s + kappa wl_s eta_0,
 
-    with c_d the interior lag-d weight and denom = 1 - kappa wr_1.  Steps
-    are taken B = _VOLTERRA_BLOCK at a time (after the fast Volterra
-    convolution quadrature of Hairer, Lubich & Schlichte, SIAM J. Sci.
-    Stat. Comput. 6 (1985) 532-541): the lags inside the block form one
-    lower-triangular Toeplitz matrix, `denom` on the diagonal and -kappa c_d
-    on the d-th subdiagonal, built once in Fortran order and solved by
-    `solve_triangular`; the history before the block enters its right-hand
-    side through one FFT convolution with c.  That history is divided by
-    its largest value before the transform, so the FFT cannot overflow
-    where the direct sums would not.
+    with c_d the interior lag-d weight and denom = 1 - kappa wr_1: a
+    lower-triangular Toeplitz system T eta = r, `denom` on the diagonal and
+    -kappa c_d on the d-th subdiagonal.  It is solved as in the fast
+    convolution quadrature of Hairer, Lubich & Schlichte (SIAM J. Sci. Stat.
+    Comput. 6 (1985) 532-541): a range of steps is split in halves, the
+    first half is solved, its effect on the second half's right-hand side
+    is added by one FFT convolution (`_volterra_history`), and the second
+    half is solved; n steps cost O(n log^2 n).  Ranges of at most
+    _VOLTERRA_LEAF steps are solved with the leaf block's inverse, which is
+    lower-triangular Toeplitz like T; its first column y, y_0 = 1/denom and
+    y_k = sum_{j=1}^{k} kappa c_j y_{k-j} / denom, is formed once per solve
+    and applied by a direct convolution.  Not by an FFT: y grows
+    exponentially along the leaf, and an FFT's error, relative to the
+    largest product, would swamp the leaf's first values.
 
-    Why the FFT error is relative: an FFT convolution makes an error of a
-    few eps log N in units of the products it sums, not of each result, so
-    a history entry whose terms cancelled could lose all its digits.  For
-    theta > -1 every weight, every g and every eta is positive, so no term
-    cancels: each history value is at least its largest product, and the
-    error is a small relative one.  Against the per-step dot loop (kept as
-    a test oracle) the values differ by at most 4.4e-14 relative on the
-    tested tuples, up to values of 4.6e70.  The triangular solve has a
-    single right-hand side and the FFT runs on one thread, so the bits do
-    not depend on the number of BLAS threads, unlike a per-step dot, which
-    OpenBLAS splits across threads above 10 000 elements.
+    Why the errors are relative: T is an M-matrix for theta > -1 (denom >
+    0, every c_d > 0), so y, every g and every eta are positive and no sum
+    cancels.  An FFT convolution errs by a few eps log N in units of the
+    products it sums, which is then a small relative error of each history
+    value, since each is at least its largest product; the history is
+    divided by its largest value before the transform, so the FFT cannot
+    overflow where the direct sums would not.  Against the per-step dot
+    loop (kept as a test oracle) the values agree within 1e-12 relative.
+    No step goes through BLAS with more than _VOLTERRA_LEAF terms, and the
+    FFT runs on one thread, so the bits do not depend on the number of
+    BLAS threads, unlike a per-step dot, which OpenBLAS splits across
+    threads above 10 000 elements.
     """
     th = dc.theta
     kappa = p.lam**2 * dc.big_theta
@@ -350,33 +345,34 @@ def _volterra_solve(p: ModelParams, dc: DerivedConstants, h: float, n: int) -> n
     eta0 = j0(p, 0.0) ** 2
     g = (p.u0 + p.u1 * (np.arange(1, n + 1) * h)) ** 2  # j0(t)^2 on the grid
     # interior lag-d coefficient (d = step - i): wl of panel d + wr of panel d+1
-    coefd = wl[:-1] + wr[1:]  # index d-1 holds lag d, d = 1..n-1
-    size = min(_VOLTERRA_BLOCK, n)
-    lags = np.concatenate((np.zeros(size - 1), [denom], -kappa * coefd[: size - 1]))
-    # an anonymous mapping, unmapped when the solve returns: from the heap,
-    # the 8 MB block would stay resident for the rest of the process
-    buffer = mmap.mmap(-1, size * size * 8, **_PREFAULTED)
-    block = np.frombuffer(buffer, dtype=np.float64).reshape((size, size), order="F")
-    # row i, column j of the reversed windows reads lags[size - 1 + i - j]
-    block[...] = sliding_window_view(lags, size)[:, ::-1]
+    lagc = kappa * (wl[:-1] + wr[1:])  # index d-1 holds lag d, d = 1..n-1
+    rhs = g + kappa * wl * eta0
     eta = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging eta ends as inf
-        for start in range(0, n, size):
-            stop = min(start + size, n)
-            acc = wl[start:stop] * eta0
-            if start:
-                acc += _volterra_history(eta[:start], coefd[: stop - 1])
-            rhs = np.zeros(size)
-            rhs[: stop - start] = g[start:stop] + kappa * acc
-            x = solve_triangular(block, rhs, lower=True, overwrite_b=True, check_finite=False)
-            eta[start:stop] = x[: stop - start]
+        inv = np.empty(min(_VOLTERRA_LEAF, n))
+        inv[0] = 1.0 / denom
+        for k in range(1, inv.size):
+            inv[k] = float(np.dot(lagc[:k], inv[k - 1 :: -1])) / denom
+
+        def solve(lo: int, hi: int):
+            size = hi - lo
+            if size <= inv.size:
+                eta[lo:hi] = np.convolve(rhs[lo:hi], inv[:size])[:size]
+                return
+            mid = lo + size // 2
+            solve(lo, mid)
+            rhs[mid:hi] += _volterra_history(eta[lo:mid], lagc[: size - 1])
+            solve(mid, hi)
+
+        solve(0, n)
     return eta
 
 
 def _volterra_history(eta: np.ndarray, coefd: np.ndarray) -> np.ndarray:
     """sum_{j=1}^{k} coefd[s - j - 1] eta[j - 1] for s = k+1, ..., len(coefd)+1,
-    k = len(eta): the part of each step's sum that reaches back before the
-    block, as entries k-1, ..., len(coefd)-1 of the convolution eta * coefd.
+    k = len(eta): the part of each step's sum that reaches back to the
+    steps of eta, as entries k-1, ..., len(coefd)-1 of the convolution
+    eta * coefd.
 
     A circular convolution of length N >= len(coefd) wraps only entries at
     or past N, which land below k-1, so N need not cover the full
@@ -387,6 +383,6 @@ def _volterra_history(eta: np.ndarray, coefd: np.ndarray) -> np.ndarray:
     top = float(eta.max())
     if top == 0.0:
         return np.zeros(coefd.size - k + 1)
-    size = next_fast_len(coefd.size, real=True)
+    size = 1 << (coefd.size - 1).bit_length()  # a power of two >= len(coefd)
     conv = np.fft.irfft(np.fft.rfft(eta / top, size) * np.fft.rfft(coefd, size), size)
     return conv[k - 1 : coefd.size] * top

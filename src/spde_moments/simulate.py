@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
+import numpy.random  # loaded with the module, not by the first simulator call
 
 from .errors import DomainTooSmall, InvalidParams, StabilityViolated
+from ._quadpack import quad
 from .model import ModelParams, j0
 from .moments import MomentCurve
 
@@ -358,7 +359,9 @@ def wave_overlap(
 
     d=1: the kernel is (1/2) 1_{|.|<t}; both indicators are identically one
     on the ball, so the value is exactly eps/2.  d=2: numerical quadrature
-    of (1/4 pi^2) ((t^2-|y-a|^2)(s^2-|y-b|^2))^{-1/2} over the disc.
+    of (1/4 pi^2) ((t^2-|y-a|^2)(s^2-|y-b|^2))^{-1/2} over the disc, in
+    polar coordinates about x, by `_quadpack.quad` in the radius inside
+    `_quadpack.quad` in the angle, with the tolerances scipy's dblquad had.
     """
     if eps <= 0:
         raise InvalidParams("eps must be > 0")
@@ -384,8 +387,8 @@ def wave_overlap(
             db2 = float(np.dot(y - bx, y - bx))
             return r / (4.0 * math.pi**2 * math.sqrt((t * t - da2) * (s * s - db2)))
 
-        val, _ = integrate.dblquad(
-            integrand, 0.0, 2.0 * math.pi, 0.0, eps, epsabs=1e-12, epsrel=1e-10
-        )
-        return val
+        def ring(phi: float) -> float:
+            return quad(lambda r: integrand(r, phi), 0.0, eps, 1e-12, 1e-10, 50)[0]
+
+        return quad(ring, 0.0, 2.0 * math.pi, 1e-12, 1e-10, 50)[0]
     raise InvalidParams("dim must be 1 or 2")

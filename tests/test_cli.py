@@ -273,6 +273,12 @@ class TestScalarCommands:
         assert code == 0
         assert json.loads(out)["terms"] == [4.0]
 
+    def test_chaos_negative_k_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "chaos", "--k", "-1")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
     def test_chaos(self, capsys):
         code, out, _ = run_cli(
             capsys, "chaos", "--alpha", "2", "--beta", "1", "--t", "1", "--k", "2",
