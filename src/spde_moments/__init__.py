@@ -23,7 +23,6 @@ from .model import (
     j0,
     kernel_ft,
     kernel_nonneg_known,
-    l2_norm_kernel,
     t_hat,
     t_p,
     theta,
@@ -39,6 +38,6 @@ from .moments import (
     swe_second_moment,
     volterra_second_moment,
 )
-from .specialfn import gamma, ml, ml_log_growth, normal_cdf, sin_power_integral
+from .specialfn import gamma, ml, normal_cdf, sin_power_integral
 
 __version__ = "0.1.0"

@@ -10,6 +10,8 @@ for a finite interval, bit for bit, when the integrand is called at the
 same Python floats; the tests check this against scipy.  Lists are 1-based
 as in the Fortran (index 0 unused), so the index arithmetic of dqpsrt and
 dqelg reads as in the original.
+
+Its one caller is `model._radial_j`, for the head panels of Theta.
 """
 
 from __future__ import annotations

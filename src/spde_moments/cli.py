@@ -74,7 +74,7 @@ def grid_spec(text: str) -> np.ndarray:
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError as exc:
         raise ValidationError(f"bad grid spec {text!r}, want start:stop:step") from exc
-    if step <= 0 or stop < start:
+    if not (math.isfinite(start) and start <= stop < math.inf and 0 < step < math.inf):
         raise ValidationError(f"bad grid spec {text!r}")
     n = int(round((stop - start) / step))
     grid = start + step * np.arange(n + 1)
@@ -189,8 +189,8 @@ def _cmd_constants(ns) -> int:
 
 
 def _moment_grid(ns) -> np.ndarray:
-    if ns.t_max <= 0 or ns.n_points < 2:
-        raise ValidationError("need t_max > 0 and at least 2 grid points")
+    if not 0 < ns.t_max < math.inf or ns.n_points < 2:
+        raise ValidationError("need a finite t_max > 0 and at least 2 grid points")
     return np.arange(1, ns.n_points + 1) * (ns.t_max / ns.n_points)
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "exp_tail_facts",
     "stirling_sandwich_holds",
     "diagram_to_line",
-    "diagram_from_line",
 ]
 
 _ENUM_CAP = 12  # exhaustive-enumeration vertex budget
@@ -264,38 +263,6 @@ def crossing_vanishes(diagram: FeynmanDiagram) -> bool:
     return False
 
 
-def simplex_weight_count(diagram: FeynmanDiagram, grid: int = 4) -> int:
-    """Discrete surrogate for the time integral: count assignments of grid
-    times to vertices respecting strict per-column order, with edge-matched
-    times.  Zero iff the simplex indicators are contradictory on the grid."""
-    verts = sorted(diagram.partition.vertices())
-    if len(verts) > _ENUM_CAP:
-        raise TooLarge("surrogate count capped at the enumeration budget")
-    # union-find over edge-identified vertices
-    parent = {v: v for v in verts}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in diagram.edges:
-        parent[find(a)] = find(b)
-    classes = sorted({find(v) for v in verts})
-    idx = {c: i for i, c in enumerate(classes)}
-    count = 0
-    for assign in itertools.product(range(grid), repeat=len(classes)):
-        ok = True
-        for k, nk in enumerate(diagram.partition.n, start=1):
-            col = [assign[idx[find((k, l))]] for l in range(1, nk + 1)]
-            if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
-                ok = False
-                break
-        count += ok
-    return count
-
-
 def chaos_term(p: ModelParams, t: float, k: int) -> float:
     """k-th Wiener-chaos contribution to E[u^2] for constant initial data
     (u1 = 0): u0^2 (lambda^2 Theta Gamma(theta+1))^k t^{k(theta+1)}
@@ -303,8 +270,8 @@ def chaos_term(p: ModelParams, t: float, k: int) -> float:
     dc = derived_constants(p)
     if p.u1 != 0.0:
         raise InvalidParams("chaos terms implemented for u1 = 0")
-    if t <= 0:
-        raise InvalidParams("t must be > 0")
+    if not 0 < t < math.inf:
+        raise InvalidParams(f"t must be > 0 and finite, got {t}")
     if k < 0 or int(k) != k:
         raise InvalidParams("k must be a nonnegative integer")
     if k == 0:
@@ -346,6 +313,8 @@ def chaos_term_mc(
     dc = derived_constants(p)
     if p.u1 != 0.0:
         raise InvalidParams("chaos terms implemented for u1 = 0")
+    if not 0 < t < math.inf:
+        raise InvalidParams(f"t must be > 0 and finite, got {t}")
     if k < 0 or int(k) != k:
         raise InvalidParams("k must be a nonnegative integer")
     if k > 4:
@@ -416,24 +385,3 @@ def diagram_to_line(diagram: FeynmanDiagram) -> str:
     """`p m | n1,...,np | (k1,l1)-(k2,l2); ...` fixture format."""
     header, label = diagram.partition._line_labels
     return header + "; ".join(f"{label[a]}-{label[b]}" for a, b in diagram.sorted_edges())
-
-
-def diagram_from_line(line: str) -> FeynmanDiagram:
-    try:
-        head, ns, es = (s.strip() for s in line.split("|"))
-        p_str, m_str = head.split()
-        p, m = int(p_str), int(m_str)
-        n = tuple(int(v) for v in ns.split(","))
-        edges = []
-        if es:
-            for chunk in es.split(";"):
-                a, b = chunk.strip().split("-")
-                k1, l1 = (int(v) for v in a.strip("() ").split(","))
-                k2, l2 = (int(v) for v in b.strip("() ").split(","))
-                edges.append(((k1, l1), (k2, l2)))
-    except (ValueError, IndexError) as exc:
-        raise InvalidParams(f"malformed diagram line: {line!r}") from exc
-    part = Partition(n)
-    if part.p != p or part.total != 2 * m:
-        raise InvalidParams("diagram line header inconsistent with partition")
-    return FeynmanDiagram(part, frozenset(edges))

@@ -44,11 +44,9 @@ __all__ = [
     "t_hat",
     "t_p",
     "kernel_ft",
-    "l2_norm_kernel",
     "j0",
     "kernel_nonneg_known",
     "params_to_dict",
-    "params_to_kv",
     "params_from_kv",
 ]
 
@@ -69,6 +67,9 @@ class ModelParams:
     u1: float = 0.0
 
     def __post_init__(self):
+        for key, field in _KV_FIELDS.items():
+            if not math.isfinite(getattr(self, field)):
+                raise InvalidParams(f"{key} must be finite, got {getattr(self, field)}")
         if not self.alpha > 0:
             raise InvalidParams(f"alpha must be > 0, got {self.alpha}")
         if not 0 < self.beta <= 2:
@@ -95,8 +96,8 @@ class DerivedConstants:
 
     def t_hat(self, t: float) -> float:
         """Theta * Gamma(theta+1) * t^(theta+1)."""
-        if t <= 0:
-            raise InvalidParams("t must be > 0")
+        if not 0 < t < math.inf:
+            raise InvalidParams(f"t must be > 0 and finite, got {t}")
         gamma_th = sf.gamma(self.theta + 1.0)
         if math.isinf(gamma_th):
             # as in derived_constants: a tiny Theta may bring the product
@@ -160,7 +161,7 @@ def _sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def _asym_coeffs(beta: float, b: float, n: int = 3):
+def _asym_coeffs(beta: float, b: float, n: int):
     # E_{beta,b}(-x) ~ sum_k (-1)^{k+1} c_k x^{-k}, c_k = 1/Gamma(b - beta k)
     return [sf.rgamma(b - beta * k) for k in range(1, n + 1)]
 
@@ -364,8 +365,8 @@ def t_hat(p: ModelParams, t: float) -> float:
 
 def t_p(p: ModelParams, t: float, pp: float) -> float:
     """Rescaled time p^(1 + 1/(1+theta)) t entering the p-th moment rates."""
-    if t <= 0:
-        raise InvalidParams("t must be > 0")
+    if not 0 < t < math.inf:
+        raise InvalidParams(f"t must be > 0 and finite, got {t}")
     _require_dalang(p)
     return pp ** (1.0 + 1.0 / (1.0 + theta(p))) * t
 
@@ -373,56 +374,19 @@ def t_p(p: ModelParams, t: float, pp: float) -> float:
 def kernel_ft(p: ModelParams, t: float, r: float) -> float:
     """Radial Fourier transform of the fundamental kernel:
     t^{beta+gamma-1} E_{beta,beta+gamma}(-nu t^beta r^alpha / 2)."""
-    if t <= 0:
-        raise InvalidParams("t must be > 0")
-    if r < 0:
-        raise InvalidParams("r must be >= 0")
+    if not 0 < t < math.inf:
+        raise InvalidParams(f"t must be > 0 and finite, got {t}")
+    if not 0 <= r < math.inf:
+        raise InvalidParams(f"r must be >= 0 and finite, got {r}")
     return t ** (p.beta + p.gamma - 1.0) * sf.ml(
         p.beta, p.beta + p.gamma, -0.5 * p.nu * t**p.beta * r**p.alpha
     )
 
 
-def l2_norm_kernel(p: ModelParams, s: float) -> float:
-    """Squared L2 norm of the kernel at time s: Theta * s^theta."""
-    if s <= 0:
-        raise InvalidParams("s must be > 0")
-    dc = derived_constants(p)
-    return dc.big_theta * s ** dc.theta
-
-
-def _l2_norm_kernel_quad(p: ModelParams, s: float) -> float:
-    """Cross-check path: direct quadrature of kernel_ft^2 over frequency.
-
-    Only valid for beta < 2 (algebraic kernel decay); the beta = 2 slice is
-    cross-checked against the closed form elsewhere.
-    """
-    if p.beta >= 2.0:
-        raise InvalidParams("quadrature cross-check path requires beta < 2")
-    d = p.dim
-    c = 0.5 * p.nu * s**p.beta  # x = c r^alpha
-    r_big = max(4.0, (300.0 * sf._series_radius(p.beta, p.beta + p.gamma) / c) ** (1.0 / p.alpha))
-
-    def f(r: float) -> float:
-        return kernel_ft(p, s, r) ** 2 * r ** (d - 1)
-
-    val, _ = quad(f, 0.0, r_big, 1e-14, 1e-11, 400)
-    # tail from E(-x) ~ c1/x + c2/x^2, squared
-    b = p.beta + p.gamma
-    c1, c2, _ = _asym_coeffs(p.beta, b)
-    c2 = -c2
-    pref = s ** (2.0 * (b - 1.0))
-    tail = 0.0
-    for coeff, k in ((c1 * c1, 2), (2 * c1 * c2, 3), (c2 * c2, 4)):
-        power = k * p.alpha
-        if coeff and power > d:
-            tail += coeff * c ** (-k) * r_big ** (d - power) / (power - d)
-    return (2.0 * math.pi) ** (-d) * _sphere_area(d) * (val + pref * tail)
-
-
 def j0(p: ModelParams, t: float) -> float:
     """Homogeneous solution u0 + u1 t (u1 = 0 for beta <= 1)."""
-    if t < 0:
-        raise InvalidParams("t must be >= 0")
+    if not 0 <= t < math.inf:
+        raise InvalidParams(f"t must be >= 0 and finite, got {t}")
     return p.u0 + p.u1 * t
 
 
@@ -454,14 +418,10 @@ def params_to_dict(p: ModelParams) -> dict:
     return {key: getattr(p, field) for key, field in _KV_FIELDS.items()}
 
 
-def params_to_kv(p: ModelParams) -> str:
-    """Flat key=value text block (one key per line)."""
-    return "".join(f"{k}={v!r}\n" for k, v in params_to_dict(p).items())
-
-
 def params_from_kv(text: str) -> ModelParams:
-    """Inverse of params_to_kv; alpha and beta are required, the other keys
-    default to the ModelParams defaults."""
+    """ModelParams from a flat key=value text block (one key per line, #
+    comments); alpha and beta are required, the other keys default to the
+    ModelParams defaults."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -43,7 +43,6 @@ __all__ = [
     "pth_lyapunov_upper",
     "she_exact_pth_lyapunov",
     "volterra_second_moment",
-    "resolvent_kernel",
 ]
 
 
@@ -155,8 +154,8 @@ def she_second_moment(nu: float, lam: float, u0: float, t: float) -> float:
     """Heat-case closed form 2 u0^2 exp(lam^4 t / 4 nu) Phi(lam^2 sqrt(t/2nu))."""
     if nu <= 0:
         raise InvalidParams("nu must be > 0")
-    if t < 0:
-        raise InvalidParams("t must be >= 0")
+    if not 0 <= t < math.inf:
+        raise InvalidParams(f"t must be >= 0 and finite, got {t}")
     if t == 0.0:
         return u0 * u0
     x = lam * lam * math.sqrt(t / (2.0 * nu))
@@ -174,8 +173,8 @@ def swe_second_moment(nu: float, lam: float, u0: float, u1: float, t: float) -> 
         raise InvalidParams("nu must be > 0")
     if lam == 0:
         raise InvalidParams("lambda must be nonzero")
-    if t < 0:
-        raise InvalidParams("t must be >= 0")
+    if not 0 <= t < math.inf:
+        raise InvalidParams(f"t must be >= 0 and finite, got {t}")
     x = abs(lam) * t / (2.0 * nu) ** 0.25
     c = 2.0**1.5 * math.sqrt(nu) * u1 * u1 / (lam * lam)
     return (
@@ -199,8 +198,8 @@ def second_lyapunov(p: ModelParams) -> float:
 def pth_moment_upper(p: ModelParams, t: float, pp: float) -> float:
     """Upper bound on ||u(t,x)||_p^2 for p >= 2 (any real order)."""
     dc = derived_constants(p)
-    if pp < 2:
-        raise InvalidParams("moment order must be >= 2")
+    if not 2 <= pp < math.inf:
+        raise InvalidParams(f"moment order must be >= 2 and finite, got {pp}")
     return _ml_sum(
         p, dc, t, 8.0 * pp * p.lam**2, 2.0,
         "the p-th moment bound at t={t!r} exceeds the double range",
@@ -211,8 +210,8 @@ def pth_lyapunov_upper(p: ModelParams, pp: float) -> float:
     """Large-time rate bound:
     (1/2)(8 lambda^2 Theta Gamma(theta+1))^{1/(theta+1)} p^{1 + 1/(theta+1)}."""
     dc = derived_constants(p)
-    if pp < 2:
-        raise InvalidParams("moment order must be >= 2")
+    if not 2 <= pp < math.inf:
+        raise InvalidParams(f"moment order must be >= 2 and finite, got {pp}")
     r = 1.0 / (dc.theta + 1.0)
     return finite_or_overflow(
         lambda: 0.5 * (8.0 * dc.lyapunov_base) ** r * pp ** (1.0 + r),  # 8x: exact scaling
@@ -222,24 +221,9 @@ def pth_lyapunov_upper(p: ModelParams, pp: float) -> float:
 
 def she_exact_pth_lyapunov(lam: float, pp: float) -> float:
     """Exact heat-equation reference rate p(p^2-1) lambda^4 / 24 (nu = 1)."""
-    if pp < 2:
-        raise InvalidParams("moment order must be >= 2")
+    if not 2 <= pp < math.inf:
+        raise InvalidParams(f"moment order must be >= 2 and finite, got {pp}")
     return pp * (pp * pp - 1.0) * lam**4 / 24.0
-
-
-def resolvent_kernel(p: ModelParams, t: float) -> float:
-    """Resolvent K with eta = g + K*g for the renewal equation:
-    K(t) = kappa Gamma(theta+1) t^theta E_{theta+1,theta+1}(kappa
-    Gamma(theta+1) t^{theta+1}), kappa = lambda^2 Theta."""
-    dc = derived_constants(p)
-    if t <= 0:
-        raise InvalidParams("t must be > 0")
-    th = dc.theta
-    a = dc.lyapunov_base
-    return finite_or_overflow(
-        lambda: a * t**th * sf.ml(th + 1.0, th + 1.0, a * t ** (th + 1.0)),
-        f"the resolvent kernel at t={t!r} exceeds the double range",
-    )
 
 
 def _volterra_weights(th: float, h: float, n: int):
@@ -267,17 +251,21 @@ def volterra_second_moment(
 ) -> MomentCurve:
     """Numerical solution of the second-moment renewal equation.
 
-    The grid must be uniform, t_grid[i] = (i+1) h.  With rtol set, the
+    The grid must be uniform, t_grid[i] = (i+1) h.  With rtol set (> 0), the
     solution is recomputed at half the step and a Richardson comparison
     must stay below rtol, else StepTooCoarse.
     """
     dc = derived_constants(p)
+    if rtol is not None and not 0 < rtol < math.inf:
+        raise InvalidParams(f"rtol must be > 0 and finite, got {rtol}")
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise InvalidParams("t_grid must hold at least two points")
     h = t[0]
-    if h <= 0 or np.max(np.abs(t - h * np.arange(1, t.size + 1))) > 1e-9 * h:
-        raise InvalidParams("t_grid must be uniform with t[i] = (i+1) h")
+    if not (h > 0 and np.all(np.isfinite(t))) or (
+        np.max(np.abs(t - h * np.arange(1, t.size + 1))) > 1e-9 * h
+    ):
+        raise InvalidParams("t_grid must be finite and uniform with t[i] = (i+1) h")
     n = t.size
     eta = _volterra_solve(p, dc, h, n)
     if rtol is not None:

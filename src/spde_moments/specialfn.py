@@ -1,8 +1,8 @@
 """Special functions on the real line.
 
 Gamma, the standard normal CDF, the two-parameter Mittag-Leffler function
-E_{a,b}(z), the Riemann-Liouville integral of a power function, and the
-oscillatory integral int_0^inf sin^2(b xi^{a/2}) xi^{-a} dxi in closed form.
+E_{a,b}(z), and the oscillatory integral int_0^inf sin^2(b xi^{a/2})
+xi^{-a} dxi in closed form.
 All take scalars except `ml_array`, which evaluates E_{a,b} on a 1-D array
 with the same value as `ml` for every element, bit for bit.
 
@@ -65,8 +65,6 @@ __all__ = [
     "ml",
     "ml_array",
     "ml_log",
-    "ml_log_growth",
-    "frac_int_power",
     "sin_power_integral",
 ]
 
@@ -712,10 +710,13 @@ def ml(a: float, b: float, z: float) -> float:
     expansion.  Relative accuracy ~1e-9 or better for a <= 2 over the
     tested grids.  For a > 2 with z below minus the switch radius no
     controlled expansion is available; the best-effort value is returned
-    under MittagLefflerAccuracyWarning.  Overflow returns +inf.
+    under MittagLefflerAccuracyWarning.  Overflow, and z = +inf, return
+    +inf; z = NaN or -inf raises ValidationError.
     """
     if a <= 0:
         raise ValidationError(f"ml requires a > 0, got a={a}")
+    if not z > -math.inf:
+        raise ValidationError(f"ml requires z in (-inf, +inf], got z={z}")
     if a == 1.0 and b == 1.0:
         try:
             return math.exp(z)
@@ -776,7 +777,7 @@ def ml_log(a: float, b: float, z: float) -> float:
     """
     if a <= 0:
         raise ValidationError(f"ml_log requires a > 0, got a={a}")
-    if z < 0:
+    if not z >= 0:
         raise ValidationError("ml_log is defined for z >= 0")
     if z == 0.0:
         rg = rgamma(b)
@@ -797,34 +798,6 @@ def ml_log(a: float, b: float, z: float) -> float:
     if scaled <= 0:
         raise ArithmeticError("asymptotic sum non-positive in log space")
     return w + math.log(scaled)
-
-
-def ml_log_growth(a: float, b: float, c: float, t_grid) -> float:
-    """t^{-1} log E_{a,b}(c t^a) at the largest grid point.
-
-    Converges to c^{1/a} as the grid extends; requires a in (0, 2] and
-    c > 0.
-    """
-    if not 0.0 < a <= 2.0:
-        raise ValidationError("ml_log_growth requires a in (0, 2]")
-    if c <= 0:
-        raise ValidationError("ml_log_growth requires c > 0")
-    t = max(float(u) for u in t_grid)
-    if t <= 0:
-        raise ValidationError("t grid must contain positive times")
-    return ml_log(a, b, c * t**a) / t
-
-
-def frac_int_power(order: float, beta: float, x: float) -> float:
-    """Riemann-Liouville integral of t^{beta-1} evaluated at x:
-    Gamma(beta)/Gamma(beta+order) * x^{beta+order-1}."""
-    if order < 0:
-        raise ValidationError("order must be >= 0")
-    if beta <= 0:
-        raise ValidationError("beta must be > 0")
-    if x <= 0:
-        raise ValidationError("x must be > 0")
-    return gamma(beta) / gamma(beta + order) * x ** (beta + order - 1.0)
 
 
 def sin_power_integral(alpha: float, b: float) -> float:

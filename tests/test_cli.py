@@ -71,6 +71,30 @@ class TestCheckDalang:
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("second-moment", "--t-max", "nan"),
+        ("pth-bound", "--p", "nan"),
+        ("figures", "--family", "sheswe", "--beta-grid", "0.5:nan:0.1"),
+        ("simulate", "--family", "she", "--paths", "10", "--t-max", "nan"),
+        ("volterra", "--rtol", "nan"),
+        ("volterra", "--rtol", "-1"),
+        ("lyapunov", "--lambda", "nan"),
+        ("second-moment", "--u0", "nan"),
+        ("constants", "--gamma", "nan"),
+    ],
+    ids=" ".join,
+)
+def test_non_finite_or_bad_input_is_a_validation_error(capsys, argv):
+    # not a traceback, not a silent pass, and not ResultOverflow,
+    # DalangViolated or StepTooCoarse, which describe valid input
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] in ("InvalidParams", "ValidationError")
+
+
+@pytest.mark.parametrize(
     "command", ["constants", "second-moment", "volterra", "lyapunov", "pth-bound", "chaos"]
 )
 def test_dalang_gate_has_one_wording(capsys, command):

@@ -1,12 +1,18 @@
-"""scipy stays off the package's import path and off every call the
-benchmark workloads make: it is a test-only dependency, and importing it
-costs several times the work of a CLI command."""
+"""The package's import surface.  scipy stays off the package's import path
+and off every call the benchmark workloads make: it is a test-only
+dependency, and importing it costs several times the work of a CLI command.
+Every exported name resolves to an object the package defines: the
+benchmark tracer looks up each `__all__` entry, so a stale one would break
+a traced run."""
 
 from __future__ import annotations
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import spde_moments
@@ -56,3 +62,24 @@ def test_no_scipy_on_import_or_benchmark_ops():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "ok"
+
+
+def _defined_in_package(obj) -> bool:
+    return getattr(obj, "__module__", "").split(".")[0] == "spde_moments"
+
+
+def test_every_exported_name_is_defined_in_the_package():
+    for info in pkgutil.iter_modules(spde_moments.__path__):
+        if info.name == "__main__":  # runs the CLI on import
+            continue
+        mod = importlib.import_module(f"spde_moments.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.__all__ names missing {name!r}"
+            assert _defined_in_package(getattr(mod, name)), f"{mod.__name__}.{name}"
+    exported = [
+        name for name, obj in vars(spde_moments).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    ]
+    assert exported
+    for name in exported:
+        assert _defined_in_package(getattr(spde_moments, name)), name

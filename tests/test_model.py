@@ -5,6 +5,7 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy import integrate, special
 
 from spde_moments import model as md
 from spde_moments import specialfn as sf
@@ -55,7 +56,8 @@ class TestParams:
 
     def test_kv_roundtrip(self):
         p = ModelParams(alpha=2.5, beta=1.3, gamma=0.2, lam=-1.5, nu=3.0, dim=2, u0=0.5, u1=2.0)
-        assert md.params_from_kv(md.params_to_kv(p)) == p
+        text = "".join(f"{k}={v!r}\n" for k, v in md.params_to_dict(p).items())
+        assert md.params_from_kv(text) == p
 
     def test_kv_defaults_and_errors(self):
         p = md.params_from_kv("alpha=2\nbeta=1\n# comment\n\n")
@@ -384,7 +386,6 @@ class TestDerived:
             lambda: md.derived_constants(p),
             lambda: md.t_p(p, 1.0, 2.0),
             lambda: md.t_hat(p, 1.0),
-            lambda: md.l2_norm_kernel(p, 1.0),
         ):
             with pytest.raises(DalangViolated) as info:
                 call()
@@ -414,19 +415,47 @@ class TestDerived:
         assert rel(md.t_p(SHE, 0.7, 1.0), 0.7) < 1e-15
 
 
+def l2_norm_kernel_quad(p: ModelParams, s: float) -> float:
+    """|p(s, .)|_2^2 by quadrature of kernel_ft^2 over frequency, an
+    independent check of Theta s^theta (beta < 2: algebraic kernel decay)."""
+    d, b = p.dim, p.beta + p.gamma
+    c = 0.5 * p.nu * s**p.beta  # x = c r^alpha
+    # quadrature up to x = 300 times ml's switch radius; past it the tail of
+    # E(-x) ~ c1/x + c2/x^2, c1 = 1/Gamma(b - beta), c2 = -1/Gamma(b - 2 beta)
+    r_big = max(4.0, (300.0 * sf._series_radius(p.beta, b) / c) ** (1.0 / p.alpha))
+    val, _ = integrate.quad(
+        lambda r: md.kernel_ft(p, s, r) ** 2 * r ** (d - 1),
+        0.0, r_big, epsabs=1e-14, epsrel=1e-11, limit=400,
+    )
+    c1, c2 = special.rgamma(b - p.beta), -special.rgamma(b - 2.0 * p.beta)
+    pref = s ** (2.0 * (b - 1.0))
+    tail = 0.0
+    for coeff, k in ((c1 * c1, 2), (2 * c1 * c2, 3), (c2 * c2, 4)):
+        power = k * p.alpha
+        if coeff and power > d:
+            tail += coeff * c ** (-k) * r_big ** (d - power) / (power - d)
+    sphere = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    return (2.0 * math.pi) ** (-d) * sphere * (val + pref * tail)
+
+
+def theta_s(p: ModelParams, s: float) -> float:
+    return md.big_theta(p) * s ** md.theta(p)
+
+
 class TestL2NormKernel:
     def test_she_value(self):
-        assert rel(md.l2_norm_kernel(SHE, 1.0), 1.0 / math.sqrt(4 * math.pi)) < 1e-8
+        assert rel(theta_s(SHE, 1.0), 1.0 / math.sqrt(4 * math.pi)) < 1e-8
+        assert rel(l2_norm_kernel_quad(SHE, 1.0), 1.0 / math.sqrt(4 * math.pi)) < 1e-8
 
     @given(st.floats(min_value=0.05, max_value=5.0))
     def test_power_scaling(self, s):
         th = md.theta(SHE)
-        assert rel(md.l2_norm_kernel(SHE, 2 * s) / md.l2_norm_kernel(SHE, s), 2.0**th) < 1e-10
+        assert rel(l2_norm_kernel_quad(SHE, 2 * s) / l2_norm_kernel_quad(SHE, s), 2.0**th) < 1e-10
 
     def test_swe_linear(self):
         p = ModelParams(2, 2, 0, 1, 2, 1)
         for s in (0.3, 1.0, 2.5):
-            assert rel(md.l2_norm_kernel(p, s), s / 2.0) < 1e-8
+            assert rel(theta_s(p, s), s / 2.0) < 1e-8
 
     @pytest.mark.parametrize(
         "p,s",
@@ -437,14 +466,14 @@ class TestL2NormKernel:
         ],
     )
     def test_quadrature_cross_check(self, p, s):
-        assert rel(md.l2_norm_kernel(p, s), md._l2_norm_kernel_quad(p, s)) < 1e-7
+        assert rel(theta_s(p, s), l2_norm_kernel_quad(p, s)) < 1e-7
 
     def test_constant_ratio_over_decades(self):
         p = ModelParams(3, 1.3, 0, 1, 1, 1)
         th = md.theta(p)
-        base = md.l2_norm_kernel(p, 1.0)
-        for s in (0.01, 0.1, 1.0, 10.0):
-            assert rel(md.l2_norm_kernel(p, s) / s**th, base) < 1e-9
+        base = l2_norm_kernel_quad(p, 1.0)
+        for s in (0.01, 0.1, 10.0):
+            assert rel(l2_norm_kernel_quad(p, s) / s**th, base) < 1e-9
 
 
 class TestJ0:

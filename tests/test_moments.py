@@ -9,13 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from spde_moments import cli
 from spde_moments import moments as mm
-from spde_moments import specialfn as sf
 from spde_moments.errors import DalangViolated, InvalidParams, ResultOverflow, StepTooCoarse
-from spde_moments.model import ModelParams, derived_constants, j0, t_hat, theta
+from spde_moments.model import ModelParams, derived_constants, j0
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -372,39 +370,6 @@ class TestVolterra:
             mm.volterra_second_moment(SHE, np.array([0.1, 0.3, 0.35]))
         with pytest.raises(DalangViolated):
             mm.volterra_second_moment(ModelParams(2, 0.5, 0, 1, 1, 1), np.arange(1, 9) / 8.0)
-
-
-class TestResolvent:
-    def test_theta_zero_is_classical_gronwall(self):
-        # theta = 0 at alpha=2, beta=1, gamma=1/4, d=1
-        p = ModelParams(2, 1, 0.25, 1.5, 1, 1)
-        assert abs(theta(p)) < 1e-12
-        from spde_moments.model import big_theta
-
-        kappa = p.lam**2 * big_theta(p)
-        for t in (0.2, 1.0, 3.0):
-            assert rel(mm.resolvent_kernel(p, t), kappa * math.exp(kappa * t)) < 1e-9
-
-    def test_overflow(self):
-        with pytest.raises(ResultOverflow):
-            mm.resolvent_kernel(ModelParams(2, 0.668), 5.0)
-
-    def test_integrable_singularity(self):
-        val, _ = integrate.quad(lambda s: mm.resolvent_kernel(SHE, s), 0, 1, points=[1e-9], limit=200)
-        assert math.isfinite(val) and val > 0
-
-    def test_resolvent_identity(self):
-        # 1 + int_0^t K = E_{theta+1}(lambda^2 that); substitute s = u^2 to
-        # remove the t^theta endpoint singularity before quadrature
-        for t in (0.5, 1.0):
-            val, _ = integrate.quad(
-                lambda u: 2.0 * u * mm.resolvent_kernel(SHE, u * u),
-                0,
-                math.sqrt(t),
-                limit=200,
-            )
-            want = sf.ml(theta(SHE) + 1.0, 1.0, SHE.lam**2 * t_hat(SHE, t))
-            assert rel(1.0 + val, want) < 1e-6
 
 
 class TestMomentCurve:

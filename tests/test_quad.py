@@ -12,7 +12,6 @@ from scipy import integrate
 
 from spde_moments import _quadpack as qp
 from spde_moments import model as md
-from spde_moments import simulate as sim
 from spde_moments.errors import ConvergenceFailure
 
 CLOSED_FORMS = [
@@ -87,18 +86,6 @@ class TestQuad:
             for f, a, b, epsabs, epsrel, limit in panels:
                 ref = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)[:2]
                 assert qp.quad(f, a, b, epsabs, epsrel, limit) == ref
-
-    def test_wave_overlap_is_scipy_dblquad_bit_for_bit(self):
-        eps, t, s, a, b = 0.1, 0.25, 0.3, (0.03, 0.0), (0.0, -0.04)
-
-        def integrand(r, phi):
-            y = (r * math.cos(phi), r * math.sin(phi))
-            da2 = (y[0] - a[0]) ** 2 + (y[1] - a[1]) ** 2
-            db2 = (y[0] - b[0]) ** 2 + (y[1] - b[1]) ** 2
-            return r / (4.0 * math.pi**2 * math.sqrt((t * t - da2) * (s * s - db2)))
-
-        ref = integrate.dblquad(integrand, 0.0, 2.0 * math.pi, 0.0, eps, epsabs=1e-12, epsrel=1e-10)[0]
-        assert sim.wave_overlap(2, eps, t, s, a, b, (0.0, 0.0)) == ref
 
     def test_limit_exhausted_returns_estimate(self):
         calls = []

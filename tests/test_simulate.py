@@ -397,33 +397,21 @@ class TestSheNoiseAddress:
 
 class TestWaveOverlap:
     def test_d1_exact_value(self):
-        assert sim.wave_overlap(1, 0.1, 0.2, 0.25, 0.05, -0.02, 0.0) == pytest.approx(0.05)
+        assert sim.wave_overlap(0.1, 0.2, 0.25, 0.05, -0.02, 0.0) == pytest.approx(0.05)
 
     def test_d1_lower_bound(self):
-        # eps/2 >= eps^{-1} t s / (2 c^2) with c = 12 across the window
+        # eps/2 >= eps^{-1} t s / (2 c^2) with c = 12 across the window; the
+        # window's ends are eps times 2 and 12, rounded (12 * 0.3 < 3.6)
         eps = 0.3
-        for t in (2 * eps, 6 * eps, 12 * eps):
-            for s in (2 * eps, 12 * eps):
-                val = sim.wave_overlap(1, eps, t, s, 0.0, 0.0, 0.0)
+        for t in (2 * eps, 6 * eps, 12 * eps, 3.6):
+            for s in (2 * eps, 12 * eps, 3.6):
+                val = sim.wave_overlap(eps, t, s, 0.0, 0.0, 0.0)
                 assert val >= t * s / (2.0 * 144.0 * eps) - 1e-15
-
-    def test_d2_lower_bound(self):
-        eps = 0.1
-        t = s = 2 * eps
-        val = sim.wave_overlap(2, eps, t, s, (0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
-        assert val >= eps**2 / (4.0 * math.pi * t * s)
-
-    def test_d2_offcenter(self):
-        eps = 0.1
-        val = sim.wave_overlap(
-            2, eps, 0.25, 0.3, (0.03, 0.0), (0.0, -0.04), (0.0, 0.0)
-        )
-        assert val >= eps**2 / (4.0 * math.pi * 0.25 * 0.3)
 
     def test_geometry_guards(self):
         with pytest.raises(InvalidParams):
-            sim.wave_overlap(1, 0.1, 0.1, 0.2, 0.0, 0.0, 0.0)  # t < 2 eps
+            sim.wave_overlap(0.1, 0.1, 0.2, 0.0, 0.0, 0.0)  # t < 2 eps
         with pytest.raises(InvalidParams):
-            sim.wave_overlap(1, 0.1, 0.2, 0.2, 0.2, 0.0, 0.0)  # a outside ball
+            sim.wave_overlap(0.3, 3.6 * (1 + 1e-12), 0.6, 0.0, 0.0, 0.0)  # t > 12 eps
         with pytest.raises(InvalidParams):
-            sim.wave_overlap(3, 0.1, 0.2, 0.2, 0.0, 0.0, 0.0)
+            sim.wave_overlap(0.1, 0.2, 0.2, 0.2, 0.0, 0.0)  # a outside ball
