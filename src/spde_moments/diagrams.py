@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -319,8 +320,10 @@ def chaos_term_mc(
         raise InvalidParams("k must be a nonnegative integer")
     if k > 4:
         raise TooLarge("Monte Carlo chaos check capped at k = 4")
-    if samples < 2:
-        raise InvalidParams("need at least two samples")
+    if not isinstance(samples, numbers.Integral) or samples < 2:
+        raise InvalidParams(f"samples must be an integer >= 2, got {samples!r}")
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise InvalidParams(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if k == 0:
         return p.u0**2, 0.0
     th = dc.theta

@@ -69,7 +69,11 @@ class StabilityViolated(SpdeMomentsError):
 
 
 class DomainTooSmall(StabilityViolated):
-    """Truncated spatial domain influences the probe beyond one standard error."""
+    """The wave simulator's domain does not hold the probe's light cone.
+
+    Raised by simulate_swe's light-cone guard only.  The heat scheme's
+    truncation is measured exactly, by comparing she_scheme_second_moment
+    on the domain and on a wider one."""
 
 
 class MittagLefflerAccuracyWarning(UserWarning):

@@ -133,6 +133,11 @@ def dalang_satisfied(p: ModelParams) -> bool:
     return p.dim < dalang_bound(p)
 
 
+def _require_order(pp: float):
+    if not 2 <= pp < math.inf:
+        raise InvalidParams(f"moment order must be >= 2 and finite, got {pp}")
+
+
 def _require_dalang(p: ModelParams):
     if not dalang_satisfied(p):
         raise DalangViolated(
@@ -368,6 +373,7 @@ def t_p(p: ModelParams, t: float, pp: float) -> float:
     if not 0 < t < math.inf:
         raise InvalidParams(f"t must be > 0 and finite, got {t}")
     _require_dalang(p)
+    _require_order(pp)
     return pp ** (1.0 + 1.0 / (1.0 + theta(p))) * t
 
 

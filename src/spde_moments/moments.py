@@ -30,7 +30,7 @@ import numpy as np
 
 from . import specialfn as sf
 from .errors import InvalidParams, SpdeMomentsError, StepTooCoarse, finite_or_overflow
-from .model import DerivedConstants, ModelParams, derived_constants, j0
+from .model import DerivedConstants, ModelParams, _require_order, derived_constants, j0
 
 __all__ = [
     "MomentCurve",
@@ -152,8 +152,7 @@ def second_moment_log(p: ModelParams, t: float) -> float:
 
 def she_second_moment(nu: float, lam: float, u0: float, t: float) -> float:
     """Heat-case closed form 2 u0^2 exp(lam^4 t / 4 nu) Phi(lam^2 sqrt(t/2nu))."""
-    if nu <= 0:
-        raise InvalidParams("nu must be > 0")
+    ModelParams(2, 1, lam=lam, nu=nu, u0=u0)  # the heat model's checks
     if not 0 <= t < math.inf:
         raise InvalidParams(f"t must be >= 0 and finite, got {t}")
     if t == 0.0:
@@ -169,10 +168,7 @@ def swe_second_moment(nu: float, lam: float, u0: float, u1: float, t: float) -> 
     + (u0^2 + 2^{3/2} nu^{1/2} u1^2/lam^2) cosh(|lam| t/(2 nu)^{1/4})
     + 2^{5/4} nu^{1/4} u0 u1 / |lam| * sinh(|lam| t/(2 nu)^{1/4})
     """
-    if nu <= 0:
-        raise InvalidParams("nu must be > 0")
-    if lam == 0:
-        raise InvalidParams("lambda must be nonzero")
+    ModelParams(2, 2, lam=lam, nu=nu, u0=u0, u1=u1)  # the wave model's checks
     if not 0 <= t < math.inf:
         raise InvalidParams(f"t must be >= 0 and finite, got {t}")
     x = abs(lam) * t / (2.0 * nu) ** 0.25
@@ -198,8 +194,7 @@ def second_lyapunov(p: ModelParams) -> float:
 def pth_moment_upper(p: ModelParams, t: float, pp: float) -> float:
     """Upper bound on ||u(t,x)||_p^2 for p >= 2 (any real order)."""
     dc = derived_constants(p)
-    if not 2 <= pp < math.inf:
-        raise InvalidParams(f"moment order must be >= 2 and finite, got {pp}")
+    _require_order(pp)
     return _ml_sum(
         p, dc, t, 8.0 * pp * p.lam**2, 2.0,
         "the p-th moment bound at t={t!r} exceeds the double range",
@@ -210,8 +205,7 @@ def pth_lyapunov_upper(p: ModelParams, pp: float) -> float:
     """Large-time rate bound:
     (1/2)(8 lambda^2 Theta Gamma(theta+1))^{1/(theta+1)} p^{1 + 1/(theta+1)}."""
     dc = derived_constants(p)
-    if not 2 <= pp < math.inf:
-        raise InvalidParams(f"moment order must be >= 2 and finite, got {pp}")
+    _require_order(pp)
     r = 1.0 / (dc.theta + 1.0)
     return finite_or_overflow(
         lambda: 0.5 * (8.0 * dc.lyapunov_base) ** r * pp ** (1.0 + r),  # 8x: exact scaling
@@ -221,8 +215,8 @@ def pth_lyapunov_upper(p: ModelParams, pp: float) -> float:
 
 def she_exact_pth_lyapunov(lam: float, pp: float) -> float:
     """Exact heat-equation reference rate p(p^2-1) lambda^4 / 24 (nu = 1)."""
-    if not 2 <= pp < math.inf:
-        raise InvalidParams(f"moment order must be >= 2 and finite, got {pp}")
+    ModelParams(2, 1, lam=lam)  # the heat model's checks on lambda
+    _require_order(pp)
     return pp * (pp * pp - 1.0) * lam**4 / 24.0
 
 

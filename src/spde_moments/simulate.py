@@ -56,8 +56,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimOutput:
-    curve: MomentCurve          # empirical E[u(t, x_probe)^2] with stderr
-    mean: np.ndarray            # empirical E[u(t, x_probe)]
+    curve: MomentCurve          # empirical E[u(t, 0)^2] with stderr
+    mean: np.ndarray            # empirical E[u(t, 0)]
     mean_stderr: np.ndarray
     meta: dict
 
@@ -76,17 +76,8 @@ def _probe_steps(cfg: SimConfig, probes: Sequence[float]) -> list[int]:
     return steps
 
 
-def _grid_index(cfg: SimConfig, x: float, m: int) -> int:
-    j = round((x + cfg.domain_half_width) / cfg.dx)
-    if abs(j * cfg.dx - cfg.domain_half_width - x) > 1e-9:
-        raise InvalidParams(f"probe position {x} is not grid aligned")
-    if not 0 < j < m - 1:
-        raise InvalidParams("probe position outside the open domain")
-    return j
-
-
 def _probe_output(
-    p: ModelParams, cfg: SimConfig, probes: Sequence[float], x_probe: float, scheme: str,
+    p: ModelParams, cfg: SimConfig, probes: Sequence[float], scheme: str,
     samples: list[np.ndarray],
 ) -> SimOutput:
     """Empirical E[u^2] and E[u] with their standard errors from the
@@ -105,22 +96,20 @@ def _probe_output(
         "dx": cfg.dx,
         "dt": cfg.dt,
         "domain_half_width": cfg.domain_half_width,
-        "x_probe": x_probe,
         "stderr": err.tolist(),
     }
     return SimOutput(curve, np.mean(x, axis=1), np.std(x, axis=1, ddof=1) / root_n, meta)
 
 
-def _she_grid(p: ModelParams, cfg: SimConfig, probes: Sequence[float], x_probe: float):
-    """Cell count, probe cell and probe steps of the heat scheme."""
+def _she_grid(p: ModelParams, cfg: SimConfig, probes: Sequence[float]):
+    """Cell count and probe steps of the heat scheme."""
     if not (p.alpha == 2 and p.beta == 1 and p.gamma == 0 and p.dim == 1):
         raise InvalidParams("simulate_she requires alpha=2, beta=1, gamma=0, d=1")
     if cfg.dt > cfg.dx**2 / (2.0 * p.nu) + 1e-15:
         raise StabilityViolated(
             f"explicit scheme needs dt <= dx^2/(2 nu) = {cfg.dx**2/(2*p.nu):.3e}"
         )
-    m = int(round(2.0 * cfg.domain_half_width / cfg.dx)) + 1
-    return m, _grid_index(cfg, x_probe, m), _probe_steps(cfg, probes)
+    return int(round(2.0 * cfg.domain_half_width / cfg.dx)) + 1, _probe_steps(cfg, probes)
 
 
 # bit k of byte value v, as a (256, 8) table: turns the little-endian bytes of
@@ -135,8 +124,8 @@ _CHUNK_BLOCKS = 2
 def _she_paths(
     p: ModelParams, cfg: SimConfig, m: int, jp: int, steps: list[int], block0: int, blocks: int
 ) -> np.ndarray:
-    """simulate_she's probe values (probe times, paths) for the paths of
-    256-path blocks block0, ..., block0 + blocks - 1."""
+    """The values in cell jp (probe times, paths) of the paths of 256-path
+    blocks block0, ..., block0 + blocks - 1."""
     # single-precision field: scheme error O(dx) and sampling error O(1e-2)
     # both dwarf float32 roundoff; statistics are reduced in double.  Cell
     # major, so each stencil operand is one contiguous block
@@ -181,8 +170,6 @@ def simulate_she(
     p: ModelParams,
     cfg: SimConfig,
     probes: Sequence[float],
-    x_probe: float = 0.0,
-    check_domain: bool = False,
 ) -> SimOutput:
     """Explicit finite differences for the multiplicative-noise heat case
     (alpha=2, beta=1, gamma=0, d=1):
@@ -190,51 +177,37 @@ def simulate_she(
         u_{n+1,j} = u_{n,j} + (nu dt / 2 dx^2) Lap u_{n,j}
                     + lambda u_{n,j} xi_{n,j} sqrt(dt/dx),
 
-    with the boundary pinned at u0 on a truncated domain.  The increments
-    are Rademacher: the scheme is linear in u with noise independent of the
-    past, so E[u_n] and E[u_n u_n^T] are those of Gaussian xi (see
-    she_scheme_second_moment); higher moments are not.  For path i in
+    with the boundary pinned at u0 on a truncated domain and the probe at
+    x = 0, the centre cell.  The increments are Rademacher: the scheme is
+    linear in u with noise independent of the past, so E[u_n] and
+    E[u_n u_n^T] are those of Gaussian xi (see she_scheme_second_moment);
+    higher moments are not.  For path i in
     absolute cell a (x = a dx) at step n, xi = -1 if bit i % 64 of
     w[(i // 64) % 4] is set and +1 otherwise, where
 
         w = Philox(key=seed, counter=(a + 2**32, i // 256, n, 1)).random_raw(4).
 
     So the first P paths of a larger run are those of a P-path run, and a
-    wider domain shares the signs of the common cells.  With check_domain
-    the run is repeated on a 1.5x wider domain; probe estimates must agree
-    within one combined standard error or DomainTooSmall is raised.
+    wider domain shares the signs of the common cells.  The truncation's
+    effect on the probe is deterministic: compare she_scheme_second_moment
+    on the domain and on a wider one.
     """
-    m, jp, steps = _she_grid(p, cfg, probes, x_probe)
+    m, steps = _she_grid(p, cfg, probes)
     blocks = -(-cfg.n_paths // 256)
     chunks = [
-        _she_paths(p, cfg, m, jp, steps, b, min(_CHUNK_BLOCKS, blocks - b))
+        _she_paths(p, cfg, m, m // 2, steps, b, min(_CHUNK_BLOCKS, blocks - b))
         for b in range(0, blocks, _CHUNK_BLOCKS)
     ]
     samples = list(np.hstack(chunks)[:, : cfg.n_paths])
-    out = _probe_output(p, cfg, probes, x_probe, "she-explicit-fd-rademacher", samples)
-    if check_domain:
-        # widen to the nearest dx multiple of 1.5 L and rerun
-        wide_l = math.ceil(1.5 * cfg.domain_half_width / cfg.dx) * cfg.dx
-        wide = SimConfig(cfg.dx, cfg.dt, wide_l, cfg.t_end, cfg.n_paths, cfg.seed)
-        ref = simulate_she(p, wide, probes, x_probe=x_probe)
-        for v, e, rv, re in zip(
-            out.curve.values, out.curve.stderr, ref.curve.values, ref.curve.stderr
-        ):
-            if abs(v - rv) > math.hypot(e, re):
-                raise DomainTooSmall(
-                    f"probe estimate moves by {abs(v - rv):.3g} (> 1 SE) when "
-                    f"the domain grows to {wide_l:g}"
-                )
-    return out
+    return _probe_output(p, cfg, probes, "she-explicit-fd-rademacher", samples)
 
 
 def she_scheme_second_moment(
     p: ModelParams,
     cfg: SimConfig,
     probes: Sequence[float],
-    x_probe: float = 0.0,
 ) -> MomentCurve:
-    """E[u_n(x_probe)^2] of simulate_she's scheme in double-precision
+    """E[u_n(0)^2] of simulate_she's scheme in double-precision
     arithmetic, with no sampling error: the oracle for its Monte Carlo
     estimate, whatever the law of the increments (mean 0, variance 1,
     independent of the past).  cfg.n_paths and cfg.seed are not used.
@@ -249,7 +222,7 @@ def she_scheme_second_moment(
     and since B is tridiagonal a step costs O(m^2).  The gap to the closed
     form she_second_moment is the scheme's bias.
     """
-    m, jp, steps = _she_grid(p, cfg, probes, x_probe)
+    m, steps = _she_grid(p, cfg, probes)
     coef = p.nu * cfg.dt / (2.0 * cfg.dx**2)
     var = p.lam**2 * cfg.dt / cfg.dx
     mom = np.full((m, m), float(p.u0) ** 2)
@@ -264,7 +237,7 @@ def she_scheme_second_moment(
             mom = mom.T
         mom[inner, inner] += kick
         if (n + 1) in want:
-            values.append(mom[jp, jp])
+            values.append(mom[m // 2, m // 2])
     return MomentCurve(np.asarray(probes, dtype=float), np.array(values), "scheme-exact", p)
 
 
@@ -288,7 +261,6 @@ def simulate_swe(
     p: ModelParams,
     cfg: SimConfig,
     probes: Sequence[float],
-    x_probe: float = 0.0,
 ) -> SimOutput:
     """Mild-form time stepping of the wave equation (alpha=beta=2, gamma=0,
     d=1), kernel (1/2 kappa) 1_{[-kappa t, kappa t]}, kappa = sqrt(nu/2), on the
@@ -300,7 +272,7 @@ def simulate_swe(
 
     (discrete d'Alembert), A_{-1} = A_{-2} = 0, run with zero cells past the
     domain edges; the error from those moves in one cell per step, and the
-    light-cone guard keeps it off the probe."""
+    light-cone guard keeps it off the probe at x = 0, the centre cell."""
     if not (p.alpha == 2 and p.beta == 2 and p.gamma == 0 and p.dim == 1):
         raise InvalidParams("simulate_swe requires alpha=2, beta=2, gamma=0, d=1")
     kappa = math.sqrt(p.nu / 2.0)
@@ -309,13 +281,12 @@ def simulate_swe(
             "simulate_swe steps the characteristic lattice: needs "
             f"dt = dx/sqrt(nu/2) = {cfg.dx / kappa!r}"
         )
-    required = abs(x_probe) + kappa * cfg.t_end + 5.0 * cfg.dx
+    required = kappa * cfg.t_end + 5.0 * cfg.dx
     if cfg.domain_half_width < required - 1e-12:
         raise DomainTooSmall(
             f"light cone needs domain_half_width >= {required:.4g}"
         )
     m = int(round(2.0 * cfg.domain_half_width / cfg.dx)) + 1
-    jp = _grid_index(cfg, x_probe, m)
     steps = _probe_steps(cfg, probes)
     n_steps = steps[-1]
 
@@ -341,8 +312,8 @@ def simulate_swe(
         a_last, a_before = a_before, a_last
         u = j0(p, (n + 1) * cfg.dt) + (p.lam / (2.0 * kappa)) * a_last[:, 1:-1]
         if (n + 1) in want:
-            samples.append(u[:, jp].astype(np.float64))
-    return _probe_output(p, cfg, probes, x_probe, "swe-mild-convolution", samples)
+            samples.append(u[:, m // 2].astype(np.float64))
+    return _probe_output(p, cfg, probes, "swe-mild-convolution", samples)
 
 
 _WINDOW_SLACK = 4.0 * 2.0**-52  # a few ulps: 12 * 0.3 rounds below 3.6

@@ -711,10 +711,11 @@ def ml(a: float, b: float, z: float) -> float:
     tested grids.  For a > 2 with z below minus the switch radius no
     controlled expansion is available; the best-effort value is returned
     under MittagLefflerAccuracyWarning.  Overflow, and z = +inf, return
-    +inf; z = NaN or -inf raises ValidationError.
+    +inf; z = NaN or -inf, a non-finite b, or a not in (0, inf) raises
+    ValidationError.
     """
-    if a <= 0:
-        raise ValidationError(f"ml requires a > 0, got a={a}")
+    if not (0 < a < math.inf and -math.inf < b < math.inf):
+        raise ValidationError(f"ml requires finite a > 0 and finite b, got a={a}, b={b}")
     if not z > -math.inf:
         raise ValidationError(f"ml requires z in (-inf, +inf], got z={z}")
     if a == 1.0 and b == 1.0:
@@ -747,7 +748,8 @@ def ml_array(a: float, b: float, z) -> np.ndarray:
     Every 0 < z < switch radius goes through one vectorised pass of the
     float series (`_series_float_array`) under ml's acceptance rule
     (`_series_accepted`); the other elements (z <= 0, z at or beyond the
-    radius, (a, b) = (1, 1), a float pass ml would not return) are handed
+    radius, (a, b) = (1, 1) or outside ml's domain, a float pass ml would
+    not return) are handed
     to scalar `ml` in index order, so the first error `ml` raises is the
     one of the lowest such element.
     """
@@ -756,7 +758,7 @@ def ml_array(a: float, b: float, z) -> np.ndarray:
         raise ValidationError(f"ml_array takes a 1-D array, got shape {z.shape}")
     out = np.empty_like(z)
     scalar = np.ones(z.size, dtype=bool)
-    if a > 0 and not (a == 1.0 and b == 1.0):
+    if 0 < a < math.inf and -math.inf < b < math.inf and not (a == 1.0 and b == 1.0):
         inside = np.flatnonzero((z > 0.0) & (z < _series_radius(a, b)))
         zs = z[inside]
         passes = (v.tolist() for v in (inside, zs, *_series_float_array(a, b, zs)))
@@ -775,8 +777,8 @@ def ml_log(a: float, b: float, z: float) -> float:
     Large arguments are handled from the asymptotic exponential terms with
     the dominant exponent factored out.
     """
-    if a <= 0:
-        raise ValidationError(f"ml_log requires a > 0, got a={a}")
+    if not (0 < a < math.inf and -math.inf < b < math.inf):
+        raise ValidationError(f"ml_log requires finite a > 0 and finite b, got a={a}, b={b}")
     if not z >= 0:
         raise ValidationError("ml_log is defined for z >= 0")
     if z == 0.0:

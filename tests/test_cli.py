@@ -303,6 +303,16 @@ class TestScalarCommands:
         assert out == ""
         assert json.loads(err)["error"]["type"] == "ValidationError"
 
+    @pytest.mark.parametrize(
+        "seed",
+        # level k = 1 draws with seed + 1, which is 2**64 for the second value
+        ["-5", str(2**64 - 1)],
+    )
+    def test_chaos_seed_out_of_range_rejected(self, capsys, seed):
+        code, out, err = run_cli(capsys, "chaos", "--mc-samples", "10", "--seed", seed)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "InvalidParams"
+
     def test_chaos(self, capsys):
         code, out, _ = run_cli(
             capsys, "chaos", "--alpha", "2", "--beta", "1", "--t", "1", "--k", "2",

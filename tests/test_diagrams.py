@@ -370,6 +370,13 @@ class TestChaos:
             0.031087451823472965, 0.0001130190087761339
         )
 
+    @pytest.mark.parametrize(
+        "samples, seed", [(1, 0), (10.0, 0), (10, -1), (10, 2**64), (10, 1.0)]
+    )
+    def test_mc_samples_and_seed_checked(self, samples, seed):
+        with pytest.raises(InvalidParams):
+            dg.chaos_term_mc(SHE, 1.0, 2, samples, seed)
+
     def test_mc_cap(self):
         with pytest.raises(TooLarge):
             dg.chaos_term_mc(SHE, 1.0, 5, 100, seed=0)

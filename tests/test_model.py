@@ -411,8 +411,12 @@ class TestDerived:
         assert rel(md.t_p(SHE, t, pp), pp**3 * t) < 1e-12
         assert rel(md.t_p(SWE, t, pp), pp**1.5 * t) < 1e-12
 
-    def test_t_p_collapses_at_one(self):
-        assert rel(md.t_p(SHE, 0.7, 1.0), 0.7) < 1e-15
+    def test_t_p_order_checked(self):
+        # as in pth_moment_upper and pth_lyapunov_upper: 2 <= p < inf
+        for pp in (-1.0, 0.5, 1.0, math.inf, math.nan):
+            with pytest.raises(InvalidParams, match="moment order"):
+                md.t_p(SHE, 0.7, pp)
+        assert md.t_p(SHE, 0.7, 2.0) == 8.0 * 0.7
 
 
 def l2_norm_kernel_quad(p: ModelParams, s: float) -> float:

@@ -61,6 +61,22 @@ class TestClosedForms:
         # frozen from a 30-digit evaluation of the hyperbolic closed form
         assert rel(mm.swe_second_moment(2, 1, 1, 1, 1.0), 4.4738424651519946) < 1e-12
 
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            (mm.she_second_moment, (math.nan, 1, 1, 1)),
+            (mm.she_second_moment, (1, math.nan, 1, 1)),
+            (mm.she_second_moment, (1, 1, math.inf, 1)),
+            (mm.swe_second_moment, (1, math.nan, 1, 0, 1)),
+            (mm.swe_second_moment, (1, 1, 1, -math.inf, 1)),
+            (mm.she_exact_pth_lyapunov, (math.nan, 3)),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, call, args):
+        # the raw-float closed forms apply ModelParams' checks
+        with pytest.raises(InvalidParams):
+            call(*args)
+
     @given(st.floats(min_value=0.01, max_value=5.0))
     def test_generic_matches_she(self, t):
         assert rel(mm.second_moment(SHE, t), mm.she_second_moment(1, 1, 1, t)) < 1e-9

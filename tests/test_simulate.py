@@ -151,6 +151,24 @@ class TestSchemeSecondMoment:
         with pytest.raises(InvalidParams):
             sim.she_scheme_second_moment(SWE, cfg, [0.1])
 
+    def test_domain_truncation_in_standard_errors(self):
+        # the truncation's effect on the probe is exact: the scheme's E[u^2]
+        # on the domain against a 1.5x wider one, in standard errors of a
+        # seeded run on the narrow domain
+        def gap_in_se(half_width, wide, t, n_paths, seed):
+            grid = dict(dx=0.04, dt=4e-4, t_end=t, n_paths=n_paths, seed=seed)
+            narrow = SimConfig(**grid, domain_half_width=half_width)
+            a, b = (
+                sim.she_scheme_second_moment(SHE, cfg, [t]).values[0]
+                for cfg in (narrow, SimConfig(**grid, domain_half_width=wide))
+            )
+            return abs(b - a) / sim.simulate_she(SHE, narrow, [t]).curve.stderr[0]
+
+        # a domain barely wider than the diffusive scale: 0.0779 against 0.0135
+        assert gap_in_se(0.2, 0.32, 0.4, 4000, 18) > 4.0
+        # the acceptance half-width: 3.0e-5 against 0.038
+        assert gap_in_se(1.2, 1.8, 0.2, 2000, 17) < 0.01
+
     def test_monte_carlo_within_4_se(self):
         cfg = SimConfig(dx=0.04, dt=4e-4, domain_half_width=1.2, t_end=0.2, n_paths=3000, seed=404)
         out = sim.simulate_she(SHE, cfg, [0.1, 0.2])
@@ -214,13 +232,6 @@ class TestAgainstClosedForms:
         assert abs(out.mean[0] - 1.0) <= 3.0 * out.mean_stderr[0]
         assert out.curve.values[0] - out.mean[0] ** 2 > 0.0  # variance positivity
 
-    def test_swe_x_probe_equivalence(self):
-        cfg = SimConfig(dx=0.02, dt=0.02, domain_half_width=0.72, t_end=0.5, n_paths=3000, seed=80)
-        a = sim.simulate_swe(SWE, cfg, [0.5], x_probe=0.0)
-        b = sim.simulate_swe(SWE, cfg, [0.5], x_probe=0.12)
-        se = math.hypot(a.curve.stderr[0], b.curve.stderr[0])
-        assert abs(a.curve.values[0] - b.curve.values[0]) <= 3.0 * se
-
     def test_she_small_grid(self):
         cfg = SimConfig(dx=0.04, dt=4e-4, domain_half_width=1.2, t_end=0.2, n_paths=3000, seed=81)
         out = sim.simulate_she(SHE, cfg, [0.1, 0.2])
@@ -228,20 +239,6 @@ class TestAgainstClosedForms:
             exact = mm.she_second_moment(1, 1, 1, t)
             assert abs(v - exact) / exact < 0.06
         assert abs(out.mean[-1] - 1.0) <= 3.0 * out.mean_stderr[-1]
-
-    def test_she_domain_insensitivity(self):
-        # boundary influence detector: the 1.5L rerun agrees within 1 SE
-        cfg = SimConfig(dx=0.04, dt=4e-4, domain_half_width=1.2, t_end=0.2,
-                        n_paths=2000, seed=17)
-        out = sim.simulate_she(SHE, cfg, [0.2], check_domain=True)
-        assert out.curve.values[0] > 0
-
-    def test_she_undersized_domain_detected(self):
-        # a domain barely wider than the diffusive scale biases the probe
-        cfg = SimConfig(dx=0.04, dt=4e-4, domain_half_width=0.2, t_end=0.4,
-                        n_paths=4000, seed=18)
-        with pytest.raises(DomainTooSmall):
-            sim.simulate_she(SHE, cfg, [0.4], check_domain=True)
 
     def test_she_refinement_trend(self):
         # halving dx (dt/4) moves the estimate toward the closed form,
@@ -258,11 +255,11 @@ class TestAgainstClosedForms:
         assert errs[1] <= errs[0] + 3.0 * math.hypot(ses[0], ses[1])
 
 
-def _serial_she(p, cfg, probes, x_probe=0.0):
+def _serial_she(p, cfg, probes):
     """simulate_she's scheme as one loop over the whole field, with each
     sign read at its documented Philox address: the bit-identity oracle."""
     m = int(round(2.0 * cfg.domain_half_width / cfg.dx)) + 1
-    jp = sim._grid_index(cfg, x_probe, m)
+    jp = m // 2
     steps = sim._probe_steps(cfg, probes)
     half = int(round(cfg.domain_half_width / cfg.dx))
     u = np.full((cfg.n_paths, m), p.u0, dtype=np.float32)
@@ -284,15 +281,15 @@ def _serial_she(p, cfg, probes, x_probe=0.0):
         u[:, 1:-1] = interior + coef * lap + interior * xi * noise_std
         if (n + 1) in steps:
             samples.append(u[:, jp].astype(np.float64))
-    return sim._probe_output(p, cfg, probes, x_probe, "she-explicit-fd-rademacher", samples)
+    return sim._probe_output(p, cfg, probes, "she-explicit-fd-rademacher", samples)
 
 
-def _serial_swe(p, cfg, probes, x_probe=0.0):
+def _serial_swe(p, cfg, probes):
     """simulate_swe's step loop as it was before the noise was drawn ahead,
     one strided column per cell: the bit-identity oracle."""
     kappa = math.sqrt(p.nu / 2.0)
     m = int(round(2.0 * cfg.domain_half_width / cfg.dx)) + 1
-    jp = sim._grid_index(cfg, x_probe, m)
+    jp = m // 2
     steps = sim._probe_steps(cfg, probes)
     cell_abs0 = -int(round(cfg.domain_half_width / cfg.dx))
     noise_scale = math.sqrt(cfg.dt * cfg.dx)
@@ -316,7 +313,7 @@ def _serial_swe(p, cfg, probes, x_probe=0.0):
         u = j0(p, (n + 1) * cfg.dt) + (p.lam / (2.0 * kappa)) * a_last[:, 1:-1]
         if (n + 1) in steps:
             samples.append(u[:, jp].astype(np.float64))
-    return sim._probe_output(p, cfg, probes, x_probe, "swe-mild-convolution", samples)
+    return sim._probe_output(p, cfg, probes, "swe-mild-convolution", samples)
 
 
 def _assert_same_bits(out, ref):
@@ -349,27 +346,22 @@ class TestMatchesSerialLoops:
         cfg = SimConfig(**SWE_CASE, n_paths=n_paths, seed=seed)
         _assert_same_bits(sim.simulate_swe(SWE, cfg, SWE_PROBES), _serial_swe(SWE, cfg, SWE_PROBES))
 
-    def test_she_check_domain(self):
-        cfg = SimConfig(dx=0.04, dt=4e-4, domain_half_width=1.2, t_end=0.2, n_paths=200, seed=17)
-        out = sim.simulate_she(SHE, cfg, [0.1, 0.2], check_domain=True)
-        _assert_same_bits(out, _serial_she(SHE, cfg, [0.1, 0.2]))
-
 
 @pytest.fixture
 def she_paths(monkeypatch):
-    """simulate_she as a function of (cfg, probes, x_probe) that returns the
-    per-path probe values (probe times, paths) it reduces."""
+    """simulate_she as a function of (cfg, probes) that returns the per-path
+    probe values (probe times, paths) it reduces."""
     seen = []
     reduce = sim._probe_output
 
-    def spy(p, cfg, probes, x_probe, scheme, samples):
+    def spy(p, cfg, probes, scheme, samples):
         seen.append(np.array(samples))
-        return reduce(p, cfg, probes, x_probe, scheme, samples)
+        return reduce(p, cfg, probes, scheme, samples)
 
     monkeypatch.setattr(sim, "_probe_output", spy)
 
-    def run(cfg, probes, x_probe=0.0):
-        sim.simulate_she(SHE, cfg, probes, x_probe=x_probe)
+    def run(cfg, probes):
+        sim.simulate_she(SHE, cfg, probes)
         return seen.pop()
 
     return run
@@ -382,16 +374,20 @@ class TestSheNoiseAddress:
             small = she_paths(SimConfig(**SHE_CASE, n_paths=n_paths, seed=7), SHE_PROBES)
             assert np.array_equal(small, big[:, :n_paths])
 
-    def test_wider_domain_shares_signs(self, she_paths):
+    def test_wider_domain_shares_signs(self):
         # after one step u = u0 (1 +- noise_std) in every interior cell, so
-        # the probe values show the signs of the probe cell
-        one_step = dict(SHE_CASE, t_end=SHE_CASE["dt"])
-        wide = dict(one_step, domain_half_width=1.5 * SHE_CASE["domain_half_width"])
+        # a cell's values show its signs; cell j is at x = j dx on both domains
+        one_step = dict(SHE_CASE, t_end=SHE_CASE["dt"], n_paths=300, seed=3)
+        narrow = SimConfig(**one_step)
+        wide = SimConfig(**dict(one_step, domain_half_width=1.5 * SHE_CASE["domain_half_width"]))
+
+        def cell(cfg, j):
+            m = int(round(2.0 * cfg.domain_half_width / cfg.dx)) + 1
+            return sim._she_paths(SHE, cfg, m, m // 2 + j, [1], 0, 2)
+
         for j in range(-9, 10):
-            x = j * SHE_CASE["dx"]
-            a = she_paths(SimConfig(**one_step, n_paths=300, seed=3), [one_step["t_end"]], x)
-            b = she_paths(SimConfig(**wide, n_paths=300, seed=3), [one_step["t_end"]], x)
-            assert np.array_equal(a, b)
+            a = cell(narrow, j)
+            assert np.array_equal(a, cell(wide, j))
             assert len(np.unique(a)) == 2
 
 

@@ -173,6 +173,15 @@ class TestMittagLeffler:
             sf.ml(0.0, 1.0, 1.0)
         with pytest.raises(ValidationError):
             sf.ml(-1.0, 1.0, 1.0)
+        # non-finite a or b, which the order test alone let through to a raw
+        # ValueError or OverflowError
+        for a, b in ((math.nan, 1.0), (math.inf, 1.0), (1.5, math.nan), (1.5, math.inf),
+                     (1.5, -math.inf)):
+            for z in (-1.0, 0.5):
+                with pytest.raises(ValidationError):
+                    sf.ml(a, b, z)
+            with pytest.raises(ValidationError):
+                sf.ml_array(a, b, [-1.0, 0.5])
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_non_finite_argument(self, a):
@@ -633,8 +642,9 @@ class TestMlLogGrowth:
         assert abs(got - math.sqrt(0.5)) < 1e-2
 
     def test_rejects_bad_order(self):
-        with pytest.raises(ValidationError):
-            sf.ml_log(0.0, 1, 10.0)
+        for a, b in ((0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.5, math.nan), (1.5, math.inf)):
+            with pytest.raises(ValidationError):
+                sf.ml_log(a, b, 10.0)
         with pytest.raises(ValidationError):
             sf.ml_log(1.5, 1, math.nan)
 
