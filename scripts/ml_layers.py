@@ -13,6 +13,11 @@ Volterra solve (`moments._volterra_solve` by recursive halving, 8192 and
 (6040 diagrams, stdout discarded), and of a cold `import spde_moments.cli`
 in a fresh interpreter (9 subprocesses, after one untimed import that
 byte-compiles the sources; the import alone, not the interpreter start).
+Then the layers of the curve commands: for one 4096-point `second-moment`
+grid on [0, 2], the median time of the t_hat pass (from the call until the
+first `ml_array`), of the `ml_array` calls, with the number of elements
+they hand to scalar `ml`, and of `MomentCurve.to_csv`; and for
+`volterra --n-points 8192 --rtol 1e-4`, the two solves against the CSV.
 
     PYTHONPATH=src python scripts/ml_layers.py [--repeat N]
 """
@@ -25,6 +30,8 @@ import statistics
 import subprocess
 import sys
 import time
+
+import numpy as np
 
 from spde_moments import cli, model
 from spde_moments import moments as mm
@@ -42,6 +49,10 @@ BRANCH_POINTS = [
 THETA_POINTS = [(2.0, 0.5, 1), (2.0, 1.3, 1), (2.0, 1.7, 1), (2.0, 1.95, 1), (4.0, 2.0, 3)]
 VOLTERRA_PARAMS = model.ModelParams(2.0, 1.3, 0.0, 1.0, 1.0, 1, u0=1.0, u1=0.5)
 VOLTERRA_STEPS = [8192, 16384]
+CURVE_T_MAX = 2.0
+MOMENT_POINTS = 4096
+CURVE_VOLTERRA_POINTS = 8192
+CURVE_VOLTERRA_RTOL = 1e-4
 DIAGRAM_ARGV = ["diagrams", "--partition", "2,2,2,2,2,2"]
 IMPORT_RUNS = 9
 _IMPORT_SCRIPT = (
@@ -116,6 +127,34 @@ def theta_calls(alpha, beta, d) -> int:
     return count
 
 
+def moment_layers(p, grid):
+    """(t_hat pass s, ml_array s, elements handed to scalar ml) of one
+    second_moment call on grid, by timing spies on ml_array and ml."""
+    ml_array, ml = sf.ml_array, sf.ml
+    marks = {"array_s": 0.0, "first": None, "scalar": 0}
+
+    def timed_array(*args):
+        t0 = time.perf_counter()
+        if marks["first"] is None:
+            marks["first"] = t0
+        try:
+            return ml_array(*args)
+        finally:
+            marks["array_s"] += time.perf_counter() - t0
+
+    def counted_ml(*args):
+        marks["scalar"] += 1
+        return ml(*args)
+
+    sf.ml_array, sf.ml = timed_array, counted_ml
+    try:
+        t0 = time.perf_counter()
+        mm.second_moment(p, grid)
+    finally:
+        sf.ml_array, sf.ml = ml_array, ml
+    return marks["first"] - t0, marks["array_s"], marks["scalar"]
+
+
 def cold_import_ms() -> float:
     """Median time of `import spde_moments.cli` in a fresh interpreter."""
     subprocess.run([sys.executable, "-c", "import spde_moments.cli"], check=True)
@@ -162,6 +201,24 @@ def main() -> int:
     def listing():
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(DIAGRAM_ARGV)
+
+    print("\ncurve commands (median ms)")
+    grid = np.arange(1, MOMENT_POINTS + 1) * (CURVE_T_MAX / MOMENT_POINTS)
+    mm.second_moment(VOLTERRA_PARAMS, grid)  # Theta and the Gamma tables warm
+    layers = [moment_layers(VOLTERRA_PARAMS, grid) for _ in range(args.repeat)]
+    curve = mm.MomentCurve(grid, mm.second_moment(VOLTERRA_PARAMS, grid), "closed-form",
+                           VOLTERRA_PARAMS)
+    csv_ms = median_us(curve.to_csv, args.repeat) / 1e3
+    that_ms, array_ms = (1e3 * statistics.median(layer[i] for layer in layers) for i in (0, 1))
+    print(f"second-moment, {MOMENT_POINTS} points: t_hat {that_ms:.2f}  ml_array {array_ms:.2f}"
+          f" ({layers[0][2]} elements to scalar ml)  to_csv {csv_ms:.2f}")
+    grid = np.arange(1, CURVE_VOLTERRA_POINTS + 1) * (CURVE_T_MAX / CURVE_VOLTERRA_POINTS)
+    solves_ms = median_us(lambda: mm.volterra_second_moment(
+        VOLTERRA_PARAMS, grid, rtol=CURVE_VOLTERRA_RTOL), args.repeat) / 1e3
+    curve = mm.volterra_second_moment(VOLTERRA_PARAMS, grid, rtol=CURVE_VOLTERRA_RTOL)
+    csv_ms = median_us(curve.to_csv, args.repeat) / 1e3
+    print(f"volterra, {CURVE_VOLTERRA_POINTS} points, rtol {CURVE_VOLTERRA_RTOL:g}: "
+          f"solves {solves_ms:.2f}  to_csv {csv_ms:.2f}")
 
     ms = median_us(listing, max(1, args.repeat // 4)) / 1e3
     print(f"\n{' '.join(DIAGRAM_ARGV)} (median ms): {ms:.1f}")

@@ -199,11 +199,11 @@ def _curve_text(curve: mm.MomentCurve, fmt: str) -> str:
         payload = {
             "params": params_to_dict(curve.params),
             "method": curve.method,
-            "t": [float(v) for v in curve.t_grid],
-            "value": [float(v) for v in curve.values],
+            "t": curve.t_grid.tolist(),
+            "value": curve.values.tolist(),
         }
         if curve.stderr is not None:
-            payload["stderr"] = [float(v) for v in curve.stderr]
+            payload["stderr"] = curve.stderr.tolist()
         return _json_text(payload)
     header = " ".join(f"{k}={v!r}" for k, v in params_to_dict(curve.params).items())
     return f"# {header}\n" + curve.to_csv()

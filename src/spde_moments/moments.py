@@ -21,7 +21,6 @@ and their bits do not depend on the number of BLAS threads.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -48,7 +47,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentCurve:
-    """Sampled moment value series with provenance."""
+    """Sampled moment value series with provenance; stderr, when given, is
+    finite, >= 0 and of t_grid's shape, and is stored as a float array."""
 
     t_grid: np.ndarray
     values: np.ndarray
@@ -61,19 +61,25 @@ class MomentCurve:
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or v.shape != t.shape:
             raise InvalidParams("t_grid and values must be 1-D of equal length")
-        if np.any(t <= 0) or np.any(np.diff(t) <= 0):
-            raise InvalidParams("t_grid must be positive and increasing")
+        if not np.all((t > 0) & (t < math.inf)) or np.any(np.diff(t) <= 0):
+            raise InvalidParams("t_grid must be positive, finite and increasing")
         if not np.all(np.isfinite(v)):
             raise InvalidParams("moment values must be finite")
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "values", v)
+        if self.stderr is not None:
+            try:
+                err = np.asarray(self.stderr, dtype=float)
+            except (TypeError, ValueError):
+                err = None
+            if err is None or err.shape != t.shape or not np.all((err >= 0) & (err < math.inf)):
+                raise InvalidParams("stderr must be finite, >= 0 and of the shape of t_grid")
+            object.__setattr__(self, "stderr", err)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t,value,method\n")
-        for t, v in zip(self.t_grid, self.values):
-            buf.write(f"{t:.17g},{v:.17g},{self.method}\n")
-        return buf.getvalue()
+        row = "%.17g,%.17g," + self.method.replace("%", "%%") + "\n"
+        pairs = zip(self.t_grid.tolist(), self.values.tolist())
+        return "t,value,method\n" + "".join(map(row.__mod__, pairs))
 
 
 def _ml_sum(p: ModelParams, dc: DerivedConstants, t, rate: float, scale: float, overflow: str):
@@ -82,10 +88,16 @@ def _ml_sum(p: ModelParams, dc: DerivedConstants, t, rate: float, scale: float, 
     InvalidParams for t <= 0 (from that), ResultOverflow(overflow with t
     filled in) outside the double range.
 
-    A 1-D array t gives the array of values: that, t^2 and the sums are
-    formed per point as for a scalar t, the E values by `ml_array`, so each
-    point equals the scalar call bit for bit.  When a point fails, the
-    per-point loop runs to raise the error it would have raised first.
+    A 1-D array t gives the array of values, each equal to the scalar call
+    bit for bit.  Theta Gamma(theta + 1) is formed once per grid; each
+    point's that is then this product times t ** (theta + 1), by the float
+    power of `DerivedConstants.t_hat` and not numpy's (whose pow may round
+    differently).  Where Gamma(theta + 1) overflows or a point is not in
+    (0, inf), every point goes through `t_hat`.  t^2 and the sums are
+    formed per point as for a scalar t, the E values by `ml_array`, whose
+    acceptance test is decided in numpy away from its threshold and by the
+    scalar test near it.  When a point fails, the per-point loop runs to
+    raise the error it would have raised first.
     """
     th = dc.theta
     if np.ndim(t) == 0:
@@ -106,7 +118,12 @@ def _ml_sum(p: ModelParams, dc: DerivedConstants, t, rate: float, scale: float, 
     points = ts.tolist()
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            z = np.array([rate * dc.t_hat(v) for v in points])
+            gamma_th = sf.gamma(th + 1.0)
+            if math.isinf(gamma_th) or not np.all((ts > 0.0) & (ts < math.inf)):
+                z = np.array([rate * dc.t_hat(v) for v in points])
+            else:
+                c, power = dc.big_theta * gamma_th, th + 1.0
+                z = np.array([rate * (c * v**power) for v in points])
             total = p.u0**2 * sf.ml_array(th + 1.0, 1.0, z)
             if p.u1 != 0.0:
                 total += 2.0 * p.u0 * p.u1 * ts * sf.ml_array(th + 1.0, 2.0, z)

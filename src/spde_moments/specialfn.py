@@ -4,7 +4,10 @@ Gamma, the standard normal CDF, the two-parameter Mittag-Leffler function
 E_{a,b}(z), and the oscillatory integral int_0^inf sin^2(b xi^{a/2})
 xi^{-a} dxi in closed form.
 All take scalars except `ml_array`, which evaluates E_{a,b} on a 1-D array
-with the same value as `ml` for every element, bit for bit.
+with the same value as `ml` for every element, bit for bit: its float
+series and the series' acceptance test run in numpy, and the test's
+elements within a relative 1e-9 of its threshold, where numpy's pow and
+log could round differently from libm's, are decided by the scalar test.
 
 `ml` tries its branches in this order:
 
@@ -346,6 +349,31 @@ def _amplification(a: float, b: float, z: float) -> float:
     # psi(arg) ~ log(arg)
     arg_top = abs(z) ** (1.0 / a) + abs(b) + 2.0
     return 4.0 * max(1.0, arg_top * math.log(max(arg_top, 3.0)))
+
+
+_ACCEPT_BAND = 1e-9  # relative band around lhs = rhs left to the scalar test
+
+
+def _series_accepted_array(a: float, b: float, z: np.ndarray, total: np.ndarray,
+                           max_abs: np.ndarray) -> np.ndarray:
+    """`_series_accepted` on 1-D arrays, element for element.
+
+    numpy forms both sides of the test.  Its pow and log may differ from
+    libm's by a few ulps, which moves lhs by far less than _ACCEPT_BAND
+    relative, so numpy decides only the elements whose lhs lies outside
+    that band around rhs; the scalar test decides the rest, so every
+    decision is the scalar one.
+    """
+    arg_top = np.abs(z) ** (1.0 / a) + abs(b) + 2.0
+    amp = 4.0 * np.maximum(1.0, arg_top * np.log(np.maximum(arg_top, 3.0)))
+    lhs = max_abs * _EPS * amp
+    rhs = 1e-11 * np.maximum(np.abs(total), 1e-300)
+    accepted = lhs < rhs * (1.0 - _ACCEPT_BAND)
+    # NaN compares false both ways and lands in the band
+    band = np.flatnonzero(~accepted & ~(lhs > rhs * (1.0 + _ACCEPT_BAND)))
+    for i, x, s, m in zip(band.tolist(), *(v[band].tolist() for v in (z, total, max_abs))):
+        accepted[i] = _series_accepted(a, b, x, s, m)
+    return accepted
 
 
 def _series_mp(a: float, b: float, z: float, digits: int):
@@ -746,12 +774,13 @@ def ml_array(a: float, b: float, z) -> np.ndarray:
     for bit.
 
     Every 0 < z < switch radius goes through one vectorised pass of the
-    float series (`_series_float_array`) under ml's acceptance rule
-    (`_series_accepted`); the other elements (z <= 0, z at or beyond the
-    radius, (a, b) = (1, 1) or outside ml's domain, a float pass ml would
-    not return) are handed
-    to scalar `ml` in index order, so the first error `ml` raises is the
-    one of the lowest such element.
+    float series (`_series_float_array`) and ml's acceptance rule, decided
+    in numpy except within a relative 1e-9 band of its threshold, where
+    the scalar `_series_accepted` decides (`_series_accepted_array`).  The
+    other elements (z <= 0, z at or beyond the radius, (a, b) = (1, 1) or
+    outside ml's domain, a float pass ml would not return) are handed to
+    scalar `ml` in index order, so the first error `ml` raises is the one
+    of the lowest such element.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
@@ -760,12 +789,13 @@ def ml_array(a: float, b: float, z) -> np.ndarray:
     scalar = np.ones(z.size, dtype=bool)
     if 0 < a < math.inf and -math.inf < b < math.inf and not (a == 1.0 and b == 1.0):
         inside = np.flatnonzero((z > 0.0) & (z < _series_radius(a, b)))
-        zs = z[inside]
-        passes = (v.tolist() for v in (inside, zs, *_series_float_array(a, b, zs)))
-        for i, x, total, max_abs, converged in zip(*passes):
-            if converged and _series_accepted(a, b, x, total, max_abs):
-                out[i] = total
-                scalar[i] = False
+        total, max_abs, converged = _series_float_array(a, b, z[inside])
+        settled = np.flatnonzero(converged)
+        accepted = settled[_series_accepted_array(
+            a, b, z[inside[settled]], total[settled], max_abs[settled]
+        )]
+        out[inside[accepted]] = total[accepted]
+        scalar[inside[accepted]] = False
     for i in np.flatnonzero(scalar).tolist():
         out[i] = ml(a, b, float(z[i]))
     return out

@@ -20,6 +20,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -81,10 +82,15 @@ CASES = {
 
 
 def run_case(argv: list[str]) -> dict:
-    """Run the CLI in the current directory and record everything it produced."""
+    """Run the CLI in the current directory and record everything it produced.
+
+    COLUMNS is pinned to 80 for the run: argparse wraps the usage text of a
+    rejected command line to the terminal width.
+    """
     out, err = io.StringIO(), io.StringIO()
     before = set(os.listdir("."))
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -256,6 +257,31 @@ class TestSecondMomentGrid:
         with pytest.raises(InvalidParams, match="t must be > 0"):
             mm.second_moment(SHE, np.array([1.0, 0.0, 3125.0]))
 
+    @pytest.mark.parametrize("p", [ModelParams(2.0, 1.0, 90.0), ModelParams(2.0, 1.5, 90.0, u1=0.5)])
+    def test_gamma_overflow(self, p):
+        # theta + 1 = 180.5 and 181.25: Gamma(theta + 1) overflows, so the
+        # grid's t_hat values come from t_hat's lgamma form point by point
+        assert math.isinf(mm.sf.gamma(derived_constants(p).theta + 1.0))
+        grid = np.linspace(0.01, 3.0, 300)
+        assert _same_bits(mm.second_moment(p, grid), [mm.second_moment(p, float(t)) for t in grid])
+
+    @pytest.mark.parametrize("p, t_max", [(p, 20.0) for p in SWEEP] + [(ModelParams(2.0, 1.0, 90.0), 3.0)])
+    def test_t_hat_bits_match_scalar(self, p, t_max, monkeypatch):
+        # the arguments handed to ml_array are lambda^2 t_hat(t) bit for bit
+        seen = []
+        ml_array = mm.sf.ml_array
+
+        def spy(a, b, z):
+            seen.append(np.array(z))
+            return ml_array(a, b, z)
+
+        monkeypatch.setattr(mm.sf, "ml_array", spy)
+        dc = derived_constants(p)
+        grid = np.concatenate([[5e-324, 1e-300], np.linspace(1e-3, t_max, 1200)])
+        mm.second_moment(p, grid)
+        want = [p.lam**2 * dc.t_hat(t) for t in grid.tolist()]
+        assert seen and all(_same_bits(z, want) for z in seen)
+
     def test_shape(self):
         assert mm.second_moment(SHE, np.array([])).shape == (0,)
         with pytest.raises(InvalidParams):
@@ -388,7 +414,43 @@ class TestVolterra:
             mm.volterra_second_moment(ModelParams(2, 0.5, 0, 1, 1, 1), np.arange(1, 9) / 8.0)
 
 
+def _csv_per_row(curve) -> str:
+    """The per-row formatter to_csv replaced, kept as its oracle."""
+    buf = io.StringIO()
+    buf.write("t,value,method\n")
+    for t, v in zip(curve.t_grid, curve.values):
+        buf.write(f"{t:.17g},{v:.17g},{curve.method}\n")
+    return buf.getvalue()
+
+
+_CSV_EDGE_VALUES = [5e-324, 2.2250738585072014e-308, 1e308, 0.1, 3.0, 1.0 / 3.0, 1.0 + 2.0**-52]
+
+
 class TestMomentCurve:
+    @pytest.mark.parametrize("method", ["closed-form", "volterra", "monte-carlo", "odd %s 100%"])
+    def test_csv_matches_per_row_formatter(self, method):
+        t = np.array(sorted(_CSV_EDGE_VALUES))
+        for values in (_CSV_EDGE_VALUES, [-v for v in _CSV_EDGE_VALUES], [0.0] * 7):
+            curve = mm.MomentCurve(t, np.array(values), method, SHE)
+            assert curve.to_csv() == _csv_per_row(curve)
+        rng = np.random.default_rng(28)
+        t = np.cumsum(rng.uniform(1e-3, 1.0, 500))
+        curve = mm.MomentCurve(t, rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500),
+                               method, SHE)
+        assert curve.to_csv() == _csv_per_row(curve)
+
+    def test_stderr_checked(self):
+        t, v = np.array([0.5, 1.0]), np.array([1.0, 2.0])
+        bad = ([math.nan, -1.0, 3.0], [math.nan, 1.0], [-1.0, 1.0], [math.inf, 0.0], [0.1],
+               [[0.1, 0.2]], ["a", "b"], [1j, 0.0])
+        for err in bad:
+            with pytest.raises(InvalidParams, match="stderr"):
+                mm.MomentCurve(t, v, "monte-carlo", SHE, stderr=err)
+        curve = mm.MomentCurve(t, v, "monte-carlo", SHE, stderr=[0.0, 0.25])
+        assert isinstance(curve.stderr, np.ndarray) and curve.stderr.dtype == np.float64
+        assert curve.stderr.tolist() == [0.0, 0.25]
+        assert mm.MomentCurve(t, v, "monte-carlo", SHE).stderr is None
+
     def test_csv_format(self):
         curve = mm.MomentCurve(np.array([0.5, 1.0]), np.array([1.25, 2.5]), "closed-form", SHE)
         lines = curve.to_csv().splitlines()
@@ -406,3 +468,6 @@ class TestMomentCurve:
             mm.MomentCurve(np.array([1.0, 0.5]), np.array([1.0, 1.0]), "volterra", SHE)
         with pytest.raises(InvalidParams):
             mm.MomentCurve(np.array([0.5, 1.0]), np.array([1.0, math.nan]), "volterra", SHE)
+        for t in ([1.0, math.nan, 2.0], [1.0, math.inf], [math.nan]):
+            with pytest.raises(InvalidParams, match="t_grid"):
+                mm.MomentCurve(np.array(t), np.ones(len(t)), "volterra", SHE)

@@ -343,6 +343,70 @@ class TestMlArray:
         self.check(a, b, z)
 
 
+class TestSeriesAcceptedArray:
+    """The numpy acceptance test of ml_array against `_series_accepted`,
+    element by element."""
+
+    POINTS = [(1.25, 1.0, 3.0), (1.25, 3.0, 40.0), (0.3, 1.0, 0.7), (2.0, 2.0, 250.0),
+              (3.0, 1.0, 2.0e4), (1.1, 1.1, 29.0), (181.25, 2.0, 1e138)]
+    OFFSETS = [-1e-8, -1e-10, -1e-12, 0.0, 1e-12, 1e-10, 1e-8]
+
+    @staticmethod
+    def check(a, b, z, total, max_abs):
+        got = sf._series_accepted_array(a, b, *(np.asarray(v, dtype=float) for v in (z, total, max_abs)))
+        want = [sf._series_accepted(a, b, x, s, m) for x, s, m in zip(z, total, max_abs)]
+        assert got.tolist() == want, (a, b)
+        return want
+
+    @pytest.mark.parametrize("a, b, z", POINTS)
+    def test_at_the_threshold(self, a, b, z, monkeypatch):
+        # lhs = max_abs eps amp(z) against rhs = 1e-11 |total|, placed at a
+        # relative offset of the threshold through max_abs and through total
+        amp = sf._amplification(a, b, z)
+        n = len(self.OFFSETS)
+        for total in (1.0, -3.7e-200, 2.5e250):
+            edge = 1e-11 * abs(total) / (sf._EPS * amp)
+            max_abs = [edge * (1.0 + r) for r in self.OFFSETS]
+            want = self.check(a, b, [z] * n, [total] * n, max_abs)
+            assert want[0] and not want[-1]
+            totals = [total / (1.0 + r) for r in self.OFFSETS]
+            want = self.check(a, b, [z] * n, totals, [edge] * n)
+            assert want[0] and not want[-1]
+        # numpy decides the elements 1e-8 off the threshold on its own
+        calls = []
+        monkeypatch.setattr(sf, "_series_accepted", lambda *args: calls.append(args))
+        sf._series_accepted_array(a, b, np.array([z, z]), np.array([1.0, 1.0]),
+                                  np.array([1e-11 / (sf._EPS * amp) * (1.0 + r) for r in (-1e-8, 1e-8)]))
+        assert calls == []
+
+    def test_where_numpy_rounds_differently(self):
+        # at z where numpy's pow or log rounds the amplification differently
+        # from libm's, a max |term| between the two thresholds is decided
+        # differently by the two; the answer must be the scalar one
+        a, b = 1.3, 2.0
+        z = np.random.default_rng(29).uniform(0.0, 40.0, 4000)
+        arg_top = z ** (1.0 / a) + b + 2.0
+        amp_np = 4.0 * np.maximum(1.0, arg_top * np.log(np.maximum(arg_top, 3.0)))
+        amp = np.array([sf._amplification(a, b, x) for x in z.tolist()])
+        differ = np.flatnonzero(amp_np != amp)
+        edge = 1e-11 / (sf._EPS * np.sqrt(amp[differ] * amp_np[differ]))
+        for max_abs in (edge, edge * (1.0 + 1e-15), edge * (1.0 - 1e-15)):
+            self.check(a, b, z[differ], np.ones(differ.size), max_abs)
+
+    def test_seeded_grid(self):
+        rng = np.random.default_rng(2028)
+        for _ in range(40):
+            a = float(rng.uniform(0.3, 3.0))
+            b = float(rng.choice([0.5, 1.0, 2.0, 3.0, 7.5]))
+            z = rng.uniform(0.0, sf._series_radius(a, b), 300)
+            total, max_abs, converged = sf._series_float_array(a, b, z)
+            self.check(a, b, z[converged], total[converged], max_abs[converged])
+        # totals near the 1e-300 floor and tiny max |term|
+        z = np.full(5, 2.0)
+        self.check(1.5, 1.0, z, [0.0, 1e-310, -1e-300, 1e-290, 5e-324],
+                   [1e-300, 5e-324, 1e-289, 1e-290, 5e-324])
+
+
 class TestLargeB:
     """E_{a,b} for b far above the default switch radius: the radius keeps
     |z|^{1/a} >= 2|b|, where the algebraic terms have stopped growing."""
