@@ -25,6 +25,7 @@ from . import moments as mm
 from . import simulate as sim
 from .errors import InvalidParams, ResultOverflow, SpdeMomentsError, ValidationError
 from .model import (
+    _KV_FIELDS,
     ModelParams,
     big_theta,
     dalang_bound,
@@ -40,7 +41,6 @@ __all__ = ["main", "figure_rows", "figure_csv", "grid_spec", "locate_crossing"]
 
 # parameters of a model command without --config or model flags
 _DEFAULT_PARAMS = ModelParams(alpha=2.0, beta=1.0)
-_MODEL_FIELDS = tuple(f.name for f in dataclasses.fields(ModelParams))
 
 
 def _emit(text: str, out_path):
@@ -59,13 +59,9 @@ def _json_text(payload: dict) -> str:
         raise ResultOverflow("a result is not finite in double precision") from None
 
 
-def _emit_json(payload: dict, out_path):
-    _emit(_json_text(payload), out_path)
-
-
 def _emit_model_json(payload: dict, p: ModelParams, out_path, **tail):
     """payload, then the resolved "params", then the tail fields."""
-    _emit_json({**payload, "params": params_to_dict(p), **tail}, out_path)
+    _emit(_json_text({**payload, "params": params_to_dict(p), **tail}), out_path)
 
 
 def grid_spec(text: str) -> np.ndarray:
@@ -76,8 +72,12 @@ def grid_spec(text: str) -> np.ndarray:
         raise ValidationError(f"bad grid spec {text!r}, want start:stop:step") from exc
     if not (math.isfinite(start) and start <= stop < math.inf and 0 < step < math.inf):
         raise ValidationError(f"bad grid spec {text!r}")
-    n = int(round((stop - start) / step))
-    grid = start + step * np.arange(n + 1)
+    try:
+        grid = start + step * np.arange(int(round((stop - start) / step)) + 1)
+    except (OverflowError, ValueError):  # an infinite count, or numpy refuses the size
+        grid = np.empty(0)
+    if not grid.size:  # numpy also returns no elements for a size in [2**63, 2**64)
+        raise ValidationError(f"grid spec {text!r} has too many points")
     return grid[grid <= stop + 1e-12]
 
 
@@ -88,21 +88,21 @@ def _dalang_inequality(p: ModelParams) -> str:
     return f"d < {formula} = {dalang_bound(p):.17g}"
 
 
-# family -> (theta_big row gated on Dalang's condition rather than on a
-# finite spectral integral, curves); a curve is (series prefix, the
-# ModelParams fields at grid point x).  sheswe and tfspde differ only in
-# gamma(beta).  The library functions are looked up when a row is made, not
-# stored here, so that wrappers installed on the module are seen.
+# family -> (dest of its grid option, default grid, theta_big row gated on
+# Dalang's condition rather than on a finite spectral integral, curves); a
+# curve is (series prefix, the ModelParams fields at grid point x).  sheswe
+# and tfspde differ only in gamma(beta).  The library functions are looked
+# up when a row is made, not stored here, so that wrappers installed on the
+# module are seen.
 _FIGURE_FAMILIES = {
-    "sheswe": (False, [("", lambda x: dict(alpha=2.0, beta=x, gamma=0.0))]),
-    "tfspde": (False, [("", lambda x: dict(alpha=2.0, beta=x, gamma=math.ceil(x) - x))]),
-    "sfhe": (
-        True,
-        [
-            ("sfhe_", lambda x: dict(alpha=x, beta=1.0, gamma=0.0)),
-            ("sfwe_", lambda x: dict(alpha=x, beta=2.0, gamma=0.0)),
-        ],
-    ),
+    "sheswe": ("beta_grid", "0.01:2.0:0.01", False,
+               [("", lambda x: dict(alpha=2.0, beta=x, gamma=0.0))]),
+    "tfspde": ("beta_grid", "0.01:2.0:0.01", False,
+               [("", lambda x: dict(alpha=2.0, beta=x, gamma=math.ceil(x) - x))]),
+    "sfhe": ("alpha_grid", "1.05:5:0.05", True, [
+        ("sfhe_", lambda x: dict(alpha=x, beta=1.0, gamma=0.0)),
+        ("sfwe_", lambda x: dict(alpha=x, beta=2.0, gamma=0.0)),
+    ]),
 }
 
 
@@ -110,7 +110,7 @@ def figure_rows(family: str, nu: float, lam: float, grid) -> list[tuple]:
     """(x, y, series) rows for the parameter-sweep figure families."""
     if family not in _FIGURE_FAMILIES:
         raise ValidationError(f"unknown figure family {family!r}")
-    dalang_gated, curves = _FIGURE_FAMILIES[family]
+    _, _, dalang_gated, curves = _FIGURE_FAMILIES[family]
     rows = []
     for x in grid:
         x = float(x)
@@ -163,7 +163,7 @@ def _resolve_params(ns: argparse.Namespace) -> ModelParams:
         params = params_from_kv(Path(ns.config).read_text()) if ns.config else _DEFAULT_PARAMS
     except OSError as exc:
         raise InvalidParams(f"cannot read config file {ns.config!r}: {exc.strerror}") from exc
-    flags = {k: getattr(ns, k) for k in _MODEL_FIELDS if getattr(ns, k) is not None}
+    flags = {k: getattr(ns, k) for k in _KV_FIELDS.values() if getattr(ns, k) is not None}
     return dataclasses.replace(params, **flags)
 
 
@@ -191,7 +191,13 @@ def _cmd_constants(ns) -> int:
 def _moment_grid(ns) -> np.ndarray:
     if not 0 < ns.t_max < math.inf or ns.n_points < 2:
         raise ValidationError("need a finite t_max > 0 and at least 2 grid points")
-    return np.arange(1, ns.n_points + 1) * (ns.t_max / ns.n_points)
+    try:
+        steps = np.arange(1, ns.n_points + 1)
+    except ValueError:  # numpy refuses the size
+        steps = np.empty(0)
+    if not steps.size:  # numpy also returns no elements for a size in [2**63, 2**64)
+        raise ValidationError(f"--n-points {ns.n_points} is too large")
+    return steps * (ns.t_max / ns.n_points)
 
 
 def _curve_text(curve: mm.MomentCurve, fmt: str) -> str:
@@ -310,23 +316,20 @@ def _cmd_simulate(ns) -> int:
     simulate = sim.simulate_she if ns.family == "she" else sim.simulate_swe
     out = simulate(p, cfg, probes)
     _emit(_curve_text(out.curve, ns.format), ns.out)
-    sidecar = {key: out.meta[key] for key in ("n_paths", "seed", "dx", "dt", "stderr", "scheme")}
+    sidecar = dict(n_paths=cfg.n_paths, seed=cfg.seed, dx=cfg.dx, dt=cfg.dt,
+                   stderr=out.curve.stderr.tolist(), scheme=out.scheme)
     _emit_model_json(sidecar, p, sidecar_path)
     return 0
 
 
-_GRID_DEFAULT = {"beta_grid": "0.01:2.0:0.01", "alpha_grid": "1.05:5:0.05"}
-
-
 def _cmd_figures(ns) -> int:
-    read, unread = "beta_grid", "alpha_grid"
-    if ns.family == "sfhe":
-        read, unread = unread, read
-    if getattr(ns, unread) is not None:
-        flag = unread.replace("_", "-")
-        raise ValidationError(f"--{flag} does not apply to --family {ns.family}")
+    read, default, *_ = _FIGURE_FAMILIES[ns.family]
+    for dest, *_ in _FIGURE_FAMILIES.values():
+        if dest != read and getattr(ns, dest) is not None:
+            flag = dest.replace("_", "-")
+            raise ValidationError(f"--{flag} does not apply to --family {ns.family}")
     spec = getattr(ns, read)
-    grid = grid_spec(_GRID_DEFAULT[read] if spec is None else spec)
+    grid = grid_spec(default if spec is None else spec)
     rows = figure_rows(ns.family, ns.nu, ns.lam, grid)
     _emit(figure_csv(ns.family, ns.nu, ns.lam, rows), ns.out)
     return 0
@@ -338,9 +341,8 @@ def _command(sub, name: str, handler, model: bool = True) -> argparse.ArgumentPa
     sp.set_defaults(handler=handler)
     if model:
         sp.add_argument("--config", help="flat key=value parameter file")
-        for field in _MODEL_FIELDS:
-            flag = "--lambda" if field == "lam" else f"--{field}"
-            sp.add_argument(flag, dest=field, type=int if field == "dim" else float)
+        for key, field in _KV_FIELDS.items():
+            sp.add_argument(f"--{key}", dest=field, type=int if field == "dim" else float)
     sp.add_argument("--out", help="output file (default: stdout)")
     return sp
 
@@ -402,8 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", choices=list(_FIGURE_FAMILIES), required=True)
     sp.add_argument("--nu", type=float, default=1.0)
     sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    sp.add_argument("--beta-grid", dest="beta_grid")  # defaults in _GRID_DEFAULT
-    sp.add_argument("--alpha-grid", dest="alpha_grid")
+    for dest in dict.fromkeys(dest for dest, *_ in _FIGURE_FAMILIES.values()):
+        sp.add_argument("--" + dest.replace("_", "-"), dest=dest)
     return ap
 
 

@@ -13,14 +13,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import specialfn as sf
 from .errors import InvalidParams, NotBalanced, TooLarge, finite_or_overflow
-from .model import ModelParams, derived_constants
+from .model import ModelParams, _require_integer, derived_constants
 
 __all__ = [
     "Partition",
@@ -234,11 +233,8 @@ def enumerate_balanced(partition: Partition, p: int, m: int) -> list[FeynmanDiag
 
 def count_balanced(p: int, m: int) -> int:
     """Total number of balanced diagrams over all balanced partitions."""
-    total = 0
-    for part in balanced_partitions(p, m):
-        m_p, r_p = _balance_data(p, m)
-        total += math.factorial(p // 2) ** m_p * math.factorial(r_p // 2)
-    return total
+    parts = balanced_partitions(p, m)
+    return len(parts) * count_lower_bound(p, m) if parts else 0
 
 
 def count_lower_bound(p: int, m: int) -> int:
@@ -264,17 +260,22 @@ def crossing_vanishes(diagram: FeynmanDiagram) -> bool:
     return False
 
 
-def chaos_term(p: ModelParams, t: float, k: int) -> float:
-    """k-th Wiener-chaos contribution to E[u^2] for constant initial data
-    (u1 = 0): u0^2 (lambda^2 Theta Gamma(theta+1))^k t^{k(theta+1)}
-    / Gamma(k(theta+1) + 1)."""
+def _chaos_constants(p: ModelParams, t: float, k: int):
+    """The derived constants of p, after the checks the chaos terms share."""
     dc = derived_constants(p)
     if p.u1 != 0.0:
         raise InvalidParams("chaos terms implemented for u1 = 0")
     if not 0 < t < math.inf:
         raise InvalidParams(f"t must be > 0 and finite, got {t}")
-    if k < 0 or int(k) != k:
-        raise InvalidParams("k must be a nonnegative integer")
+    _require_integer("k", k, 0)
+    return dc
+
+
+def chaos_term(p: ModelParams, t: float, k: int) -> float:
+    """k-th Wiener-chaos contribution to E[u^2] for constant initial data
+    (u1 = 0): u0^2 (lambda^2 Theta Gamma(theta+1))^k t^{k(theta+1)}
+    / Gamma(k(theta+1) + 1)."""
+    dc = _chaos_constants(p, t, k)
     if k == 0:
         return p.u0**2
     n = k * (dc.theta + 1.0)
@@ -311,19 +312,11 @@ def chaos_term_mc(
     square integrable for every theta > -1 (plain uniform sampling has
     infinite variance once theta <= -1/2).
     """
-    dc = derived_constants(p)
-    if p.u1 != 0.0:
-        raise InvalidParams("chaos terms implemented for u1 = 0")
-    if not 0 < t < math.inf:
-        raise InvalidParams(f"t must be > 0 and finite, got {t}")
-    if k < 0 or int(k) != k:
-        raise InvalidParams("k must be a nonnegative integer")
+    dc = _chaos_constants(p, t, k)
     if k > 4:
         raise TooLarge("Monte Carlo chaos check capped at k = 4")
-    if not isinstance(samples, numbers.Integral) or samples < 2:
-        raise InvalidParams(f"samples must be an integer >= 2, got {samples!r}")
-    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
-        raise InvalidParams(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    _require_integer("samples", samples, 2)
+    _require_integer("seed", seed, 0, 2**64)
     if k == 0:
         return p.u0**2, 0.0
     th = dc.theta

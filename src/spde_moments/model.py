@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -138,6 +139,13 @@ def _require_order(pp: float):
         raise InvalidParams(f"moment order must be >= 2 and finite, got {pp}")
 
 
+def _require_integer(name: str, value, lo: int, hi: int | None = None):
+    """InvalidParams unless value is an integer (a numbers.Integral) in [lo, hi)."""
+    if not (isinstance(value, numbers.Integral) and lo <= value and (hi is None or value < hi)):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise InvalidParams(f"{name} must be an integer {span}, got {value!r}")
+
+
 def _require_dalang(p: ModelParams):
     if not dalang_satisfied(p):
         raise DalangViolated(
@@ -164,11 +172,6 @@ def theta_integral_finite(p: ModelParams) -> bool:
 def _sphere_area(d: int) -> float:
     # surface area of the unit sphere S^{d-1}
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
-def _asym_coeffs(beta: float, b: float, n: int):
-    # E_{beta,b}(-x) ~ sum_k (-1)^{k+1} c_k x^{-k}, c_k = 1/Gamma(b - beta k)
-    return [sf.rgamma(b - beta * k) for k in range(1, n + 1)]
 
 
 _N_ALG = 10  # algebraic terms kept in the tail expansion of _radial_j
@@ -228,13 +231,14 @@ def _radial_j(alpha: float, beta: float, gam: float, d: int, epsabs: float = 1e-
     k pi/s of the saddle oscillation (beta > 1), ml's switch radius u_s and
     u_c.
 
-    Cut: |R| <= sum_j R_j, R_j = 2 |c_j| u^{-sigma j}, c_j = 1/Gamma(b -
-    beta j), over j = _N_ALG + 1, _N_ALG + 2: one of the two may be zero
-    (or, after rounding, nearly zero) at a Gamma pole, and both are zero
-    only where the series terminates.  Each piece of 2(S + A) R_j and
-    2 R_j^2 (which bound 2(S + A)R + R^2) is bounded by k u_c^{-e}: a power
-    law by its integral, an oscillating piece (|lam| = 1) by twice its
-    envelope at u_c.  u_c is the least u >= u_s at which each bound is at
+    Cut: |R| <= sum_j R_j, R_j = 2 |c_j| u^{-sigma j}, over j = _N_ALG + 1,
+    _N_ALG + 2, where c_j = 1/Gamma(b - beta j) is read, as A's are, from
+    ml's row of the asymptotic series (specialfn._ASYM_RGAMMA at (beta, b)):
+    one of the two may be zero (or, after rounding, nearly zero) at a Gamma
+    pole, and both are zero only where the series terminates.  Each piece
+    of 2(S + A) R_j and 2 R_j^2 (which bound 2(S + A)R + R^2) is bounded by
+    k u_c^{-e}: a power law by its integral, an oscillating piece (|lam| = 1)
+    by twice its envelope at u_c.  u_c is the least u >= u_s at which each bound is at
     most its share of _CUT_TOL times the head up to u_s, a lower bound on J.
 
     Error budget: the quad error estimates of all panels, the bounds at u_c
@@ -249,13 +253,14 @@ def _radial_j(alpha: float, beta: float, gam: float, d: int, epsabs: float = 1e-
     q = sigma * d / alpha - 1.0
     c = sf._sinpi(1.0 / beta - 0.5)
     s = sf._sinpi(1.0 / beta)
+    coeffs = sf._ASYM_RGAMMA.get((beta, b), _N_ALG + 3)
     terms = [  # (a, p, lam) of E ~ sum a u^p e^{lam u}
         (w / beta * zeta ** (1.0 - b), 1.0 - b, complex(-c, math.copysign(s, zeta.imag)))
         for w, zeta in sf._saddle_points(beta, math.pi, 1.0)
     ] + [
-        ((-1) ** (k + 1) * ck, -sigma * k, 0.0)
-        for k, ck in enumerate(_asym_coeffs(beta, b, _N_ALG), 1)
-        if ck
+        ((-1) ** (k + 1) * coeffs[k], -sigma * k, 0.0)
+        for k in range(1, _N_ALG + 1)
+        if coeffs[k]
     ]
 
     def f(r: float) -> float:
@@ -283,7 +288,7 @@ def _radial_j(alpha: float, beta: float, gam: float, d: int, epsabs: float = 1e-
         )
     bounds = []  # (k, e): k u_c^{-e}
     for j in (_N_ALG + 1, _N_ALG + 2):
-        r_j = 2.0 * abs(sf.rgamma(b - beta * j))
+        r_j = 2.0 * abs(coeffs[j])
         for a, p, lam in terms + [(r_j, -sigma * j, 0.0)] if r_j else []:
             e = sigma * j - p - q - (0.0 if lam else 1.0)
             bounds.append(((4.0 if lam else 2.0 / e) * abs(a) * r_j, e))

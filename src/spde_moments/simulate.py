@@ -23,7 +23,7 @@ import numpy as np
 import numpy.random  # loaded with the module, not by the first simulator call
 
 from .errors import DomainTooSmall, InvalidParams, StabilityViolated
-from .model import ModelParams, j0
+from .model import ModelParams, _require_integer, j0
 from .moments import MomentCurve
 
 __all__ = [
@@ -46,10 +46,8 @@ class SimConfig:
             raise InvalidParams("dx, dt, t_end must be positive and finite")
         if not 0 < self.domain_half_width < math.inf:
             raise InvalidParams("domain_half_width must be positive and finite")
-        if self.n_paths < 2:
-            raise InvalidParams("need at least 2 paths")
-        if self.seed < 0 or self.seed >= 2**64:
-            raise InvalidParams("seed must fit in 64 bits")
+        _require_integer("n_paths", self.n_paths, 2)
+        _require_integer("seed", self.seed, 0, 2**64)
         if abs(self.domain_half_width / self.dx - round(self.domain_half_width / self.dx)) > 1e-9:
             raise InvalidParams("domain_half_width must be a multiple of dx")
 
@@ -59,7 +57,7 @@ class SimOutput:
     curve: MomentCurve          # empirical E[u(t, 0)^2] with stderr
     mean: np.ndarray            # empirical E[u(t, 0)]
     mean_stderr: np.ndarray
-    meta: dict
+    scheme: str                 # the scheme's name, echoed in the simulate sidecar
 
 
 def _probe_steps(cfg: SimConfig, probes: Sequence[float]) -> list[int]:
@@ -89,16 +87,7 @@ def _probe_output(
     curve = MomentCurve(
         np.asarray(probes, dtype=float), np.mean(sq, axis=1), "monte-carlo", p, stderr=err
     )
-    meta = {
-        "scheme": scheme,
-        "n_paths": cfg.n_paths,
-        "seed": cfg.seed,
-        "dx": cfg.dx,
-        "dt": cfg.dt,
-        "domain_half_width": cfg.domain_half_width,
-        "stderr": err.tolist(),
-    }
-    return SimOutput(curve, np.mean(x, axis=1), np.std(x, axis=1, ddof=1) / root_n, meta)
+    return SimOutput(curve, np.mean(x, axis=1), np.std(x, axis=1, ddof=1) / root_n, scheme)
 
 
 def _she_grid(p: ModelParams, cfg: SimConfig, probes: Sequence[float]):

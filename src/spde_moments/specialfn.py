@@ -128,7 +128,8 @@ def normal_cdf(x: float) -> float:
 # Series or contour for |z| below a switch radius, asymptotics beyond.  The
 # asymptotic branch combines the algebraic series sum_k z^{-k}/Gamma(b - a k)
 # with the exponential terms (1/a) zeta^{1-b} exp(zeta) over the saddle directions
-# zeta = |z|^{1/a} exp(i (arg z + 2 pi n)/a), |(arg z + 2 pi n)/a| <= pi.
+# zeta = |z|^{1/a} exp(i (arg z + 2 pi n)/a), |(arg z + 2 pi n)/a| <= pi
+# (`_saddle_points`), which are also the poles of the contour's integrand.
 # Directions landing exactly on the anti-Stokes angle +-pi carry weight 1/2.
 # The exponentially small directions matter at double precision even though
 # they are asymptotically invisible; dropping them breaks e.g. the cosh
@@ -499,16 +500,12 @@ def _ml_contour(a: float, b: float, z: float):
     truncation target.  None when no admissible region meets the target
     within _CONTOUR_MAX_N nodes per side.
     """
-    theta = 0.0 if z > 0 else math.pi
-    w = abs(z) ** (1.0 / a)
-    k_lo = math.ceil(-a / 2.0 - theta / (2.0 * math.pi))
-    k_hi = math.floor(a / 2.0 - theta / (2.0 * math.pi))
-    # poles s_k = |z|^{1/a} e^{i(arg z + 2 pi k)/a} in the principal sheet,
-    # ordered by phi(s) = (Re s + |s|)/2, the mu of the parabola through s;
-    # poles on the negative axis (phi = 0) are always enclosed
+    # the poles s^a = z in the principal sheet are the saddle points of the
+    # asymptotic branch, ordered by phi(s) = (Re s + |s|)/2, the mu of the
+    # parabola through s; poles on the negative axis (phi = 0, also those
+    # _saddle_points admits up to 1e-12 past it) are always enclosed
     poles = []
-    for k in range(k_lo, k_hi + 1):
-        s = w * cmath.exp(1j * (theta + 2.0 * math.pi * k) / a)
+    for _, s in _saddle_points(a, 0.0 if z > 0 else math.pi, abs(z) ** (1.0 / a)):
         phi = 0.5 * (s.real + abs(s))
         if phi > 1e-15:
             poles.append((phi, s))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -82,6 +83,12 @@ class TestCheckDalang:
         ("lyapunov", "--lambda", "nan"),
         ("second-moment", "--u0", "nan"),
         ("constants", "--gamma", "nan"),
+        # sizes numpy refuses at once, or (2**63) turns into an empty array
+        ("figures", "--family", "sheswe", "--beta-grid", "0.1:0.2:1e-300"),
+        ("figures", "--family", "sheswe", "--beta-grid", "0:1:1e-19"),
+        ("figures", "--family", "sheswe", "--beta-grid=-1e308:1e308:1"),
+        ("second-moment", "--n-points", "100000000000000000000"),
+        ("second-moment", "--n-points", str(2**63)),
     ],
     ids=" ".join,
 )
@@ -518,3 +525,85 @@ class TestReadmeExamples:
     def test_example_parses(self, argv):
         ns = _build_parser().parse_args(argv)
         assert ns.command == argv[0]
+
+
+# every settable option of every subcommand, (flag, dest, type, default,
+# choices), in the parser's order: 113 (subcommand, flag) pairs
+_MODEL_OPTIONS = [
+    ("--config", "config", None, None, None),
+    ("--alpha", "alpha", float, None, None),
+    ("--beta", "beta", float, None, None),
+    ("--gamma", "gamma", float, None, None),
+    ("--lambda", "lam", float, None, None),
+    ("--nu", "nu", float, None, None),
+    ("--dim", "dim", int, None, None),
+    ("--u0", "u0", float, None, None),
+    ("--u1", "u1", float, None, None),
+    ("--out", "out", None, None, None),
+]
+_OPTIONS = {
+    "check-dalang": _MODEL_OPTIONS,
+    "constants": _MODEL_OPTIONS,
+    "second-moment": _MODEL_OPTIONS + [
+        ("--t-max", "t_max", float, 1.0, None),
+        ("--format", "format", None, "csv", ["csv", "json"]),
+        ("--n-points", "n_points", int, 256, None),
+    ],
+    "volterra": _MODEL_OPTIONS + [
+        ("--t-max", "t_max", float, 1.0, None),
+        ("--format", "format", None, "csv", ["csv", "json"]),
+        ("--n-points", "n_points", int, 256, None),
+        ("--rtol", "rtol", float, None, None),
+    ],
+    "lyapunov": _MODEL_OPTIONS,
+    "pth-bound": _MODEL_OPTIONS + [
+        ("--p", "p", float, 2.0, None),
+        ("--t", "t", float, 1.0, None),
+    ],
+    "chaos": _MODEL_OPTIONS + [
+        ("--t", "t", float, 1.0, None),
+        ("--k", "k", int, 4, None),
+        ("--mc-samples", "mc_samples", int, None, None),
+        ("--seed", "seed", int, 0, None),
+    ],
+    "diagrams": [
+        ("--out", "out", None, None, None),
+        ("--partition", "partition", cli.partition_sizes, None, None),
+        ("--p", "p", int, None, None),
+        ("--m", "m", int, None, None),
+        ("--count-only", "count_only", None, False, None),
+    ],
+    "simulate": _MODEL_OPTIONS + [
+        ("--family", "family", None, None, ["she", "swe"]),
+        ("--t-max", "t_max", float, 0.5, None),
+        ("--format", "format", None, "csv", ["csv", "json"]),
+        ("--probes", "probes", float, None, None),
+        ("--dx", "dx", float, 0.02, None),
+        ("--dt", "dt", float, None, None),
+        ("--domain-half-width", "domain_half_width", float, 1.2, None),
+        ("--paths", "paths", int, 10000, None),
+        ("--seed", "seed", int, 0, None),
+    ],
+    "figures": [
+        ("--out", "out", None, None, None),
+        ("--family", "family", None, None, ["sheswe", "tfspde", "sfhe"]),
+        ("--nu", "nu", float, 1.0, None),
+        ("--lambda", "lam", float, 1.0, None),
+        ("--beta-grid", "beta_grid", None, None, None),
+        ("--alpha-grid", "alpha_grid", None, None, None),
+    ],
+}
+
+
+def test_option_inventory():
+    (sub,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found = {
+        name: [
+            (" ".join(a.option_strings), a.dest, a.type, a.default, a.choices)
+            for a in sp._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, sp in sub.choices.items()
+    }
+    assert found == _OPTIONS
+    assert sum(map(len, found.values())) == 113

@@ -295,6 +295,15 @@ class TestChaos:
     def test_level_zero(self):
         assert dg.chaos_term(SHE, 1.0, 0) == 1.0
 
+    @pytest.mark.parametrize("k", [2.0, -1, math.inf, math.nan])
+    def test_level_is_a_nonnegative_integer(self, k):
+        # both chaos functions share one check: a float level, inf and nan
+        # included, is InvalidParams and not a raw TypeError or ValueError
+        with pytest.raises(InvalidParams):
+            dg.chaos_term(SHE, 1.0, k)
+        with pytest.raises(InvalidParams):
+            dg.chaos_term_mc(SHE, 1.0, k, 10, 0)
+
     def test_overflow(self):
         with pytest.raises(ResultOverflow):
             dg.chaos_term(ModelParams(2, 1, lam=1e100), 1.0, 4)

@@ -23,6 +23,14 @@ class TestConfig:
         with pytest.raises(InvalidParams):
             SimConfig(dx=0.03, dt=0.01, domain_half_width=1.0, t_end=1, n_paths=10, seed=1)
 
+    @pytest.mark.parametrize(
+        "n_paths,seed", [(10, 1.5), (100.5, 1), (math.nan, 1), (10, math.nan), (10, 2**64)]
+    )
+    def test_paths_and_seed_are_integers(self, n_paths, seed):
+        with pytest.raises(InvalidParams):
+            SimConfig(dx=0.1, dt=0.002, domain_half_width=0.6, t_end=0.02, n_paths=n_paths,
+                      seed=seed)
+
     def test_cfl_guard(self):
         cfg = SimConfig(dx=0.1, dt=0.01, domain_half_width=1.0, t_end=0.1, n_paths=10, seed=1)
         with pytest.raises(StabilityViolated):

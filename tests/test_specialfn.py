@@ -280,6 +280,37 @@ class TestContour:
         with pytest.raises(ConvergenceFailure, match="-1.0152"):
             sf.ml(0.005, 0.005, -1.0152)
 
+    def test_poles_are_the_saddle_points(self, monkeypatch):
+        # the contour's poles come from _saddle_points; the reference is the
+        # enumeration it replaced, k = k_lo..k_hi in ascending order, put in
+        # its place: value and sum of |terms| agree bit for bit
+        def loop_poles(a, arg, w):
+            k_lo = math.ceil(-a / 2.0 - arg / (2.0 * math.pi))
+            k_hi = math.floor(a / 2.0 - arg / (2.0 * math.pi))
+            for k in range(k_lo, k_hi + 1):
+                yield 1.0, w * cmath.exp(1j * (arg + 2.0 * math.pi * k) / a)
+
+        rng = np.random.default_rng(31)
+        a = [1.0, 2.0, 3.0, 4.0, *rng.uniform(0.05, 6.0, 2996).tolist()]
+        b = rng.uniform(-2.0, 8.0, 3000)
+        z = rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-3.0, math.log10(3e3), 3000)
+        draws = list(zip(a, b.tolist(), z.tolist()))
+
+        def contours():
+            # repr tells every two floats apart that differ in their bits, but NaNs
+            out = []
+            for draw in draws:
+                try:
+                    out.append(repr(sf._ml_contour(*draw)))
+                except OverflowError:  # a residue's exp beyond the double range
+                    out.append("overflow")
+            return out
+
+        got = contours()
+        monkeypatch.setattr(sf, "_saddle_points", loop_poles)
+        assert got == contours()
+        assert sum(v.startswith("(") for v in got) > 1500
+
 
 def _same_bits(values, ref):
     return np.array_equal(np.asarray(values).view(np.int64), np.asarray(ref, dtype=float).view(np.int64))
