@@ -3,9 +3,9 @@
 
 Prints, for one (a, b, z) per branch of `specialfn.ml`, the branches the
 call went through and its median time in microseconds, once with the Gamma
-tables warm and once with every table cleared before each call.  Then
+caches warm and once with every cache cleared before each call.  Then
 prints the median time of a cold Theta integral (`model._radial_j`, its
-cache and the Gamma tables cleared before each run) at the ROADMAP points
+cache and the Gamma caches cleared before each run) at the ROADMAP points
 (alpha, beta) = (2, 0.5), (2, 1.3), (2, 1.7), (2, 1.95) and (4, 2) in d = 3,
 with the number of `ml` calls each makes.  Last, the median time of one
 Volterra solve (`moments._volterra_solve` by recursive halving, 8192 and
@@ -70,9 +70,8 @@ _ROUTES = {
 
 
 def clear_tables():
-    # a tree without the tables (before they were added) has nothing to clear
-    for table in getattr(sf, "_TABLES", ()):
-        table.clear()
+    for cache in sf._CACHES:
+        cache.cache_clear()
 
 
 def route(a, b, z) -> str:
@@ -176,7 +175,7 @@ def main() -> int:
     print("scalar ml per branch (median us)")
     print(f"{'branch':<20} {'a':>5} {'b':>5} {'z':>9}  {'route':<16} {'warm':>8} {'cold':>8}")
     for label, a, b, z in BRANCH_POINTS:
-        sf.ml(a, b, z)  # fill the tables for the warm runs
+        sf.ml(a, b, z)  # fill the caches for the warm runs
         warm = median_us(lambda: sf.ml(a, b, z), args.repeat)
         cold = median_us(lambda: sf.ml(a, b, z), args.repeat, before=clear_tables)
         print(f"{label:<20} {a:>5g} {b:>5g} {z:>9.4g}  {route(a, b, z):<16} {warm:>8.1f} {cold:>8.1f}")

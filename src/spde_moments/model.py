@@ -174,7 +174,7 @@ def _sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-_N_ALG = 10  # algebraic terms kept in the tail expansion of _radial_j
+_N_ALG = 10  # algebraic terms in _radial_j's tail; c_0..c_{_N_ALG + 2} fit one 32-entry chunk
 _CUT_TOL = 1e-14  # share of J allowed to the dropped algebraic terms
 _IBP_MIN = 20.0  # |lam| u from which _tail_piece integrates by parts
 
@@ -233,7 +233,7 @@ def _radial_j(alpha: float, beta: float, gam: float, d: int, epsabs: float = 1e-
 
     Cut: |R| <= sum_j R_j, R_j = 2 |c_j| u^{-sigma j}, over j = _N_ALG + 1,
     _N_ALG + 2, where c_j = 1/Gamma(b - beta j) is read, as A's are, from
-    ml's row of the asymptotic series (specialfn._ASYM_RGAMMA at (beta, b)):
+    the first chunk of ml's asymptotic row (specialfn._asym_rgamma(beta, b, 0)):
     one of the two may be zero (or, after rounding, nearly zero) at a Gamma
     pole, and both are zero only where the series terminates.  Each piece
     of 2(S + A) R_j and 2 R_j^2 (which bound 2(S + A)R + R^2) is bounded by
@@ -253,7 +253,7 @@ def _radial_j(alpha: float, beta: float, gam: float, d: int, epsabs: float = 1e-
     q = sigma * d / alpha - 1.0
     c = sf._sinpi(1.0 / beta - 0.5)
     s = sf._sinpi(1.0 / beta)
-    coeffs = sf._ASYM_RGAMMA.get((beta, b), _N_ALG + 3)
+    coeffs = sf._asym_rgamma(beta, b, 0)
     terms = [  # (a, p, lam) of E ~ sum a u^p e^{lam u}
         (w / beta * zeta ** (1.0 - b), 1.0 - b, complex(-c, math.copysign(s, zeta.imag)))
         for w, zeta in sf._saddle_points(beta, math.pi, 1.0)

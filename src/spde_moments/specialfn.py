@@ -39,22 +39,21 @@ checked bit for bit on the oracle grids of tests/test_specialfn.py.
 The Gamma factors of the three series, 1/Gamma(a k + b), 1/Gamma(b - a k)
 and mpmath's Gamma(a k + b) at each working precision, depend on (a, b)
 alone: the Theta quadrature calls `ml` a hundred times and more at one
-(a, b).  They are kept in bounded LRU tables (`_Rows`) and grown on demand;
-a row is an immutable tuple, replaced by a longer one under a lock, so a
-reader never sees a row change.
+(a, b).  Bounded `functools.lru_cache`s keep them as tuples: the float
+series' row whole, the other two rows in chunks of 32 entries.
 
-The functions are pure apart from those tables and safe to call from any
-number of threads: the mpmath series passes its precision to each
-operation and never sets mpmath's process-wide one.
+The functions are pure apart from those caches and safe to call from any
+number of threads: two threads may fill one cache entry, with equal tuples,
+and the mpmath series passes its precision to each operation and never
+sets mpmath's process-wide one.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import threading
 import warnings
-from collections import OrderedDict
+from functools import lru_cache
 
 import numpy as np
 from mpmath import libmp
@@ -149,105 +148,60 @@ def _series_radius(a: float, b: float = 0.0) -> float:
     return max(30.0, 29.0**a, (2.0 * abs(b)) ** a)
 
 
-class _Rows:
-    """Rows key -> (entry 0, entry 1, ...) that depend on the key alone,
-    kept in a bounded LRU map and grown on demand, 32 entries at a time,
-    to at most `limit` entries; `entries(key, start, stop)` computes
-    entries start..stop - 1 and returns fewer where the row ends.
-
-    A row is an immutable tuple.  Growing one publishes a new, longer tuple
-    under the lock, so a caller still reading the old one is undisturbed;
-    rows are filled outside the lock, and two threads filling the same row
-    publish equal entries.
-    """
-
-    def __init__(self, entries, limit: int, maxsize: int):
-        self._entries = entries
-        self._limit = limit
-        self.maxsize = maxsize
-        self._rows = OrderedDict()  # key -> (row, ended)
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def clear(self):
-        with self._lock:
-            self._rows.clear()
-
-    def get(self, key, n: int) -> tuple:
-        """The row of key with at least min(n, limit) entries, or all of it
-        where it ends before."""
-        with self._lock:
-            held = self._rows.get(key)
-            if held is not None:
-                self._rows.move_to_end(key)
-        row, ended = held or ((), False)
-        if ended or len(row) >= n:
-            return row
-        stop = min(self._limit, max(n, len(row) + 32))
-        new = self._entries(key, len(row), stop)
-        ended = stop == self._limit or len(new) < stop - len(row)
-        row += tuple(new)
-        with self._lock:
-            held = self._rows.get(key)
-            if held is None or len(held[0]) < len(row):
-                self._rows[key] = (row, ended)
-            self._rows.move_to_end(key)
-            if len(self._rows) > self.maxsize:
-                self._rows.popitem(last=False)
-        return row
-
-
 _FLOAT_TERMS = 600  # term cap of the float series
 _ASYM_TERMS = 4000  # term cap of the algebraic asymptotic series
 _MP_TERMS = 8000  # term cap of the mpmath series
 _RND = libmp.round_nearest  # the rounding of mpmath's arithmetic
+_CHUNK = 32  # entries per cached chunk of the asymptotic and mpmath rows
+
+# The Gamma factors of the three series: nearby z of one Theta quadrature
+# cancel alike, so mpmath calls repeat a precision (on the `sweep` benchmark
+# about 60 % of the mpmath Gamma values read are hits).  Every reader of the
+# float row reads all of it; the other rows grow with their sums' reach.
+# Sizes: a cold `sweep` op fills 1 row, at most 16 asymptotic and 45 mpmath
+# chunks, and the keys hold beta, so a figure grid reuses nothing across its
+# points; 64 rows, 512 and 256 chunks hold several ops' traffic.
 
 
-def _series_entries(key, start, stop):
-    # rgamma(a k + b), up to the first argument at _RGAMMA_ZERO
-    a, b = key
+@lru_cache(maxsize=64)
+def _series_rgamma(a: float, b: float) -> tuple:
+    """rgamma(a k + b) for k < _FLOAT_TERMS, up to the first argument at
+    _RGAMMA_ZERO."""
     out = []
-    for k in range(start, stop):
+    for k in range(_FLOAT_TERMS):
         arg = a * k + b
         if arg >= _RGAMMA_ZERO:
             break
         out.append(rgamma(arg))
-    return out
+    return tuple(out)
 
 
-def _asym_entries(key, start, stop):
-    a, b = key
-    return [rgamma(b - a * k) for k in range(start, stop)]
+@lru_cache(maxsize=512)
+def _asym_rgamma(a: float, b: float, chunk: int) -> tuple:
+    """rgamma(b - a k) for k in [_CHUNK chunk, _CHUNK (chunk + 1))."""
+    return tuple(rgamma(b - a * k) for k in range(_CHUNK * chunk, _CHUNK * (chunk + 1)))
 
 
-def _mp_entries(key, start, stop):
-    # Gamma(a k + b) as raw mpmath numbers at `digits`, None at its poles;
-    # the argument is formed exactly: in double it picks up ~k eps, which
-    # psi(arg) amplifies into O(1) term errors
-    a, b, digits = key
+@lru_cache(maxsize=256)
+def _mp_gamma(a: float, b: float, digits: int, chunk: int) -> tuple:
+    """Gamma(a k + b) as raw mpmath numbers at `digits`, None at its poles,
+    for k in [_CHUNK chunk, _CHUNK (chunk + 1)); the argument is formed
+    exactly: in double it picks up ~k eps, which psi(arg) amplifies into
+    O(1) term errors."""
     prec = libmp.dps_to_prec(digits)
     am = libmp.from_float(a)
     bm = libmp.from_float(b)
     out = []
-    for k in range(start, stop):
+    for k in range(_CHUNK * chunk, _CHUNK * (chunk + 1)):
         arg = libmp.mpf_add(libmp.mpf_mul_int(am, k, prec, _RND), bm, prec, _RND)
         pole = libmp.mpf_le(arg, libmp.fzero) and libmp.mpf_eq(
             arg, libmp.mpf_floor(arg, prec, _RND)
         )
         out.append(None if pole else libmp.mpf_gamma(arg, prec, _RND))
-    return out
+    return tuple(out)
 
 
-# the Gamma factors of the three series, per (a, b) or (a, b, digits): the
-# Theta quadrature calls ml a hundred times and more at one (a, b), and
-# nearby z there cancel alike, so mpmath calls repeat a precision (on the
-# `sweep` benchmark about 60 % of the mpmath Gamma values read are hits)
-_SERIES_RGAMMA = _Rows(_series_entries, _FLOAT_TERMS, maxsize=64)
-_ASYM_RGAMMA = _Rows(_asym_entries, _ASYM_TERMS + 1, maxsize=64)
-_MP_GAMMA = _Rows(_mp_entries, _MP_TERMS, maxsize=16)
-_TABLES = (_SERIES_RGAMMA, _ASYM_RGAMMA, _MP_GAMMA)
+_CACHES = (_series_rgamma, _asym_rgamma, _mp_gamma)
 
 
 def _series_float(a: float, b: float, z: float):
@@ -262,7 +216,7 @@ def _series_float(a: float, b: float, z: float):
     comp = 0.0
     max_abs = 0.0
     zpow = 1.0
-    for k, rg in enumerate(_SERIES_RGAMMA.get((a, b), _FLOAT_TERMS)):
+    for k, rg in enumerate(_series_rgamma(a, b)):
         term = zpow * rg
         max_abs = max(max_abs, abs(term))
         y = term - comp
@@ -296,7 +250,7 @@ def _series_float_array(a: float, b: float, z: np.ndarray):
         keep = ~stop
         total, comp, max_abs, zpow, live = (v[keep] for v in (total, comp, max_abs, zpow, live))
 
-    for k, rg in enumerate(_SERIES_RGAMMA.get((a, b), _FLOAT_TERMS)):
+    for k, rg in enumerate(_series_rgamma(a, b)):
         term = zpow * rg
         max_abs = np.maximum(max_abs, np.abs(term))
         y = term - comp
@@ -327,7 +281,7 @@ def _peak_term(a: float, b: float, z: float) -> float:
     """
     peak = 0.0
     zpow = 1.0
-    for rg in _SERIES_RGAMMA.get((a, b), _FLOAT_TERMS):
+    for rg in _series_rgamma(a, b):
         term = abs(zpow * rg)
         if term < peak:
             break
@@ -393,12 +347,12 @@ def _series_mp(a: float, b: float, z: float, digits: int):
     zm = libmp.from_float(z)
     zpow = libmp.fone
     total = libmp.fzero
-    gammas = ()
     for k in range(_MP_TERMS):
-        if k >= len(gammas):
-            gammas = _MP_GAMMA.get((a, b, digits), k + 1)
-        if gammas[k] is not None:
-            term = libmp.mpf_div(zpow, gammas[k], prec, _RND)
+        if k % _CHUNK == 0:
+            gammas = _mp_gamma(a, b, digits, k // _CHUNK)
+        gamma_k = gammas[k % _CHUNK]
+        if gamma_k is not None:
+            term = libmp.mpf_div(zpow, gamma_k, prec, _RND)
             total = libmp.mpf_add(total, term, prec, _RND)
             # |term| < tol (|total| + tiny)
             bound = libmp.mpf_add(libmp.mpf_abs(total, prec, _RND), tiny, prec, _RND)
@@ -702,11 +656,10 @@ def _ml_asym(a: float, b: float, z: float):
     alg = 0.0
     comp = 0.0
     tiny_run = 0
-    rgs = ()
     for k in range(1, k_stop + 1):
-        if k >= len(rgs):
-            rgs = _ASYM_RGAMMA.get((a, b), k + 1)
-        rg = rgs[k]
+        if k == 1 or k % _CHUNK == 0:
+            rgs = _asym_rgamma(a, b, k // _CHUNK)
+        rg = rgs[k % _CHUNK]
         if rg == 0.0:
             continue
         term = rg * z ** (-k)

@@ -1,7 +1,9 @@
 import cmath
+import importlib.util
 import math
 import sys
 import threading
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -593,8 +595,8 @@ def _oracle_ml_series(a, b, z):
 
 
 def _clear_tables():
-    for table in sf._TABLES:
-        table.clear()
+    for cache in sf._CACHES:
+        cache.cache_clear()
 
 
 # (a, b) on both sides of a = 1 and 2 b - a - 1 = 0 (the contour's branch
@@ -703,14 +705,33 @@ class TestGammaTables:
 
     def test_tables_stay_within_bound(self):
         _clear_tables()
-        for i in range(sf._SERIES_RGAMMA.maxsize + 8):
+        series, asym, mp = (cache.cache_info().maxsize for cache in sf._CACHES)
+        for i in range(series + 8):
             a = 0.5 + i / 128.0
             sf.ml(a, 1.5, -0.5 * sf._series_radius(a, 1.5))
             sf.ml(a, 1.5, -1.5 * sf._series_radius(a, 1.5))
-        for digits in range(25, 25 + sf._MP_GAMMA.maxsize + 8):
+        # those ml calls fill fewer chunks than the bounds: fill the rest directly
+        for chunk in range(asym + 8):
+            sf._asym_rgamma(0.5, 1.5, chunk)
+        for digits in range(25, 25 + mp + 8):
             sf._series_mp(1.5, 1.0, -0.5, digits)
-        for table in sf._TABLES:
-            assert len(table) == table.maxsize
+        for chunk in range(mp + 8):
+            sf._mp_gamma(1.5, 1.0, 25, chunk)
+        for cache in sf._CACHES:
+            info = cache.cache_info()
+            assert info.currsize == info.maxsize
+
+    def test_ml_layers_script_clears_every_cache(self):
+        # its cold timings are cold only if clear_tables empties every cache
+        path = Path(__file__).resolve().parents[1] / "scripts" / "ml_layers.py"
+        spec = importlib.util.spec_from_file_location("ml_layers", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        for _, a, b, z in script.BRANCH_POINTS:
+            sf.ml(a, b, z)
+        assert all(cache.cache_info().currsize for cache in sf._CACHES)
+        script.clear_tables()
+        assert [cache.cache_info().currsize for cache in sf._CACHES] == [0, 0, 0]
 
 
 class TestMlLogGrowth:
