@@ -50,8 +50,10 @@ class Partition:
     n: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.n or any(int(v) != v or v < 1 for v in self.n):
-            raise InvalidParams("partition entries must be positive integers")
+        if not self.n:
+            raise InvalidParams("a partition needs at least one entry")
+        for v in self.n:
+            _require_integer("partition entry", v, 1)
         object.__setattr__(self, "n", tuple(int(v) for v in self.n))
 
     @property
@@ -162,10 +164,10 @@ def _extend_matchings(
 
 
 def _balance_data(p: int, m: int) -> tuple[int, int]:
-    if p < 2 or p % 2:
-        raise InvalidParams("p must be an even integer >= 2")
-    if m < 1:
-        raise InvalidParams("m must be a positive integer")
+    _require_integer("p", p, 2)
+    if p % 2:
+        raise InvalidParams(f"p must be even, got {p!r}")
+    _require_integer("m", m, 1)
     return (2 * m) // p, (2 * m) % p
 
 
@@ -350,10 +352,9 @@ def exp_tail_facts(n: int, a: float) -> dict:
     checks sum_{m>=n} (n^m/m!)^a >= exp(a n / 4) with witness constants
     c1 = 1, c2 = a/4.
     """
-    if n < 10 or int(n) != n:
-        raise InvalidParams("n must be an integer >= 10")
-    if a <= 0:
-        raise InvalidParams("a must be > 0")
+    _require_integer("n", n, 10)
+    if not 0 < a < math.inf:
+        raise InvalidParams(f"a must be > 0 and finite, got {a!r}")
     m = np.arange(0, n)
     logterms = m * math.log(n) - np.array([math.lgamma(v + 1.0) for v in m]) - n
     top = float(np.max(logterms))
@@ -370,8 +371,7 @@ def exp_tail_facts(n: int, a: float) -> dict:
 
 def stirling_sandwich_holds(n: int) -> bool:
     """sqrt(2 pi n)(n/e)^n < n! < 2 sqrt(2 pi n)(n/e)^n, in log space."""
-    if n < 1 or int(n) != n:
-        raise InvalidParams("n must be a positive integer")
+    _require_integer("n", n, 1)
     log_fact = math.lgamma(n + 1.0)
     log_lower = 0.5 * math.log(2.0 * math.pi * n) + n * (math.log(n) - 1.0)
     return log_lower < log_fact < log_lower + math.log(2.0)

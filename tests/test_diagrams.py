@@ -414,3 +414,34 @@ class TestExpTailFacts:
             dg.exp_tail_facts(5, 1.0)
         with pytest.raises(InvalidParams):
             dg.exp_tail_facts(100, 0.0)
+
+    @pytest.mark.parametrize("n", [math.inf, math.nan, 10.0])
+    def test_n_is_an_integer(self, n):
+        # inf and nan raised a raw OverflowError or ValueError; 10.0 passed
+        with pytest.raises(InvalidParams, match="^n must be an integer"):
+            dg.exp_tail_facts(n, 1.0)
+        with pytest.raises(InvalidParams, match="^n must be an integer"):
+            dg.stirling_sandwich_holds(n)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_a_is_finite(self, a):
+        with pytest.raises(InvalidParams, match="^a must be"):
+            dg.exp_tail_facts(10, a)
+
+
+class TestIntegerArguments:
+    """Partition entries, p and m go through model._require_integer: a
+    float, inf or nan is InvalidParams naming the argument, never a raw
+    error or a silent empty answer."""
+
+    @pytest.mark.parametrize("entry", [2.0, math.inf, math.nan])
+    def test_partition_entry(self, entry):
+        with pytest.raises(InvalidParams, match="^partition entry must be an integer"):
+            Partition((entry, 2))
+
+    @pytest.mark.parametrize("call", [dg.balanced_partitions, dg.count_balanced, dg.count_lower_bound])
+    @pytest.mark.parametrize("p, m, name", [(4, 2.5, "m"), (4, math.nan, "m"), (4.0, 2, "p"),
+                                            (math.inf, 2, "p")])
+    def test_balance_arguments(self, call, p, m, name):
+        with pytest.raises(InvalidParams, match=f"^{name} must be an integer"):
+            call(p, m)
