@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from spde_moments import cli
 from spde_moments import moments as mm
 from spde_moments.errors import DalangViolated, InvalidParams, ResultOverflow, StepTooCoarse
-from spde_moments.model import ModelParams, derived_constants, j0
+from spde_moments.model import ModelParams, dalang_satisfied, derived_constants, j0, theta
 
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -337,7 +338,10 @@ class TestVolterraHistory:
         else:
             values = np.array([float(row.split(",")[1]) for row in record["stdout"].splitlines()[2:]])
         assert values.size == grid.size
-        ref = _volterra_solve_negative_stride(p, float(grid[0]), grid.size)
+        # with rtol the CLI prints the half-step solve at the grid points
+        halves = 1 if ns.rtol is None else 2
+        ref = _volterra_solve_negative_stride(p, float(grid[0]) / halves, halves * grid.size)
+        ref = ref[halves - 1 :: halves]
         assert _max_rel(values, ref) <= 1e-12
 
     def test_bits_independent_of_blas_threads(self):
@@ -406,6 +410,45 @@ class TestVolterra:
         grid = np.arange(1, 513) * (1.0 / 512)
         curve = mm.volterra_second_moment(SHE, grid, rtol=1e-3)
         assert curve.method == "volterra"
+
+    def test_rtol_covers_the_returned_curve(self, capsys):
+        # the estimate reads 7.3e-4; the step-h curve is 1.093e-3 off the
+        # closed form, the returned step-h/2 one 3.63e-4
+        argv = ["volterra", "--alpha", "2", "--beta", "1", "--t-max", "12", "--n-points", "400",
+                "--rtol", "1e-3"]
+        assert cli.main(argv) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[2:]]
+        t, values = (np.array([float(row[i]) for row in rows]) for i in (0, 1))
+        assert t.size == 400
+        assert _max_rel(values, mm.second_moment(SHE, t)) <= 1e-3
+
+    def test_rtol_audit(self):
+        """On 40 seeded accepted curves, each is within rtol of the closed
+        form (returning the step-h curve instead misses on one of them)."""
+        rng = random.Random(0)
+        checked, failures = 0, []
+        for _ in range(400):
+            alpha, beta = rng.uniform(1.0, 4.0), rng.uniform(0.05, 2.0)
+            gamma = rng.choice([0.0, rng.uniform(0.0, 1.0)])
+            u1 = rng.choice([0.0, 0.5]) if beta > 1.0 else 0.0
+            p = ModelParams(alpha, beta, gamma, u1=u1)
+            if not dalang_satisfied(p) or theta(p) + 1.0 < 0.05:
+                continue
+            t_max = rng.uniform(1.0, 10.0) / mm.second_lyapunov(p)
+            n, rtol = rng.choice([200, 400, 800]), rng.choice([1e-3, 1e-4])
+            grid = np.arange(1, n + 1) * (t_max / n)
+            try:
+                curve = mm.volterra_second_moment(p, grid, rtol)
+            except StepTooCoarse:
+                continue
+            err = _max_rel(curve.values, mm.second_moment(p, grid))
+            if not err <= rtol:
+                failures.append((p, t_max, n, rtol, err))
+            checked += 1
+            if checked == 40:
+                break
+        assert checked == 40
+        assert not failures, failures
 
     def test_grid_validation(self):
         with pytest.raises(InvalidParams):
