@@ -173,10 +173,8 @@ def _balance_data(p: int, m: int) -> tuple[int, int]:
 
 def is_balanced_partition(partition: Partition, p: int, m: int) -> bool:
     """Entries in {floor(2m/p), floor(2m/p)+1}, total 2m, first half sums to m."""
-    if partition.p != p:
-        return False
     m_p, _ = _balance_data(p, m)
-    if partition.total != 2 * m:
+    if partition.p != p or partition.total != 2 * m:
         return False
     if any(v not in (m_p, m_p + 1) for v in partition.n):
         return False

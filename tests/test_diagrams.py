@@ -439,7 +439,8 @@ class TestIntegerArguments:
         with pytest.raises(InvalidParams, match="^partition entry must be an integer"):
             Partition((entry, 2))
 
-    @pytest.mark.parametrize("call", [dg.balanced_partitions, dg.count_balanced, dg.count_lower_bound])
+    @pytest.mark.parametrize("call", [dg.balanced_partitions, dg.count_balanced, dg.count_lower_bound,
+                                      lambda p, m: dg.is_balanced_partition(Partition((1, 1)), p, m)])
     @pytest.mark.parametrize("p, m, name", [(4, 2.5, "m"), (4, math.nan, "m"), (4.0, 2, "p"),
                                             (math.inf, 2, "p")])
     def test_balance_arguments(self, call, p, m, name):
