@@ -710,13 +710,11 @@ class TestGammaTables:
             a = 0.5 + i / 128.0
             sf.ml(a, 1.5, -0.5 * sf._series_radius(a, 1.5))
             sf.ml(a, 1.5, -1.5 * sf._series_radius(a, 1.5))
-        # those ml calls fill fewer chunks than the bounds: fill the rest directly
+        # those ml calls fill fewer asymptotic chunks than the bound
         for chunk in range(asym + 8):
             sf._asym_rgamma(0.5, 1.5, chunk)
         for digits in range(25, 25 + mp + 8):
             sf._series_mp(1.5, 1.0, -0.5, digits)
-        for chunk in range(mp + 8):
-            sf._mp_gamma(1.5, 1.0, 25, chunk)
         for cache in sf._CACHES:
             info = cache.cache_info()
             assert info.currsize == info.maxsize
