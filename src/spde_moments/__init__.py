@@ -23,7 +23,6 @@ from .model import (
     j0,
     kernel_ft,
     kernel_nonneg_known,
-    t_hat,
     t_p,
     theta,
 )

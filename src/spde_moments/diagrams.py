@@ -19,7 +19,7 @@ import numpy as np
 
 from . import specialfn as sf
 from .errors import InvalidParams, NotBalanced, TooLarge, finite_or_overflow
-from .model import ModelParams, _require_integer, derived_constants
+from .model import ModelParams, _require_integer, _require_positive, derived_constants
 
 __all__ = [
     "Partition",
@@ -265,8 +265,7 @@ def _chaos_constants(p: ModelParams, t: float, k: int):
     dc = derived_constants(p)
     if p.u1 != 0.0:
         raise InvalidParams("chaos terms implemented for u1 = 0")
-    if not 0 < t < math.inf:
-        raise InvalidParams(f"t must be > 0 and finite, got {t}")
+    _require_positive("t", t)
     _require_integer("k", k, 0)
     return dc
 
@@ -351,8 +350,7 @@ def exp_tail_facts(n: int, a: float) -> dict:
     c1 = 1, c2 = a/4.
     """
     _require_integer("n", n, 10)
-    if not 0 < a < math.inf:
-        raise InvalidParams(f"a must be > 0 and finite, got {a!r}")
+    _require_positive("a", a)
     m = np.arange(0, n)
     logterms = m * math.log(n) - np.array([math.lgamma(v + 1.0) for v in m]) - n
     top = float(np.max(logterms))

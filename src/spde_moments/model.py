@@ -42,7 +42,6 @@ __all__ = [
     "theta_integral_finite",
     "big_theta",
     "derived_constants",
-    "t_hat",
     "t_p",
     "kernel_ft",
     "j0",
@@ -81,8 +80,7 @@ class ModelParams:
             raise InvalidParams("lambda must be nonzero")
         if not self.nu > 0:
             raise InvalidParams(f"nu must be > 0, got {self.nu}")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise InvalidParams(f"dim must be a positive integer, got {self.dim}")
+        _require_integer("dim", self.dim, 1)
         if self.beta <= 1 and self.u1 != 0:
             raise InvalidParams(f"u1 must be 0 for beta <= 1 (no initial velocity), got {self.u1}")
 
@@ -97,8 +95,7 @@ class DerivedConstants:
 
     def t_hat(self, t: float) -> float:
         """Theta * Gamma(theta+1) * t^(theta+1)."""
-        if not 0 < t < math.inf:
-            raise InvalidParams(f"t must be > 0 and finite, got {t}")
+        _require_positive("t", t)
         gamma_th = sf.gamma(self.theta + 1.0)
         if math.isinf(gamma_th):
             # as in derived_constants: a tiny Theta may bring the product
@@ -139,9 +136,17 @@ def _require_order(pp: float):
         raise InvalidParams(f"moment order must be >= 2 and finite, got {pp}")
 
 
+def _require_positive(name: str, value, allow_zero: bool = False):
+    """InvalidParams unless 0 < value < inf, or value == 0 with allow_zero."""
+    if not (0 < value < math.inf or allow_zero and value == 0):
+        sign = ">=" if allow_zero else ">"
+        raise InvalidParams(f"{name} must be {sign} 0 and finite, got {value}")
+
+
 def _require_integer(name: str, value, lo: int, hi: int | None = None):
-    """InvalidParams unless value is an integer (a numbers.Integral) in [lo, hi)."""
-    if not (isinstance(value, numbers.Integral) and lo <= value and (hi is None or value < hi)):
+    """InvalidParams unless value is an integer (a numbers.Integral, not a bool) in [lo, hi)."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and lo <= value and (hi is None or value < hi)):
         span = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
         raise InvalidParams(f"{name} must be an integer {span}, got {value!r}")
 
@@ -368,15 +373,9 @@ def derived_constants(p: ModelParams) -> DerivedConstants:
         raise ResultOverflow(f"lambda^2 exceeds the double range: lambda={p.lam!r}") from None
 
 
-def t_hat(p: ModelParams, t: float) -> float:
-    """Theta * Gamma(theta+1) * t^(theta+1)."""
-    return derived_constants(p).t_hat(t)
-
-
 def t_p(p: ModelParams, t: float, pp: float) -> float:
     """Rescaled time p^(1 + 1/(1+theta)) t entering the p-th moment rates."""
-    if not 0 < t < math.inf:
-        raise InvalidParams(f"t must be > 0 and finite, got {t}")
+    _require_positive("t", t)
     _require_dalang(p)
     _require_order(pp)
     return pp ** (1.0 + 1.0 / (1.0 + theta(p))) * t
@@ -385,10 +384,8 @@ def t_p(p: ModelParams, t: float, pp: float) -> float:
 def kernel_ft(p: ModelParams, t: float, r: float) -> float:
     """Radial Fourier transform of the fundamental kernel:
     t^{beta+gamma-1} E_{beta,beta+gamma}(-nu t^beta r^alpha / 2)."""
-    if not 0 < t < math.inf:
-        raise InvalidParams(f"t must be > 0 and finite, got {t}")
-    if not 0 <= r < math.inf:
-        raise InvalidParams(f"r must be >= 0 and finite, got {r}")
+    _require_positive("t", t)
+    _require_positive("r", r, allow_zero=True)
     return t ** (p.beta + p.gamma - 1.0) * sf.ml(
         p.beta, p.beta + p.gamma, -0.5 * p.nu * t**p.beta * r**p.alpha
     )
@@ -396,8 +393,7 @@ def kernel_ft(p: ModelParams, t: float, r: float) -> float:
 
 def j0(p: ModelParams, t: float) -> float:
     """Homogeneous solution u0 + u1 t (u1 = 0 for beta <= 1)."""
-    if not 0 <= t < math.inf:
-        raise InvalidParams(f"t must be >= 0 and finite, got {t}")
+    _require_positive("t", t, allow_zero=True)
     return p.u0 + p.u1 * t
 
 
@@ -451,8 +447,6 @@ def params_from_kv(text: str) -> ModelParams:
     missing = [k for k in ("alpha", "beta") if k not in values]
     if missing:
         raise InvalidParams(f"missing required keys: {missing}")
-    if "dim" in values:
-        if not values["dim"].is_integer():
-            raise InvalidParams(f"dim must be a positive integer, got {values['dim']!r}")
+    if "dim" in values and values["dim"].is_integer():
         values["dim"] = int(values["dim"])
     return ModelParams(**values)

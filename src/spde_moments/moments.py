@@ -29,7 +29,8 @@ import numpy as np
 
 from . import specialfn as sf
 from .errors import InvalidParams, SpdeMomentsError, StepTooCoarse, finite_or_overflow
-from .model import DerivedConstants, ModelParams, _require_order, derived_constants, j0
+from .model import DerivedConstants, ModelParams, derived_constants, j0
+from .model import _require_order, _require_positive
 
 __all__ = [
     "MomentCurve",
@@ -170,8 +171,7 @@ def second_moment_log(p: ModelParams, t: float) -> float:
 def she_second_moment(nu: float, lam: float, u0: float, t: float) -> float:
     """Heat-case closed form 2 u0^2 exp(lam^4 t / 4 nu) Phi(lam^2 sqrt(t/2nu))."""
     ModelParams(2, 1, lam=lam, nu=nu, u0=u0)  # the heat model's checks
-    if not 0 <= t < math.inf:
-        raise InvalidParams(f"t must be >= 0 and finite, got {t}")
+    _require_positive("t", t, allow_zero=True)
     if t == 0.0:
         return u0 * u0
     x = lam * lam * math.sqrt(t / (2.0 * nu))
@@ -186,8 +186,7 @@ def swe_second_moment(nu: float, lam: float, u0: float, u1: float, t: float) -> 
     + 2^{5/4} nu^{1/4} u0 u1 / |lam| * sinh(|lam| t/(2 nu)^{1/4})
     """
     ModelParams(2, 2, lam=lam, nu=nu, u0=u0, u1=u1)  # the wave model's checks
-    if not 0 <= t < math.inf:
-        raise InvalidParams(f"t must be >= 0 and finite, got {t}")
+    _require_positive("t", t, allow_zero=True)
     x = abs(lam) * t / (2.0 * nu) ** 0.25
     c = 2.0**1.5 * math.sqrt(nu) * u1 * u1 / (lam * lam)
     return (
@@ -272,8 +271,8 @@ def volterra_second_moment(
     curve; near theta = -1 the order falls and the estimate may not.
     """
     dc = derived_constants(p)
-    if rtol is not None and not 0 < rtol < math.inf:
-        raise InvalidParams(f"rtol must be > 0 and finite, got {rtol}")
+    if rtol is not None:
+        _require_positive("rtol", rtol)
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise InvalidParams("t_grid must hold at least two points")

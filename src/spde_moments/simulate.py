@@ -23,7 +23,7 @@ import numpy as np
 import numpy.random  # loaded with the module, not by the first simulator call
 
 from .errors import DomainTooSmall, InvalidParams, StabilityViolated
-from .model import ModelParams, _require_integer, j0
+from .model import ModelParams, _require_integer, _require_positive, j0
 from .moments import MomentCurve
 
 __all__ = [
@@ -42,10 +42,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.dx, self.dt, self.t_end)):
-            raise InvalidParams("dx, dt, t_end must be positive and finite")
-        if not 0 < self.domain_half_width < math.inf:
-            raise InvalidParams("domain_half_width must be positive and finite")
+        for name in ("dx", "dt", "domain_half_width", "t_end"):
+            _require_positive(name, getattr(self, name))
         _require_integer("n_paths", self.n_paths, 2)
         _require_integer("seed", self.seed, 0, 2**64)
         if abs(self.domain_half_width / self.dx - round(self.domain_half_width / self.dx)) > 1e-9:
@@ -316,8 +314,7 @@ def wave_overlap(eps: float, t: float, s: float, a: float, b: float, x: float) -
     The kernel is (1/2) 1_{|.|<t}; both indicators are identically one on
     the ball, so the value is exactly eps/2.
     """
-    if not 0 < eps < math.inf:
-        raise InvalidParams("eps must be > 0 and finite")
+    _require_positive("eps", eps)
     lo, hi = 2.0 * eps * (1.0 - _WINDOW_SLACK), 12.0 * eps * (1.0 + _WINDOW_SLACK)
     if not (lo <= t <= hi and lo <= s <= hi):
         raise InvalidParams("need t, s in [2 eps, 12 eps]")

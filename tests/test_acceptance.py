@@ -219,7 +219,7 @@ def test_c07_chaos_consistency():
             (ModelParams(3, 1, 0, 1, 1, 1, u0=0.7), 2.0),
         ]
         for p, t in cases:
-            assert p.lam**2 * md.t_hat(p, t) <= 5.0
+            assert p.lam**2 * md.derived_constants(p).t_hat(t) <= 5.0
             total = sum(dg.chaos_term(p, t, k) for k in range(31))
             assert rel(total, mm.second_moment(p, t)) < 1e-10
         she = cases[0][0]

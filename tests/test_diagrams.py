@@ -328,9 +328,9 @@ class TestChaos:
         ],
     )
     def test_partial_sums_match_second_moment(self, p, t):
-        from spde_moments.model import t_hat
+        from spde_moments.model import derived_constants
 
-        assert p.lam**2 * t_hat(p, t) <= 5.0
+        assert p.lam**2 * derived_constants(p).t_hat(t) <= 5.0
         total = sum(dg.chaos_term(p, t, k) for k in range(31))
         assert rel(total, mm.second_moment(p, t)) < 1e-10
 

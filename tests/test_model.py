@@ -7,7 +7,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from spde_moments import diagrams as dg
 from spde_moments import model as md
+from spde_moments import moments as mm
+from spde_moments import simulate as sim
 from spde_moments import specialfn as sf
 from spde_moments.errors import ConvergenceFailure, DalangViolated, InvalidParams, ResultOverflow
 from spde_moments.model import KernelSign, ModelParams
@@ -70,6 +73,66 @@ class TestParams:
             md.params_from_kv("alpha 2\nbeta=1")
         with pytest.raises(InvalidParams):
             md.params_from_kv("alpha=2\nbeta=1\ndim=1.5")
+
+    @pytest.mark.parametrize("dim", [2.0, True, 1.5, 0])
+    def test_dim_is_an_integer(self, dim):
+        # one integer rule: a float or a bool dim no longer reaches params_to_dict
+        with pytest.raises(InvalidParams, match=f"^dim must be an integer >= 1, got {dim!r}$"):
+            ModelParams(alpha=3, beta=1, dim=dim)
+
+    def test_kv_dim_is_read_as_an_integer(self):
+        p = md.params_from_kv("alpha=3\nbeta=1\ndim=2.0")
+        assert type(p.dim) is int and p.dim == 2
+        with pytest.raises(InvalidParams, match="^dim must be an integer >= 1, got 1.5$"):
+            md.params_from_kv("alpha=2\nbeta=1\ndim=1.5")
+
+
+_CFG = dict(dx=0.1, dt=0.01, domain_half_width=1.0, t_end=1.0, n_paths=4, seed=0)
+
+# (site, name, zero allowed, call of the argument): every scalar check of a
+# time, length, tolerance or scale, with the message of model._require_positive
+_POSITIVE_ARGS = [
+    ("t_hat", "t", False, lambda v: md.derived_constants(SHE).t_hat(v)),
+    ("t_p", "t", False, lambda v: md.t_p(SHE, v, 2.0)),
+    ("kernel_ft-t", "t", False, lambda v: md.kernel_ft(SHE, v, 1.0)),
+    ("kernel_ft-r", "r", True, lambda v: md.kernel_ft(SHE, 1.0, v)),
+    ("j0", "t", True, lambda v: md.j0(SHE, v)),
+    ("chaos_term", "t", False, lambda v: dg.chaos_term(SHE, v, 1)),
+    ("chaos_term_mc", "t", False, lambda v: dg.chaos_term_mc(SHE, v, 1, 4, 0)),
+    ("exp_tail_facts", "a", False, lambda v: dg.exp_tail_facts(10, v)),
+    ("she_second_moment", "t", True, lambda v: mm.she_second_moment(1.0, 1.0, 1.0, v)),
+    ("swe_second_moment", "t", True, lambda v: mm.swe_second_moment(1.0, 1.0, 1.0, 0.0, v)),
+    ("volterra", "rtol", False, lambda v: mm.volterra_second_moment(SHE, [0.1, 0.2], rtol=v)),
+    ("wave_overlap", "eps", False, lambda v: sim.wave_overlap(v, 0.2, 0.2, 0.0, 0.0, 0.0)),
+] + [
+    (f"SimConfig-{name}", name, False, lambda v, name=name: sim.SimConfig(**{**_CFG, name: v}))
+    for name in ("dx", "dt", "domain_half_width", "t_end")
+]
+
+
+class TestArgumentRules:
+    @pytest.mark.parametrize(
+        "site,name,zero_ok,call", _POSITIVE_ARGS, ids=[a[0] for a in _POSITIVE_ARGS]
+    )
+    def test_positive_and_finite(self, site, name, zero_ok, call):
+        for v in (-1.0, math.inf, math.nan) + (() if zero_ok else (0.0,)):
+            sign = ">=" if zero_ok else ">"
+            with pytest.raises(InvalidParams) as info:
+                call(v)
+            assert str(info.value) == f"{name} must be {sign} 0 and finite, got {v}"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: dg.chaos_term(SHE, 1.0, True), id="chaos_term-k"),
+            pytest.param(lambda: dg.stirling_sandwich_holds(True), id="stirling-n"),
+            pytest.param(lambda: dg.Partition((True, 1)), id="partition-entry"),
+            pytest.param(lambda: sim.SimConfig(**{**_CFG, "seed": True}), id="SimConfig-seed"),
+        ],
+    )
+    def test_bool_is_not_an_integer(self, call):
+        with pytest.raises(InvalidParams, match="must be an integer .*, got True$"):
+            call()
 
 
 class TestDalang:
@@ -385,7 +448,6 @@ class TestDerived:
         for call in (
             lambda: md.derived_constants(p),
             lambda: md.t_p(p, 1.0, 2.0),
-            lambda: md.t_hat(p, 1.0),
         ):
             with pytest.raises(DalangViolated) as info:
                 call()
@@ -393,7 +455,6 @@ class TestDerived:
 
     def test_t_hat_method(self):
         dc = md.derived_constants(SWE)
-        assert dc.t_hat(0.7) == md.t_hat(SWE, 0.7)
         with pytest.raises(InvalidParams):
             dc.t_hat(0.0)
 
@@ -404,7 +465,7 @@ class TestDerived:
     @given(st.floats(min_value=0.05, max_value=10.0), st.floats(min_value=0.3, max_value=4.0))
     def test_t_hat_she(self, t, nu):
         p = ModelParams(2, 1, 0, 1, nu, 1)
-        assert rel(md.t_hat(p, t), math.sqrt(t) / math.sqrt(4 * nu)) < 1e-8
+        assert rel(md.derived_constants(p).t_hat(t), math.sqrt(t) / math.sqrt(4 * nu)) < 1e-8
 
     @given(st.floats(min_value=0.05, max_value=10.0), st.floats(min_value=2.0, max_value=20.0))
     def test_t_p_powers(self, t, pp):
