@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specialfn as sf
-from .errors import InvalidParams, NotBalanced, TooLarge, finite_or_overflow
+from .errors import InvalidParams, NotBalanced, ResultOverflow, TooLarge, finite_or_overflow
 from .model import ModelParams, _require_integer, _require_positive, derived_constants
 
 __all__ = [
@@ -339,6 +339,8 @@ def chaos_term_mc(
     scale = p.u0**2 * kap**k
     est = scale * float(np.mean(w))
     se = scale * float(np.std(w, ddof=1) / math.sqrt(samples))
+    if not (math.isfinite(est) and math.isfinite(se)):
+        raise ResultOverflow(f"chaos term k={k} at t={t!r} exceeds the double range")
     return est, se
 
 

@@ -31,6 +31,7 @@ import mpmath as mp
 from . import specialfn as sf
 from ._quadpack import quad
 from .errors import ConvergenceFailure, DalangViolated, InvalidParams, ResultOverflow
+from .errors import finite_or_overflow
 
 __all__ = [
     "ModelParams",
@@ -94,18 +95,23 @@ class DerivedConstants:
     lyapunov_base: float  # lambda^2 * Theta * Gamma(theta + 1)
 
     def t_hat(self, t: float) -> float:
-        """Theta * Gamma(theta+1) * t^(theta+1)."""
+        """Theta * Gamma(theta+1) * t^(theta+1); ResultOverflow past the
+        double range."""
         _require_positive("t", t)
-        gamma_th = sf.gamma(self.theta + 1.0)
-        if math.isinf(gamma_th):
-            # as in derived_constants: a tiny Theta may bring the product
-            # back into range, so form it through lgamma
-            return math.exp(
-                math.log(self.big_theta)
-                + math.lgamma(self.theta + 1.0)
-                + (self.theta + 1.0) * math.log(t)
-            )
-        return self.big_theta * gamma_th * t ** (self.theta + 1.0)
+
+        def value():
+            gamma_th = sf.gamma(self.theta + 1.0)
+            if math.isinf(gamma_th):
+                # as in derived_constants: a tiny Theta may bring the product
+                # back into range, so form it through lgamma
+                return math.exp(
+                    math.log(self.big_theta)
+                    + math.lgamma(self.theta + 1.0)
+                    + (self.theta + 1.0) * math.log(t)
+                )
+            return self.big_theta * gamma_th * t ** (self.theta + 1.0)
+
+        return finite_or_overflow(value, f"t_hat at t={t!r} exceeds the double range")
 
 
 class KernelSign(enum.Enum):
@@ -374,11 +380,15 @@ def derived_constants(p: ModelParams) -> DerivedConstants:
 
 
 def t_p(p: ModelParams, t: float, pp: float) -> float:
-    """Rescaled time p^(1 + 1/(1+theta)) t entering the p-th moment rates."""
+    """Rescaled time p^(1 + 1/(1+theta)) t entering the p-th moment rates;
+    ResultOverflow past the double range."""
     _require_positive("t", t)
     _require_dalang(p)
     _require_order(pp)
-    return pp ** (1.0 + 1.0 / (1.0 + theta(p))) * t
+    return finite_or_overflow(
+        lambda: pp ** (1.0 + 1.0 / (1.0 + theta(p))) * t,
+        f"t_p at t={t!r}, p={pp!r} exceeds the double range",
+    )
 
 
 def kernel_ft(p: ModelParams, t: float, r: float) -> float:

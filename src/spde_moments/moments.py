@@ -154,7 +154,8 @@ def second_moment(p: ModelParams, t) -> float | np.ndarray:
 
 
 def second_moment_log(p: ModelParams, t: float) -> float:
-    """log E[u(t,x)^2], overflow-safe for large t (u0 > 0, u1 >= 0)."""
+    """log E[u(t,x)^2] (u0 > 0, u1 >= 0), overflow-safe while lambda^2 that
+    is a double; ResultOverflow beyond."""
     dc = derived_constants(p)
     if p.u0 <= 0 or p.u1 < 0:
         raise InvalidParams("log form requires u0 > 0 and u1 >= 0")
@@ -162,37 +163,46 @@ def second_moment_log(p: ModelParams, t: float) -> float:
     z = p.lam**2 * dc.t_hat(t)
     terms = [2.0 * math.log(p.u0) + sf.ml_log(th + 1.0, 1.0, z)]
     if p.u1 > 0:
-        terms.append(math.log(2.0 * p.u0 * p.u1 * t) + sf.ml_log(th + 1.0, 2.0, z))
-        terms.append(math.log(2.0 * p.u1**2 * t**2) + sf.ml_log(th + 1.0, 3.0, z))
+        # log(2 u1 t), as a sum: the products may leave the double range
+        log_2u1t = math.log(2.0) + math.log(p.u1) + math.log(t)
+        terms.append(log_2u1t + math.log(p.u0) + sf.ml_log(th + 1.0, 2.0, z))
+        terms.append(log_2u1t + math.log(p.u1) + math.log(t) + sf.ml_log(th + 1.0, 3.0, z))
     top = max(terms)
     return top + math.log(sum(math.exp(v - top) for v in terms))
 
 
 def she_second_moment(nu: float, lam: float, u0: float, t: float) -> float:
-    """Heat-case closed form 2 u0^2 exp(lam^4 t / 4 nu) Phi(lam^2 sqrt(t/2nu))."""
+    """Heat-case closed form 2 u0^2 exp(lam^4 t / 4 nu) Phi(lam^2 sqrt(t/2nu));
+    ResultOverflow past the double range."""
     ModelParams(2, 1, lam=lam, nu=nu, u0=u0)  # the heat model's checks
     _require_positive("t", t, allow_zero=True)
-    if t == 0.0:
-        return u0 * u0
-    x = lam * lam * math.sqrt(t / (2.0 * nu))
-    return 2.0 * u0 * u0 * math.exp(lam**4 * t / (4.0 * nu)) * sf.normal_cdf(x)
+
+    def value():
+        if t == 0.0:
+            return u0 * u0
+        x = lam * lam * math.sqrt(t / (2.0 * nu))
+        return 2.0 * u0 * u0 * math.exp(lam**4 * t / (4.0 * nu)) * sf.normal_cdf(x)
+
+    return finite_or_overflow(value, f"the heat second moment at t={t!r} exceeds the double range")
 
 
 def swe_second_moment(nu: float, lam: float, u0: float, u1: float, t: float) -> float:
-    """Wave-case closed form in hyperbolic functions.
+    """Wave-case closed form in hyperbolic functions, x = |lam| t/(2 nu)^{1/4}:
 
-    -2^{3/2} nu^{1/2} u1^2/lam^2
-    + (u0^2 + 2^{3/2} nu^{1/2} u1^2/lam^2) cosh(|lam| t/(2 nu)^{1/4})
-    + 2^{5/4} nu^{1/4} u0 u1 / |lam| * sinh(|lam| t/(2 nu)^{1/4})
+    u0^2 cosh(x) + 2^{5/2} nu^{1/2} (u1 sinh(x/2)/lam)^2
+    + 2^{5/4} nu^{1/4} u0 u1 sinh(x)/|lam|,
+
+    with 2^{3/2} nu^{1/2} u1^2 (cosh(x) - 1)/lam^2 written through sinh(x/2),
+    which does not cancel at small lam; ResultOverflow past the double range.
     """
     ModelParams(2, 2, lam=lam, nu=nu, u0=u0, u1=u1)  # the wave model's checks
     _require_positive("t", t, allow_zero=True)
     x = abs(lam) * t / (2.0 * nu) ** 0.25
-    c = 2.0**1.5 * math.sqrt(nu) * u1 * u1 / (lam * lam)
-    return (
-        -c
-        + (u0 * u0 + c) * math.cosh(x)
-        + 2.0**1.25 * nu**0.25 * u0 * u1 / abs(lam) * math.sinh(x)
+    return finite_or_overflow(
+        lambda: u0 * u0 * math.cosh(x)
+        + 2.0**2.5 * math.sqrt(nu) * (u1 * math.sinh(0.5 * x) / lam) ** 2
+        + 2.0**1.25 * nu**0.25 * u0 * u1 * math.sinh(x) / abs(lam),
+        f"the wave second moment at t={t!r} exceeds the double range",
     )
 
 
@@ -233,7 +243,10 @@ def she_exact_pth_lyapunov(lam: float, pp: float) -> float:
     """Exact heat-equation reference rate p(p^2-1) lambda^4 / 24 (nu = 1)."""
     ModelParams(2, 1, lam=lam)  # the heat model's checks on lambda
     _require_order(pp)
-    return pp * (pp * pp - 1.0) * lam**4 / 24.0
+    return finite_or_overflow(
+        lambda: pp * (pp * pp - 1.0) * lam**4 / 24.0,
+        f"the heat p-th Lyapunov exponent for p={pp!r} exceeds the double range",
+    )
 
 
 def _volterra_weights(th: float, h: float, n: int):

@@ -59,6 +59,7 @@ import numpy as np
 from mpmath import libmp
 
 from .errors import ConvergenceFailure, GammaPole, MittagLefflerAccuracyWarning, ValidationError
+from .errors import finite_or_overflow
 
 __all__ = [
     "gamma",
@@ -752,10 +753,11 @@ def ml_array(a: float, b: float, z) -> np.ndarray:
 
 
 def ml_log(a: float, b: float, z: float) -> float:
-    """log E_{a,b}(z) for z > 0, overflow-safe.
+    """log E_{a,b}(z) for z > 0, overflow-safe while z^{1/a} is a double;
+    ResultOverflow beyond.
 
     Large arguments are handled from the asymptotic exponential terms with
-    the dominant exponent factored out.
+    the dominant factor w^{1-b} e^w, w = z^{1/a}, taken out in logs.
     """
     if not (0 < a < math.inf and -math.inf < b < math.inf):
         raise ValidationError(f"ml_log requires finite a > 0 and finite b, got a={a}, b={b}")
@@ -771,15 +773,17 @@ def ml_log(a: float, b: float, z: float) -> float:
         if val <= 0:
             raise ArithmeticError("non-positive Mittag-Leffler value")
         return math.log(val)
-    # scaled asymptotic: factor exp(w) out of every direction
-    w = z ** (1.0 / a)
+    w = finite_or_overflow(
+        lambda: z ** (1.0 / a), f"log E_{{{a!r},{b!r}}}({z!r}) exceeds the double range"
+    )
     total = 0.0 + 0.0j
-    for weight, zeta in _saddle_points(a, 0.0, w):
-        total += weight * zeta ** (1.0 - b) * cmath.exp(zeta - w)
+    for weight, u in _saddle_points(a, 0.0, 1.0):
+        # zeta = w u: zeta^{1-b} e^zeta = w^{1-b} e^w u^{1-b} e^{w (u - 1)}
+        total += weight * u ** (1.0 - b) * cmath.exp(w * (u - 1.0))
     scaled = total.real / a
     if scaled <= 0:
         raise ArithmeticError("asymptotic sum non-positive in log space")
-    return w + math.log(scaled)
+    return w + (1.0 - b) * math.log(w) + math.log(scaled)
 
 
 def sin_power_integral(alpha: float, b: float) -> float:

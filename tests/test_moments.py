@@ -63,6 +63,30 @@ class TestClosedForms:
         # frozen from a 30-digit evaluation of the hyperbolic closed form
         assert rel(mm.swe_second_moment(2, 1, 1, 1, 1.0), 4.4738424651519946) < 1e-12
 
+    def test_swe_small_lambda_audit(self):
+        # (cosh(x) - 1)/lambda^2 through sinh(x/2): the form -c + (u0^2 + c)
+        # cosh(x), c ~ u1^2/lambda^2, cancelled to 2.0 where (u0 + u1 t)^2 = 4
+        assert rel(mm.swe_second_moment(2, 1e-8, 1, 1, 1), 4.0) < 1e-13
+        assert mm.swe_second_moment(2, 1e-200, 1, 1, 1e-300) == 1.0
+        rng = random.Random(0)
+        bad = []
+        for _ in range(3000):
+            nu = 10.0 ** rng.uniform(-1.0, 1.0)
+            lam = math.copysign(10.0 ** rng.uniform(-8.0, 1.0), rng.random() - 0.5)
+            u0, u1 = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
+            t = 10.0 ** rng.uniform(-3.0, 1.0)
+            want = mm.second_moment(ModelParams(2, 2, lam=lam, nu=nu, u0=u0, u1=u1), t)
+            if rel(mm.swe_second_moment(nu, lam, u0, u1, t), want) > 1e-13:
+                bad.append((nu, lam, u0, u1, t))
+        assert not bad, f"{len(bad)} of 3000 (nu, lam, u0, u1, t) miss 1e-13: {bad[:5]}"
+
+    def test_swe_without_velocity_is_u0_squared_cosh(self):
+        # bit for bit at u1 = 0, the Monte Carlo checks' oracle
+        for nu, lam, u0 in ((2.0, 1.0, 1.0), (1.0, -0.3, 1.7), (0.5, 4.0, 0.2)):
+            for k in range(200):
+                x = abs(lam) * (0.05 * k) / (2.0 * nu) ** 0.25
+                assert mm.swe_second_moment(nu, lam, u0, 0.0, 0.05 * k) == u0 * u0 * math.cosh(x)
+
     @pytest.mark.parametrize(
         "call, args",
         [
@@ -139,6 +163,13 @@ class TestLyapunov:
         # small t keeps z inside ml's switch radius: ml_log's series branch
         for t in (0.05, 0.5):
             assert abs(mm.second_moment_log(p, t) - math.log(mm.second_moment(p, t))) < 1e-12
+
+    def test_log_at_extreme_times(self):
+        # the u1 terms' logarithms are sums of logs: t^2 = 0 at t = 1e-300
+        p = ModelParams(2, 2, u1=1)
+        assert abs(mm.second_moment_log(p, 1e-300) - math.log(mm.second_moment(p, 1e-300))) < 1e-12
+        with pytest.raises(ResultOverflow, match="^t_hat at t=1e[+]200 exceeds the double range$"):
+            mm.second_moment_log(p, 1e200)
 
     @pytest.mark.parametrize(
         "p,budget",
