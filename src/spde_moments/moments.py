@@ -22,13 +22,14 @@ and their bits do not depend on the number of BLAS threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import specialfn as sf
-from .errors import InvalidParams, SpdeMomentsError, StepTooCoarse, finite_or_overflow
+from .errors import InvalidParams, ResultOverflow, SpdeMomentsError, StepTooCoarse
+from .errors import finite_or_overflow
 from .model import DerivedConstants, ModelParams, derived_constants, j0
 from .model import _require_order, _require_positive
 
@@ -83,11 +84,11 @@ class MomentCurve:
         return "t,value,method\n" + "".join(map(row.__mod__, pairs))
 
 
-def _ml_sum(p: ModelParams, dc: DerivedConstants, t, rate: float, scale: float, overflow: str):
-    """scale * (u0^2 E_{theta+1}(z) + 2 u0 u1 t E_{theta+1,2}(z) + 2 u1^2 t^2
-    E_{theta+1,3}(z)) at z = rate * that, the u1 terms for u1 != 0 only;
-    InvalidParams for t <= 0 (from that), ResultOverflow(overflow with t
-    filled in) outside the double range.
+def _ml_sum(p: ModelParams, dc: DerivedConstants, t):
+    """E[u(t,x)^2] = u0^2 E_{theta+1}(z) + 2 u0 u1 t E_{theta+1,2}(z) + 2 u1^2
+    t^2 E_{theta+1,3}(z) at z = lambda^2 that, the u1 terms for u1 != 0
+    only; InvalidParams for t <= 0 (from that), ResultOverflow outside the
+    double range.
 
     A 1-D array t gives the array of values, each equal to the scalar call
     bit for bit.  Theta Gamma(theta + 1) is formed once per grid; each
@@ -101,17 +102,21 @@ def _ml_sum(p: ModelParams, dc: DerivedConstants, t, rate: float, scale: float, 
     raise the error it would have raised first.
     """
     th = dc.theta
+    lam_sq = p.lam**2
     if np.ndim(t) == 0:
 
         def value():
-            z = rate * dc.t_hat(t)
+            z = lam_sq * dc.t_hat(t)
             total = p.u0**2 * sf.ml(th + 1.0, 1.0, z)
             if p.u1 != 0.0:
                 total += 2.0 * p.u0 * p.u1 * t * sf.ml(th + 1.0, 2.0, z)
                 total += 2.0 * p.u1**2 * t**2 * sf.ml(th + 1.0, 3.0, z)
-            return total * scale
+            return total
 
-        return finite_or_overflow(value, overflow.format(t=t))
+        return finite_or_overflow(
+            value,
+            f"E[u^2] at t={t!r} exceeds the double range; second_moment_log gives its logarithm",
+        )
 
     ts = np.asarray(t, dtype=float)
     if ts.ndim != 1:
@@ -121,21 +126,20 @@ def _ml_sum(p: ModelParams, dc: DerivedConstants, t, rate: float, scale: float, 
         with np.errstate(over="ignore", invalid="ignore"):
             gamma_th = sf.gamma(th + 1.0)
             if math.isinf(gamma_th) or not np.all((ts > 0.0) & (ts < math.inf)):
-                z = np.array([rate * dc.t_hat(v) for v in points])
+                z = np.array([lam_sq * dc.t_hat(v) for v in points])
             else:
                 c, power = dc.big_theta * gamma_th, th + 1.0
-                z = np.array([rate * (c * v**power) for v in points])
+                z = np.array([lam_sq * (c * v**power) for v in points])
             total = p.u0**2 * sf.ml_array(th + 1.0, 1.0, z)
             if p.u1 != 0.0:
                 total += 2.0 * p.u0 * p.u1 * ts * sf.ml_array(th + 1.0, 2.0, z)
                 t_sq = np.array([v**2 for v in points])
                 total += 2.0 * p.u1**2 * t_sq * sf.ml_array(th + 1.0, 3.0, z)
-            total *= scale
         if np.all(np.isfinite(total)):
             return total
     except (SpdeMomentsError, ArithmeticError):
         pass
-    return np.array([_ml_sum(p, dc, v, rate, scale, overflow) for v in points])
+    return np.array([_ml_sum(p, dc, v) for v in points])
 
 
 def second_moment(p: ModelParams, t) -> float | np.ndarray:
@@ -147,10 +151,7 @@ def second_moment(p: ModelParams, t) -> float | np.ndarray:
     from one `specialfn.ml_array` pass per Mittag-Leffler term; a grid
     raises the error the first failing point raises as a scalar.
     """
-    return _ml_sum(
-        p, derived_constants(p), t, p.lam**2, 1.0,
-        "E[u^2] at t={t!r} exceeds the double range; second_moment_log gives its logarithm",
-    )
+    return _ml_sum(p, derived_constants(p), t)
 
 
 def second_moment_log(p: ModelParams, t: float) -> float:
@@ -217,24 +218,42 @@ def second_lyapunov(p: ModelParams) -> float:
     )
 
 
-def pth_moment_upper(p: ModelParams, t: float, pp: float) -> float:
-    """Upper bound on ||u(t,x)||_p^2 for p >= 2 (any real order)."""
-    dc = derived_constants(p)
+def _hypercontractive(p: ModelParams, pp: float) -> ModelParams:
+    """p with lambda scaled by sqrt(pp - 1), after the checks of p (Dalang)
+    and of the order pp.
+
+    The n-th Wiener chaos term of u(t,x) is lambda^n times a term free of
+    lambda, and hypercontractivity (Nelson; Nualart, The Malliavin Calculus
+    and Related Topics, 2nd ed. 2006, sec. 1.4) bounds its p-norm by
+    (pp - 1)^{n/2} times its 2-norm.  Summed over n, by orthogonality,
+    ||u(t,x)||_p^2 <= E[u(t,x)^2] of the returned model, at every t, for
+    either sign of the kernel and every u0 and u1.  At pp = 2 the factor
+    is 1.0 and the model is p itself.
+    """
+    derived_constants(p)
     _require_order(pp)
-    return _ml_sum(
-        p, dc, t, 8.0 * pp * p.lam**2, 2.0,
-        "the p-th moment bound at t={t!r} exceeds the double range",
+    lam = p.lam * math.sqrt(pp - 1.0)
+    if math.isinf(lam):
+        raise ResultOverflow(f"lambda sqrt(p - 1) exceeds the double range: p={pp!r}")
+    return replace(p, lam=lam)
+
+
+def pth_moment_upper(p: ModelParams, t: float, pp: float) -> float:
+    """Upper bound E[u(t,x)^2] at lambda sqrt(p - 1) on ||u(t,x)||_p^2
+    (`_hypercontractive`), for any real order p >= 2; at p = 2 it is
+    `second_moment` bit for bit."""
+    return finite_or_overflow(
+        lambda: second_moment(_hypercontractive(p, pp), t),
+        f"the p-th moment bound at t={t!r} exceeds the double range",
     )
 
 
 def pth_lyapunov_upper(p: ModelParams, pp: float) -> float:
-    """Large-time rate bound:
-    (1/2)(8 lambda^2 Theta Gamma(theta+1))^{1/(theta+1)} p^{1 + 1/(theta+1)}."""
-    dc = derived_constants(p)
-    _require_order(pp)
-    r = 1.0 / (dc.theta + 1.0)
+    """Large-time rate bound (p/2) `second_lyapunov` at lambda sqrt(p - 1),
+    proportional to p (p - 1)^{1/(theta+1)}; for the heat equation (lambda
+    = nu = 1) it is p (p - 1)^2 / 8."""
     return finite_or_overflow(
-        lambda: 0.5 * (8.0 * dc.lyapunov_base) ** r * pp ** (1.0 + r),  # 8x: exact scaling
+        lambda: 0.5 * pp * second_lyapunov(_hypercontractive(p, pp)),
         f"the p-th Lyapunov bound for p={pp!r} exceeds the double range",
     )
 

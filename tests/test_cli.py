@@ -261,7 +261,7 @@ class TestScalarCommands:
         payload = json.loads(out)
         assert code == 0
         assert payload["rate_exponent"] == 3.0
-        assert abs(payload["pth_lyapunov_upper"] - 64.0) < 1e-9
+        assert abs(payload["pth_lyapunov_upper"] - 0.25) < 1e-9
 
     @pytest.mark.parametrize(
         "argv",

@@ -188,8 +188,8 @@ class TestLyapunov:
 
 class TestPthBounds:
     def test_small_time_limit(self):
-        # approach is O(sqrt t) for the heat slice
-        assert rel(mm.pth_moment_upper(SHE, 1e-12, 3.0), 2.0 * SHE.u0**2) < 1e-4
+        # E[u^2] at lambda sqrt(2) tends to u0^2, at rate O(sqrt t) for the heat slice
+        assert rel(mm.pth_moment_upper(SHE, 1e-12, 3.0), SHE.u0**2) < 1e-4
 
     @given(st.floats(min_value=0.05, max_value=3.0), st.floats(min_value=2.0, max_value=12.0))
     def test_dominates_second_moment(self, t, pp):
@@ -205,15 +205,17 @@ class TestPthBounds:
             assert b2 == sorted(b2)
 
     def test_she_p2_value(self):
-        # 2 E_{1/2}(8) = 4 e^{64} Phi(8 sqrt 2), frozen from the log-space oracle
-        assert rel(mm.pth_moment_upper(SHE, 1.0, 2.0), 2.4940596323246468e28) < 1e-9
+        # at p = 2 the bound is E[u^2] itself: 2 e^{1/4} Phi(1/sqrt 2)
+        assert rel(mm.pth_moment_upper(SHE, 1.0, 2.0), mm.she_second_moment(1, 1, 1, 1)) < 1e-9
 
     def test_rate_exponents(self):
-        assert rel(mm.pth_lyapunov_upper(SHE, 4.0) / mm.pth_lyapunov_upper(SHE, 2.0), 2.0**3) < 1e-10
+        # the bound is proportional to p (p - 1)^{1/(theta+1)}: the ratio of
+        # p = 4 to p = 2 is 2 * 3^{1/(theta+1)}
+        assert rel(mm.pth_lyapunov_upper(SHE, 4.0) / mm.pth_lyapunov_upper(SHE, 2.0), 2.0 * 3.0**2) < 1e-10
         swe = ModelParams(2, 2, 0, 1, 1, 1)
-        assert rel(mm.pth_lyapunov_upper(swe, 4.0) / mm.pth_lyapunov_upper(swe, 2.0), 2.0**1.5) < 1e-10
+        assert rel(mm.pth_lyapunov_upper(swe, 4.0) / mm.pth_lyapunov_upper(swe, 2.0), 2.0 * 3.0**0.5) < 1e-10
         sfhe = ModelParams(2, 1, 0, 1, 1, 1)
-        want = 2.0 ** ((2 * 2.0 - 1) / (2.0 - 1))
+        want = 2.0 * 3.0 ** (2.0 / (2.0 - 1))  # 1/(theta+1) = alpha/(alpha-1)
         assert rel(mm.pth_lyapunov_upper(sfhe, 4.0) / mm.pth_lyapunov_upper(sfhe, 2.0), want) < 1e-10
 
     def test_she_exact_reference(self):
@@ -222,9 +224,31 @@ class TestPthBounds:
         assert mm.she_exact_pth_lyapunov(1e-6, 2.0) < 1e-22
 
     def test_exact_below_upper_rate(self):
-        # the exact heat rate sits below the generic upper rate (nu = 1)
+        # the exact heat rate sits below the upper rate (nu = 1), with
+        # equality at p = 2, where both are the second Lyapunov exponent
         for pp in np.linspace(2.0, 50.0, 25):
-            assert mm.she_exact_pth_lyapunov(1.0, pp) <= mm.pth_lyapunov_upper(SHE, pp)
+            exact = mm.she_exact_pth_lyapunov(1.0, pp)
+            assert exact <= mm.pth_lyapunov_upper(SHE, pp) * (1.0 + 1e-13)
+
+    def test_she_sandwich(self):
+        # (p/2) lambda_2 <= p (p^2 - 1)/24 <= p (p - 1)^2/8, equal at p = 2
+        for pp in range(2, 21):
+            lower = 0.5 * pp * mm.second_lyapunov(SHE)
+            exact = mm.she_exact_pth_lyapunov(1.0, pp)
+            upper = mm.pth_lyapunov_upper(SHE, pp)
+            assert lower <= exact * (1.0 + 1e-13) and exact <= upper * (1.0 + 1e-13)
+            assert rel(upper, pp * (pp - 1.0) ** 2 / 8.0) < 1e-13
+        assert rel(mm.pth_lyapunov_upper(SHE, 2.0), 0.25) < 1e-13
+
+    def test_wave_rates_at_p4(self):
+        swe = ModelParams(2, 2, 0, 1, 1, 1)
+        assert abs(2.0 * mm.second_lyapunov(swe) - 1.6818) < 1e-4
+        assert abs(mm.pth_lyapunov_upper(swe, 4.0) - 2.9130) < 1e-4
+
+    def test_p2_is_second_moment(self):
+        for p in SWEEP:
+            for t in (0.3, 1.0, 2.0):
+                assert mm.pth_moment_upper(p, t, 2.0) == mm.second_moment(p, t)
 
     def test_lyapunov_bound_overflow(self):
         # theta + 1 = 0.002: the rate's power exceeds the double range
