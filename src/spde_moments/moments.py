@@ -84,23 +84,21 @@ class MomentCurve:
         return "t,value,method\n" + "".join(map(row.__mod__, pairs))
 
 
-def _ml_sum(p: ModelParams, dc: DerivedConstants, t):
-    """E[u(t,x)^2] = u0^2 E_{theta+1}(z) + 2 u0 u1 t E_{theta+1,2}(z) + 2 u1^2
-    t^2 E_{theta+1,3}(z) at z = lambda^2 that, the u1 terms for u1 != 0
-    only; InvalidParams for t <= 0 (from that), ResultOverflow outside the
-    double range.
+def second_moment(p: ModelParams, t) -> float | np.ndarray:
+    """E[u(t,x)^2], independent of x: u0^2 E_{theta+1}(z) + 2 u0 u1 t
+    E_{theta+1,2}(z) + 2 u1^2 t^2 E_{theta+1,3}(z) at z = lambda^2 that, the
+    initial-velocity terms for u1 != 0 (beta in (1, 2]) only; InvalidParams
+    for t <= 0 (from that), ResultOverflow outside the double range.
 
     A 1-D array t gives the array of values, each equal to the scalar call
-    bit for bit.  Theta Gamma(theta + 1) is formed once per grid; each
-    point's that is then this product times t ** (theta + 1), by the float
-    power of `DerivedConstants.t_hat` and not numpy's (whose pow may round
-    differently).  Where Gamma(theta + 1) overflows or a point is not in
-    (0, inf), every point goes through `t_hat`.  t^2 and the sums are
-    formed per point as for a scalar t, the E values by `ml_array`, whose
-    acceptance test is decided in numpy away from its threshold and by the
-    scalar test near it.  When a point fails, the per-point loop runs to
-    raise the error it would have raised first.
+    bit for bit: that is Theta Gamma(theta + 1), formed once per grid, times
+    the float power t ** (theta + 1) of `DerivedConstants.t_hat` (numpy's
+    pow may round differently), or `t_hat` itself where Gamma(theta + 1)
+    overflows or a point is not in (0, inf); the E values come from one
+    `specialfn.ml_array` pass per term.  When a point fails, the per-point
+    loop runs to raise the error it would have raised first.
     """
+    dc = derived_constants(p)
     th = dc.theta
     lam_sq = p.lam**2
     if np.ndim(t) == 0:
@@ -139,19 +137,7 @@ def _ml_sum(p: ModelParams, dc: DerivedConstants, t):
             return total
     except (SpdeMomentsError, ArithmeticError):
         pass
-    return np.array([_ml_sum(p, dc, v) for v in points])
-
-
-def second_moment(p: ModelParams, t) -> float | np.ndarray:
-    """E[u(t,x)^2], independent of x.
-
-    u0^2 E_{theta+1}(lambda^2 that) for beta <= 1, plus the mixed and
-    quadratic initial-velocity terms for beta in (1, 2].  A 1-D array t
-    gives the array of values, each equal bit for bit to the scalar call,
-    from one `specialfn.ml_array` pass per Mittag-Leffler term; a grid
-    raises the error the first failing point raises as a scalar.
-    """
-    return _ml_sum(p, derived_constants(p), t)
+    return np.array([second_moment(p, v) for v in points])
 
 
 def second_moment_log(p: ModelParams, t: float) -> float:
@@ -219,23 +205,15 @@ def second_lyapunov(p: ModelParams) -> float:
 
 
 def _hypercontractive(p: ModelParams, pp: float) -> ModelParams:
-    """p with lambda scaled by sqrt(pp - 1), after the checks of p (Dalang)
-    and of the order pp.
-
-    The n-th Wiener chaos term of u(t,x) is lambda^n times a term free of
-    lambda, and hypercontractivity (Nelson; Nualart, The Malliavin Calculus
-    and Related Topics, 2nd ed. 2006, sec. 1.4) bounds its p-norm by
-    (pp - 1)^{n/2} times its 2-norm.  Summed over n, by orthogonality,
-    ||u(t,x)||_p^2 <= E[u(t,x)^2] of the returned model, at every t, for
-    either sign of the kernel and every u0 and u1.  At pp = 2 the factor
-    is 1.0 and the model is p itself.
-    """
+    """p with lambda sqrt(pp - 1) for lambda, after the checks of p and pp.
+    The n-th chaos term of u is lambda^n times a term free of lambda, and
+    hypercontractivity (Nelson; Nualart 2006, sec. 1.4) bounds its pp-norm by
+    (pp - 1)^{n/2} times its 2-norm: ||u(t,x)||_pp^2 <= E[u(t,x)^2] of the
+    returned model at every t, for either kernel sign and every u0, u1."""
     derived_constants(p)
     _require_order(pp)
-    lam = p.lam * math.sqrt(pp - 1.0)
-    if math.isinf(lam):
-        raise ResultOverflow(f"lambda sqrt(p - 1) exceeds the double range: p={pp!r}")
-    return replace(p, lam=lam)
+    message = "lambda sqrt(p - 1) exceeds the double range"
+    return replace(p, lam=finite_or_overflow(lambda: p.lam * math.sqrt(pp - 1.0), message))
 
 
 def pth_moment_upper(p: ModelParams, t: float, pp: float) -> float:
@@ -367,24 +345,28 @@ def _volterra_solve(p: ModelParams, dc: DerivedConstants, h: float, n: int) -> n
     """
     th = dc.theta
     kappa = p.lam**2 * dc.big_theta
-    wl, wr = _volterra_weights(th, h, n)  # panel m at index m-1
-    c0 = float(wr[0])  # implicit weight on eta_step (panel 1, right node)
-    denom = 1.0 - kappa * c0
-    if denom <= 0:
-        # c0 = h^{theta+1} / ((theta+1)(theta+2)), so denom > 0 exactly below
-        h_max = ((th + 1.0) * (th + 2.0) / kappa) ** (1.0 / (th + 1.0))
-        raise StepTooCoarse(
-            f"step h={h:.6g} is above h_max={h_max:.6g}, the largest step at which "
-            f"the implicit first panel can be solved (theta={th:.6g}); "
-            "use more grid points"
-        )
-    eta0 = j0(p, 0.0) ** 2
-    g = (p.u0 + p.u1 * (np.arange(1, n + 1) * h)) ** 2  # j0(t)^2 on the grid
-    # interior lag-d coefficient (d = step - i): wl of panel d + wr of panel d+1
-    lagc = kappa * (wl[:-1] + wr[1:])  # index d-1 holds lag d, d = 1..n-1
-    rhs = g + kappa * wl * eta0
     eta = np.empty(n)
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverging eta ends as inf
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN past the range
+        wl, wr = _volterra_weights(th, h, n)  # panel m at index m-1
+        c0 = float(wr[0])  # implicit weight on eta_step (panel 1, right node)
+        denom = 1.0 - kappa * c0
+        # c0 = h^{theta+1} / ((theta+1)(theta+2)), so denom > 0 exactly below
+        # h_max; a c0 past the double range is judged by h_max alone
+        try:
+            h_max = ((th + 1.0) * (th + 2.0) / kappa) ** (1.0 / (th + 1.0))
+        except (OverflowError, ZeroDivisionError):
+            h_max = math.inf
+        if not (denom > 0 if math.isfinite(c0) else h < h_max):
+            raise StepTooCoarse(
+                f"step h={h:.6g} is above h_max={h_max:.6g}, the largest step at which "
+                f"the implicit first panel can be solved (theta={th:.6g}); "
+                "use more grid points"
+            )
+        eta0 = j0(p, 0.0) ** 2
+        g = (p.u0 + p.u1 * (np.arange(1, n + 1) * h)) ** 2  # j0(t)^2 on the grid
+        # interior lag-d coefficient (d = step - i): wl of panel d + wr of panel d+1
+        lagc = kappa * (wl[:-1] + wr[1:])  # index d-1 holds lag d, d = 1..n-1
+        rhs = g + kappa * wl * eta0
         inv = np.empty(min(_VOLTERRA_LEAF, n))
         inv[0] = 1.0 / denom
         for k in range(1, inv.size):
@@ -401,6 +383,8 @@ def _volterra_solve(p: ModelParams, dc: DerivedConstants, h: float, n: int) -> n
             solve(mid, hi)
 
         solve(0, n)
+    if not np.all(np.isfinite(eta)):
+        raise ResultOverflow(f"E[u^2] on the grid of step h={h:.6g} exceeds the double range")
     return eta
 
 

@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import math
 import re
@@ -13,6 +14,7 @@ from spde_moments.cli import _build_parser, figure_rows, locate_crossing, main
 from spde_moments.errors import ResultOverflow
 from spde_moments.model import DerivedConstants, ModelParams, dalang_bound, dalang_satisfied
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def run_cli(capsys, *argv):
     try:
@@ -29,7 +31,7 @@ def _reject_constant(name):
 
 def readme_examples() -> list[list[str]]:
     """argv of every `spde-moments ...` line in the README's CLI section."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = (ROOT / "README.md").read_text()
     section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     section = re.sub(r"\\\n\s*", " ", section)
     return [
@@ -202,6 +204,7 @@ class TestCurveCommands:
         "argv",
         [
             ("second-moment", "--t-max", "5000"),
+            ("volterra", "--t-max", "5000", "--n-points", "1000"),
             ("figures", "--family", "sheswe", "--beta-grid", "0.668:0.668:0.1"),
             ("pth-bound", "--t", "5000"),
             ("chaos", "--alpha", "2", "--beta", "1", "--lambda", "1e100", "--k", "4"),
@@ -262,6 +265,24 @@ class TestScalarCommands:
         assert code == 0
         assert payload["rate_exponent"] == 3.0
         assert abs(payload["pth_lyapunov_upper"] - 0.25) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pth_bound_at_p2_is_the_curve_end(self, capsys, seed):
+        # the benchmark's curves plan requires the p = 2 bound to be at least
+        # the last point of the closed-form curve; the two are equal, so
+        # check the bits on the plan's own jittered inputs
+        path = ROOT / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        (ops,) = workloads.plan("curves", seed, 1)
+        argv = {(op["key"], op["check"]): op["argv"] for op in ops if "key" in op}
+        for tid in range(len(workloads.CURVE_POOL)):
+            _, curve, _ = run_cli(capsys, *argv[f"tuple{tid}", "second-moment"])
+            code, out, _ = run_cli(capsys, *argv[f"tuple{tid}", "pth-bound"])
+            assert code == 0
+            last = float(curve.splitlines()[-1].split(",")[1])
+            assert json.loads(out)["pth_moment_upper_sq"] == last
 
     @pytest.mark.parametrize(
         "argv",

@@ -442,6 +442,17 @@ class TestVolterra:
     def test_step_too_coarse(self):
         with pytest.raises(StepTooCoarse):
             mm.volterra_second_moment(SHE, np.arange(1, 17) * (2.0 / 16), rtol=1e-6)
+        # steps above h_max whose first-panel weight leaves the double range
+        swe, frac = ModelParams(2, 2, u1=1), ModelParams(1.5, 0.8, gamma=0.3, lam=-2, u0=0.5)
+        for p, h in ((swe, 1e154), (swe, 1e200), (frac, 1e200)):
+            with pytest.raises(StepTooCoarse, match="h_max"):
+                mm.volterra_second_moment(p, h * np.arange(1, 9))
+
+    @pytest.mark.parametrize("p, h, n", [(SHE, 5.0, 1000), (ModelParams(2, 1, lam=1e-100), 1e300, 8)])
+    def test_overflow_is_result_overflow(self, p, h, n):
+        # below h_max, an eta (or a weight) past the double range
+        with pytest.raises(ResultOverflow, match="exceeds the double range"):
+            mm.volterra_second_moment(p, h * np.arange(1, n + 1))
 
     def test_first_panel_names_largest_step(self):
         p = ModelParams(2, 0.7, 0, 1, 1, 1)  # theta = -0.95
