@@ -335,12 +335,14 @@ def chaos_term_mc(
         + log_norm
         - k * math.log(t)
     )
-    w = np.exp(logf - logq)
-    scale = p.u0**2 * kap**k
-    est = scale * float(np.mean(w))
-    se = scale * float(np.std(w, ddof=1) / math.sqrt(samples))
+    overflow = f"chaos term k={k} at t={t!r} exceeds the double range"
+    scale = finite_or_overflow(lambda: p.u0**2 * kap**k, overflow)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        w = np.exp(logf - logq)
+        est = scale * float(np.mean(w))
+        se = scale * float(np.std(w, ddof=1) / math.sqrt(samples))
     if not (math.isfinite(est) and math.isfinite(se)):
-        raise ResultOverflow(f"chaos term k={k} at t={t!r} exceeds the double range")
+        raise ResultOverflow(overflow)
     return est, se
 
 

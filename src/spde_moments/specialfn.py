@@ -144,9 +144,12 @@ def _series_radius(a: float, b: float = 0.0) -> float:
     # and >= 29 for a > 1, where the series is still affordable.  The
     # algebraic terms grow while |a k - b| < |z|^{1/a}, and the branch cuts
     # them near k = |z|^{1/a}/a, so it also needs |z|^{1/a} >= 2|b|.
-    if a < 1.0:
-        return max(10.0 * a, 25.0**a, (2.0 * abs(b)) ** a)
-    return max(30.0, 29.0**a, (2.0 * abs(b)) ** a)
+    try:
+        if a < 1.0:
+            return max(10.0 * a, 25.0**a, (2.0 * abs(b)) ** a)
+        return max(30.0, 29.0**a, (2.0 * abs(b)) ** a)
+    except OverflowError:  # a radius past the double range holds every real z
+        return math.inf
 
 
 _FLOAT_TERMS = 600  # term cap of the float series
@@ -472,10 +475,15 @@ def _ml_contour(a: float, b: float, z: float):
     for j in range(len(poles) + 1):
         if not (phis[j] < _CONTOUR_LOG_TOL - _LOG_EPS and phis[j] < phis[j + 1]):
             continue
-        if j < len(poles):
-            par = _contour_rb(phis[j], phis[j + 1], strength[j])
-        else:
-            par = _contour_ru(phis[j], strength[j])
+        try:
+            if j < len(poles):
+                par = _contour_rb(phis[j], phis[j + 1], strength[j])
+            else:
+                par = _contour_ru(phis[j], strength[j])
+        except (OverflowError, ZeroDivisionError):
+            # a branch point too strong for the rules (b far above a): the
+            # regions left admissible would ignore it, so no contour at all
+            return None
         if par is not None and (best is None or par[2] < best[1][2]):
             best = (j, par)
     if best is None or best[1][2] > _CONTOUR_MAX_N:
@@ -493,7 +501,10 @@ def _ml_contour(a: float, b: float, z: float):
     value = 2.0 * float(np.sum(terms.real)) - float(terms[0].real)
     abs_sum = 2.0 * float(np.sum(mags)) - float(mags[0])
     for _, pole in poles[j:]:
-        residue = pole ** (1.0 - b) * cmath.exp(pole) / a
+        try:
+            residue = pole ** (1.0 - b) * cmath.exp(pole) / a
+        except OverflowError:  # as for |b| far above the pole's modulus
+            return None
         value += residue.real
         abs_sum += abs(residue)
     return value, abs_sum
@@ -591,7 +602,7 @@ def _ml_series(a: float, b: float, z: float) -> float:
     for _ in range(4):
         # in ratios to max_abs, which may lie near the bottom of the range
         cancel = amplification / max(abs(total) / max_abs, 10.0 ** (-digits))
-        digits = min(300, 25 + int(math.log10(max(cancel, 1.0))))
+        digits = 25 + int(min(275.0, math.log10(max(cancel, 1.0))))  # cancel may be inf
         total, ok = _series_mp(a, b, z, digits)
         if ok and 10.0 ** (-digits) <= 1e-13 * abs(total) / max_abs:
             return total

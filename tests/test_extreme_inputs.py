@@ -7,14 +7,20 @@ error (`SpdeMomentsError`); `ml`, `ml_array`, `gamma` and `rgamma` may also
 return the +-inf their docstrings promise.  The Mittag-Leffler parameters
 (a, b) are the models' own, not drawn.
 
+Every test here runs with numpy's RuntimeWarning raised as an error, so
+a call whose arithmetic leaves the double range must settle it inside the
+package: such a warning counts as a raw error.
+
 Excluded: `model.kernel_ft`.  At t = 1, r = 1e200 its argument overflows
 before the kernel decays, so it raises OverflowError where the value is
 finite and near 0.
 """
 
+import math
 import random
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -30,6 +36,7 @@ MODELS = (
     ModelParams(2, 2, u1=1),
     ModelParams(1.5, 0.8, gamma=0.3, lam=-2, u0=0.5),
 )
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 INF_ALLOWED = {"specialfn.ml", "specialfn.ml_array", "specialfn.gamma", "specialfn.rgamma"}
 DRAWS = 200  # per entry of _calls()
 
@@ -144,9 +151,27 @@ def test_extreme_inputs_return_finite_or_raise_package_errors():
         pytest.param(lambda: md.derived_constants(MODELS[1]).t_hat(1e200), id="t_hat"),
         pytest.param(lambda: sf.ml_log(0.5, 1, 1e200), id="ml_log"),
         pytest.param(lambda: dg.chaos_term_mc(MODELS[0], 1e300, 2, 16, 0), id="chaos_term_mc"),
+        pytest.param(lambda: dg.chaos_term_mc(ModelParams(2, 1, lam=1e100), 1.0, 4, 16, 0),
+                     id="chaos_term_mc_scale"),
     ],
 )
 def test_overflow_is_result_overflow(call):
     # finite input whose result leaves the double range
     with pytest.raises(ResultOverflow, match="exceeds the double range"):
         call()
+
+
+@pytest.mark.parametrize(
+    "a, b, z", [(250.0, 1.0, 1.0), (1.5, 1e5, 3.0), (0.5, 1e200, -1e-20), (1.5, 1e3, 0.1)]
+)
+def test_ml_extreme_parameters(a, b, z):
+    # a or b so large that the switch radius, the contour's parabola or the
+    # mpmath precision leaves the double range: a value that agrees with the
+    # series summed in mpmath, or a package error
+    try:
+        value = sf.ml(a, b, z)
+    except SpdeMomentsError:
+        return
+    with mp.workdps(30):
+        ref = float(sum(mp.mpf(z) ** k * mp.rgamma(mp.mpf(a) * k + mp.mpf(b)) for k in range(60)))
+    assert math.isfinite(value) and abs(value - ref) <= 1e-13 * abs(ref)
