@@ -456,7 +456,8 @@ def _ml_contour(a: float, b: float, z: float):
     the |residues| of the poles right of the contour.  The absolute error
     is a small multiple of eps times that sum, on top of the 1e-15
     truncation target.  None when no admissible region meets the target
-    within _CONTOUR_MAX_N nodes per side.
+    within _CONTOUR_MAX_N nodes per side, or when a region's rule or a
+    residue leaves the double range.
     """
     # the poles s^a = z in the principal sheet are the saddle points of the
     # asymptotic branch, ordered by phi(s) = (Re s + |s|)/2, the mu of the
@@ -503,7 +504,7 @@ def _ml_contour(a: float, b: float, z: float):
     for _, pole in poles[j:]:
         try:
             residue = pole ** (1.0 - b) * cmath.exp(pole) / a
-        except OverflowError:  # as for |b| far above the pole's modulus
+        except OverflowError:  # pole^(1 - b) past the double range, for |b| huge
             return None
         value += residue.real
         abs_sum += abs(residue)
