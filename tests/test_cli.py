@@ -16,6 +16,7 @@ from spde_moments.model import DerivedConstants, ModelParams, dalang_bound, dala
 
 ROOT = Path(__file__).resolve().parents[1]
 
+
 def run_cli(capsys, *argv):
     try:
         code = main(list(argv))

@@ -31,12 +31,13 @@ from spde_moments import specialfn as sf
 from spde_moments.errors import ResultOverflow, SpdeMomentsError
 from spde_moments.model import ModelParams
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 MODELS = (
     ModelParams(2, 1),
     ModelParams(2, 2, u1=1),
     ModelParams(1.5, 0.8, gamma=0.3, lam=-2, u0=0.5),
 )
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 INF_ALLOWED = {"specialfn.ml", "specialfn.ml_array", "specialfn.gamma", "specialfn.rgamma"}
 DRAWS = 200  # per entry of _calls()
 
