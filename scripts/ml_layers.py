@@ -10,7 +10,10 @@ cache and the Gamma caches cleared before each run) at the ROADMAP points
 with the number of `ml` calls each makes.  Last, the median time of one
 Volterra solve (`moments._volterra_solve` by recursive halving, 8192 and
 16 384 steps on [0, 2]), of one `diagrams --partition 2,2,2,2,2,2` call
-(6040 diagrams, stdout discarded), and of a cold `import spde_moments.cli`
+(6040 diagrams, stdout discarded) with its two layers, the enumeration
+(`diagrams.enumerate_admissible`) and the formatting of every line
+(`diagrams.diagram_to_line`, each run on a new `Partition`, so its label
+table starts empty as in a CLI call), and of a cold `import spde_moments.cli`
 in a fresh interpreter (9 subprocesses, after one untimed import that
 byte-compiles the sources; the import alone, not the interpreter start).
 Then the layers of the curve commands: for one 4096-point `second-moment`
@@ -34,6 +37,7 @@ import time
 import numpy as np
 
 from spde_moments import cli, model
+from spde_moments import diagrams as dg
 from spde_moments import moments as mm
 from spde_moments import specialfn as sf
 
@@ -53,7 +57,8 @@ CURVE_T_MAX = 2.0
 MOMENT_POINTS = 4096
 CURVE_VOLTERRA_POINTS = 8192
 CURVE_VOLTERRA_RTOL = 1e-4
-DIAGRAM_ARGV = ["diagrams", "--partition", "2,2,2,2,2,2"]
+DIAGRAM_PARTITION = (2, 2, 2, 2, 2, 2)
+DIAGRAM_ARGV = ["diagrams", "--partition", ",".join(map(str, DIAGRAM_PARTITION))]
 IMPORT_RUNS = 9
 _IMPORT_SCRIPT = (
     "import time\n"
@@ -154,6 +159,22 @@ def moment_layers(p, grid):
     return marks["first"] - t0, marks["array_s"], marks["scalar"]
 
 
+def listing_layers(n: tuple, repeat: int) -> tuple[float, float]:
+    """Median ms of enumerate_admissible and of diagram_to_line over the
+    listing, on a new Partition(n) each run."""
+    enum_s, format_s = [], []
+    for _ in range(repeat):
+        part = dg.Partition(n)
+        t0 = time.perf_counter()
+        diagrams = dg.enumerate_admissible(part)
+        t1 = time.perf_counter()
+        for d in diagrams:
+            dg.diagram_to_line(d)
+        format_s.append(time.perf_counter() - t1)
+        enum_s.append(t1 - t0)
+    return 1e3 * statistics.median(enum_s), 1e3 * statistics.median(format_s)
+
+
 def cold_import_ms() -> float:
     """Median time of `import spde_moments.cli` in a fresh interpreter."""
     subprocess.run([sys.executable, "-c", "import spde_moments.cli"], check=True)
@@ -220,7 +241,9 @@ def main() -> int:
           f"solves {solves_ms:.2f}  to_csv {csv_ms:.2f}")
 
     ms = median_us(listing, max(1, args.repeat // 4)) / 1e3
-    print(f"\n{' '.join(DIAGRAM_ARGV)} (median ms): {ms:.1f}")
+    enum_ms, format_ms = listing_layers(DIAGRAM_PARTITION, max(1, args.repeat // 4))
+    print(f"\n{' '.join(DIAGRAM_ARGV)} (median ms): {ms:.1f}"
+          f"  (enumerate_admissible {enum_ms:.1f}, diagram_to_line {format_ms:.1f})")
     print(f"cold import spde_moments.cli (median of {IMPORT_RUNS}, ms): {cold_import_ms():.0f}")
     return 0
 

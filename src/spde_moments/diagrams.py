@@ -68,18 +68,20 @@ class Partition:
         return [(k, l) for k, nk in enumerate(self.n, start=1) for l in range(1, nk + 1)]
 
     @functools.cached_property
-    def _line_labels(self) -> tuple[str, "_VertexLabels"]:
-        """The `diagram_to_line` header `p m | n1,...,np | ` and vertex
+    def _line_labels(self) -> tuple[str, "_EdgeLabels"]:
+        """The `diagram_to_line` header `p m | n1,...,np | ` and edge
         labels, kept on the partition so that they go with it."""
         header = f"{self.p} {self.total // 2} | {','.join(map(str, self.n))} | "
-        return header, _VertexLabels()
+        return header, _EdgeLabels()
 
 
-class _VertexLabels(dict):
-    """`(k,l)` labels of vertices, each formatted on its first lookup."""
+class _EdgeLabels(dict):
+    """`(k1,l1)-(k2,l2)` labels of edges, each formatted on its first
+    lookup, so an edge leaving the partition's vertices gets one too."""
 
-    def __missing__(self, v: Vertex) -> str:
-        label = self[v] = f"({v[0]},{v[1]})"
+    def __missing__(self, e: Edge) -> str:
+        (k1, l1), (k2, l2) = e
+        label = self[e] = f"({k1},{l1})-({k2},{l2})"
         return label
 
 
@@ -113,12 +115,23 @@ class FeynmanDiagram:
         """A diagram from edges that are already integer pairs, sorted,
         upward-pointing and vertex-disjoint, as `enumerate_admissible` builds
         them.  Skips the checks of `__post_init__` and keeps the order for
-        `sorted_edges`; any other caller must use the validating constructor.
+        `sorted_edges`; the frozenset `edges` is built on first access
+        (`__getattr__`).  Any other caller must use the validating
+        constructor.
         """
         diagram = object.__new__(cls)
         # frozen: fill the instance dict directly, as __setattr__ refuses
-        diagram.__dict__.update(partition=partition, edges=frozenset(edges), _sorted=edges)
+        diagram.__dict__.update(partition=partition, _sorted=edges)
         return diagram
+
+    def __getattr__(self, name: str):
+        # reached only for attributes missing from the instance dict: the
+        # `edges` of a diagram from `_from_sorted`, formed once
+        known = self.__dict__.get("_sorted") if name == "edges" else None
+        if known is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        edges = self.__dict__["edges"] = frozenset(known)
+        return edges
 
     def sorted_edges(self) -> list[Edge]:
         known = self.__dict__.get("_sorted")
@@ -128,39 +141,54 @@ class FeynmanDiagram:
 def enumerate_admissible(partition: Partition) -> list[FeynmanDiagram]:
     """All perfect matchings with cross-column, upward-pointing edges.
 
-    The recursion always pairs the lowest remaining vertex with a later one
-    in a higher column, so each matching's edges come out sorted, pointing
-    upward and disjoint; they are wrapped without re-validation.
+    Each matching pairs the lowest remaining vertex v with a vertex w of a
+    higher column and matches the rest (`_matchings`), so its edges come
+    out sorted, pointing upward and disjoint; they are wrapped without
+    re-validation.  The matchings are listed in the order of that
+    recursion, w ascending and then the rest's matchings in their order,
+    which is the lexicographic order of the sorted edge tuples.
+
+    The matchings of each remaining vertex set are formed once per call:
+    a memo local to the call maps the set, as a bitmask over
+    `partition.vertices()`, to its matchings, each the tuple of edge (v, w)
+    and one of the shared suffix tuples of the set without v and w.  Every
+    edge tuple comes from one table built per call.
     """
     total = partition.total
     if total % 2:
         raise InvalidParams("partition total must be even")
     if total > _ENUM_CAP:
         raise TooLarge(f"enumeration capped at {_ENUM_CAP} vertices, got {total}")
-    out: list[FeynmanDiagram] = []
-    _extend_matchings(partition, tuple(partition.vertices()), [], out)
-    return out
+    verts = partition.vertices()
+    # partners[i]: (bit of w, the 1-tuple of edge (v, w)) for v = verts[i]
+    # and every w of a higher column, w ascending; vertices are in column order
+    partners = [
+        [(1 << j, ((v, w),)) for j, w in enumerate(verts) if w[0] > v[0]] for v in verts
+    ]
+    matchings = _matchings((1 << total) - 1, partners, {0: [()]})
+    from_sorted = FeynmanDiagram._from_sorted
+    return [from_sorted(partition, edges) for edges in matchings]
 
 
-def _extend_matchings(
-    partition: Partition, remaining: tuple[Vertex, ...], acc: list[Edge], out: list
-):
-    """Append to out each matching of the remaining vertices after acc.
+def _matchings(remaining: int, partners: list, memo: dict) -> list[tuple[Edge, ...]]:
+    """The matchings of the vertex set `remaining` (a bitmask), in
+    recursion order, through memo.
 
-    A module-level function: a nested one that calls itself is a reference
-    cycle, which would keep `out` and every diagram in it alive until the
-    next full garbage collection.
+    A module-level function with its state in arguments: a nested one that
+    calls itself is a reference cycle, which would keep the memo and every
+    matching alive until the next full garbage collection.
     """
-    if not remaining:
-        out.append(FeynmanDiagram._from_sorted(partition, tuple(acc)))
-        return
-    v = remaining[0]
-    rest = remaining[1:]
-    for j, w in enumerate(rest):
-        if w[0] == v[0]:
-            continue  # same column never pairs
-        # remaining is in column order, so w lies in a higher column than v
-        _extend_matchings(partition, rest[:j] + rest[j + 1 :], acc + [(v, w)], out)
+    known = memo.get(remaining)
+    if known is not None:
+        return known
+    low = remaining & -remaining
+    rest = remaining ^ low
+    out = []
+    for bit, head in partners[low.bit_length() - 1]:
+        if rest & bit:
+            out.extend([head + suffix for suffix in _matchings(rest ^ bit, partners, memo)])
+    memo[remaining] = out
+    return out
 
 
 def _balance_data(p: int, m: int) -> tuple[int, int]:
@@ -379,5 +407,6 @@ def stirling_sandwich_holds(n: int) -> bool:
 
 def diagram_to_line(diagram: FeynmanDiagram) -> str:
     """`p m | n1,...,np | (k1,l1)-(k2,l2); ...` fixture format."""
-    header, label = diagram.partition._line_labels
-    return header + "; ".join(f"{label[a]}-{label[b]}" for a, b in diagram.sorted_edges())
+    header, labels = diagram.partition._line_labels
+    edges = diagram.__dict__.get("_sorted") or diagram.sorted_edges()
+    return header + "; ".join(map(labels.__getitem__, edges))

@@ -1,7 +1,11 @@
 import contextlib
+import copy
+import gc
 import io
 import itertools
 import math
+import pickle
+import weakref
 
 import pytest
 from hypothesis import given
@@ -91,6 +95,31 @@ class TestAdmissible:
     def test_cap(self):
         with pytest.raises(TooLarge):
             dg.enumerate_admissible(Partition((7, 7)))
+
+    def test_dropped_listing_is_freed(self):
+        # with the collector off, reference counts alone must free a
+        # listing: a recursion that held itself in a closure would keep
+        # its memo, and every diagram, alive until a full collection
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            listing = dg.enumerate_admissible(Partition((2, 2, 2, 2)))
+            first, last = weakref.ref(listing[0]), weakref.ref(listing[-1])
+            del listing
+            assert first() is None and last() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_edges_built_on_first_access(self):
+        d, e = dg.enumerate_admissible(Partition((1, 2, 1)))
+        assert "edges" not in vars(d)
+        assert d.edges == frozenset(d.sorted_edges()) and "edges" in vars(d)
+        assert not hasattr(d, "no_such_attribute")
+        # copies of a diagram whose edges were never built
+        for clone in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert clone == e and hash(clone) == hash(e)
+            assert clone.sorted_edges() == e.sorted_edges()
 
 
 def _oracle_validated_edges(edges):
