@@ -322,7 +322,11 @@ def _volterra_solve(p: ModelParams, dc: DerivedConstants, h: float, n: int) -> n
     Comput. 6 (1985) 532-541): a range of steps is split in halves, the
     first half is solved, its effect on the second half's right-hand side
     is added by one FFT convolution (`_volterra_history`), and the second
-    half is solved; n steps cost O(n log^2 n).  Ranges of at most
+    half is solved; n steps cost O(n log^2 n).  Every range of one size
+    reads the same lags, so the spectrum of those lags is formed once per
+    size and kept, for this solve only, in a dict that `_volterra_range`
+    is passed (a 16 384-step solve has 32 ranges of 512 steps); the same
+    transform of the same lags gives the same bits.  Ranges of at most
     _VOLTERRA_LEAF steps are solved with the leaf block's inverse, which is
     lower-triangular Toeplitz like T; its first column y, y_0 = 1/denom and
     y_k = sum_{j=1}^{k} kappa c_j y_{k-j} / denom, is formed once per solve
@@ -371,38 +375,51 @@ def _volterra_solve(p: ModelParams, dc: DerivedConstants, h: float, n: int) -> n
         inv[0] = 1.0 / denom
         for k in range(1, inv.size):
             inv[k] = float(np.dot(lagc[:k], inv[k - 1 :: -1])) / denom
-
-        def solve(lo: int, hi: int):
-            size = hi - lo
-            if size <= inv.size:
-                eta[lo:hi] = np.convolve(rhs[lo:hi], inv[:size])[:size]
-                return
-            mid = lo + size // 2
-            solve(lo, mid)
-            rhs[mid:hi] += _volterra_history(eta[lo:mid], lagc[: size - 1])
-            solve(mid, hi)
-
-        solve(0, n)
+        _volterra_range(0, n, eta, rhs, lagc, inv, {})
     if not np.all(np.isfinite(eta)):
         raise ResultOverflow(f"E[u^2] on the grid of step h={h:.6g} exceeds the double range")
     return eta
 
 
-def _volterra_history(eta: np.ndarray, coefd: np.ndarray) -> np.ndarray:
-    """sum_{j=1}^{k} coefd[s - j - 1] eta[j - 1] for s = k+1, ..., len(coefd)+1,
-    k = len(eta): the part of each step's sum that reaches back to the
-    steps of eta, as entries k-1, ..., len(coefd)-1 of the convolution
+def _volterra_range(lo: int, hi: int, eta: np.ndarray, rhs: np.ndarray, lagc: np.ndarray,
+                    inv: np.ndarray, spectra: dict):
+    """Solve steps lo..hi-1 into eta, adding the history of each first
+    half to rhs; spectra maps a range size to the spectrum of its lags.
+
+    A module-level function with its state in arguments: a nested one that
+    calls itself is a reference cycle, which would keep rhs and lagc alive
+    until the next full garbage collection.
+    """
+    size = hi - lo
+    if size <= inv.size:
+        eta[lo:hi] = np.convolve(rhs[lo:hi], inv[:size])[:size]
+        return
+    mid = lo + size // 2
+    _volterra_range(lo, mid, eta, rhs, lagc, inv, spectra)
+    spectrum = spectra.get(size)
+    if spectrum is None:
+        # the size - 1 lags at a power-of-two length >= size - 1
+        spectrum = spectra[size] = np.fft.rfft(lagc[: size - 1], 1 << (size - 2).bit_length())
+    rhs[mid:hi] += _volterra_history(eta[lo:mid], size - 1, spectrum)
+    _volterra_range(mid, hi, eta, rhs, lagc, inv, spectra)
+
+
+def _volterra_history(eta: np.ndarray, m: int, spectrum: np.ndarray) -> np.ndarray:
+    """sum_{j=1}^{k} coefd[s - j - 1] eta[j - 1] for s = k+1, ..., m+1,
+    k = len(eta), with coefd the m lags whose `np.fft.rfft` at an even
+    length N >= m is spectrum: the part of each step's sum that reaches
+    back to the steps of eta, as entries k-1, ..., m-1 of the convolution
     eta * coefd.
 
-    A circular convolution of length N >= len(coefd) wraps only entries at
-    or past N, which land below k-1, so N need not cover the full
-    convolution.  eta is divided by its largest value first so that the
-    transform stays in range wherever the sums do.
+    A circular convolution of length N >= m wraps only entries at or past
+    N, which land below k-1, so N need not cover the full convolution.
+    eta is divided by its largest value first so that the transform stays
+    in range wherever the sums do.
     """
     k = eta.size
     top = float(eta.max())
     if top == 0.0:
-        return np.zeros(coefd.size - k + 1)
-    size = 1 << (coefd.size - 1).bit_length()  # a power of two >= len(coefd)
-    conv = np.fft.irfft(np.fft.rfft(eta / top, size) * np.fft.rfft(coefd, size), size)
-    return conv[k - 1 : coefd.size] * top
+        return np.zeros(m - k + 1)
+    size = 2 * (spectrum.size - 1)  # N
+    conv = np.fft.irfft(np.fft.rfft(eta / top, size) * spectrum, size)
+    return conv[k - 1 : m] * top
