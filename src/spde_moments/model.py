@@ -393,11 +393,32 @@ def t_p(p: ModelParams, t: float, pp: float) -> float:
 
 def kernel_ft(p: ModelParams, t: float, r: float) -> float:
     """Radial Fourier transform of the fundamental kernel:
-    t^{beta+gamma-1} E_{beta,beta+gamma}(-nu t^beta r^alpha / 2)."""
+    t^{beta+gamma-1} E_{beta,beta+gamma}(-nu t^beta r^alpha / 2).
+
+    Where a power leaves the double range, the factors meet in logs.
+    ResultOverflow where the kernel, or the Mittag-Leffler argument itself,
+    lies past the double range (at t = 1, r = 1e200 on the heat model, where
+    the kernel is near 0).
+    """
     _require_positive("t", t)
     _require_positive("r", r, allow_zero=True)
-    return t ** (p.beta + p.gamma - 1.0) * sf.ml(
-        p.beta, p.beta + p.gamma, -0.5 * p.nu * t**p.beta * r**p.alpha
+    b = p.beta + p.gamma
+
+    def value():
+        try:
+            x = 0.5 * p.nu * t**p.beta * r**p.alpha
+            scale = t ** (b - 1.0)
+        except OverflowError:
+            x = scale = math.inf
+        if math.isfinite(x) and math.isfinite(scale):
+            return scale * sf.ml(p.beta, b, -x)
+        log_t = math.log(t)
+        log_x = (math.log(0.5 * p.nu) + p.beta * log_t + p.alpha * math.log(r)) if r else -math.inf
+        e = sf.ml(p.beta, b, -math.exp(log_x))  # OverflowError past the range
+        return math.copysign(math.exp((b - 1.0) * log_t + math.log(abs(e))), e) if e else 0.0
+
+    return finite_or_overflow(
+        value, f"the kernel at t={t!r}, r={r!r} or its argument exceeds the double range"
     )
 
 

@@ -58,8 +58,8 @@ from functools import lru_cache
 import numpy as np
 from mpmath import libmp
 
-from .errors import ConvergenceFailure, GammaPole, MittagLefflerAccuracyWarning, ValidationError
-from .errors import finite_or_overflow
+from .errors import ConvergenceFailure, GammaPole, MittagLefflerAccuracyWarning, ResultOverflow
+from .errors import ValidationError, finite_or_overflow
 
 __all__ = [
     "gamma",
@@ -108,12 +108,17 @@ def rgamma(x: float) -> float:
     if x > 0.5:
         g = math.gamma(x) if x < _RGAMMA_ZERO else math.inf
         return 0.0 if math.isinf(g) else 1.0 / g
-    # 1/Gamma(x) = Gamma(1-x) sin(pi x) / pi
-    s = _sinpi(x)
-    logmag = math.lgamma(1.0 - x) + math.log(abs(s) / math.pi)
+    sign, logmag = _rgamma_reflected(x)
     if logmag > 709.0:
-        return math.copysign(math.inf, s)
-    return math.copysign(math.exp(logmag), s)
+        return math.copysign(math.inf, sign)
+    return math.copysign(math.exp(logmag), sign)
+
+
+def _rgamma_reflected(x: float) -> tuple[float, float]:
+    """(sign, log |1/Gamma(x)|) for x <= 0.5 off the poles, by reflection:
+    1/Gamma(x) = Gamma(1-x) sin(pi x) / pi."""
+    s = _sinpi(x)
+    return math.copysign(1.0, s), math.lgamma(1.0 - x) + math.log(abs(s) / math.pi)
 
 
 def normal_cdf(x: float) -> float:
@@ -596,7 +601,11 @@ def _ml_series(a: float, b: float, z: float) -> float:
         total = 0.0
         max_abs = max_abs or 1.0
     if not first:
-        contour = _ml_contour(a, b, z)
+        # no contour where the float pass formed no term (b past
+        # _RGAMMA_ZERO): its rules do not see how the origin's branch point
+        # of strength 2(b - a - 1) shrinks E, and it gave 2.7e-55 for
+        # E_{1.5,300}(-0.2) ~ 1e-612; the mpmath series answers or raises
+        contour = _ml_contour(a, b, z) if b < _RGAMMA_ZERO else None
     if contour is not None and _contour_accepted(*contour):
         return contour[0]
     digits = 25
@@ -634,11 +643,17 @@ def _saddle_points(a: float, arg: float, w: float):
 def _ml_asym(a: float, b: float, z: float):
     """Asymptotic branch for |z| at or beyond the switch radius.
 
-    Raises OverflowError only through math.exp when a dominant exponent
-    exceeds the float range; ml() guards that case.
+    Raises OverflowError through math.exp when a dominant exponent exceeds
+    the float range, which ml() turns into +inf, and ResultOverflow when an
+    algebraic term does (b far below 0), whose sign may be either.
     """
     x = abs(z)
-    w = x ** (1.0 / a)
+    try:
+        w = x ** (1.0 / a)
+    except OverflowError:
+        # every direction then grows past the range or decays to nothing,
+        # and the algebraic series runs to its cap
+        w = math.inf
     arg = 0.0 if z > 0 else math.pi
 
     # exponential directions
@@ -664,7 +679,7 @@ def _ml_asym(a: float, b: float, z: float):
     # a the minimum sits at k ~ w/a which can run to hundreds of terms),
     # skipping terms whose Gamma argument is at a pole and stopping early
     # once terms stop mattering
-    k_stop = min(_ASYM_TERMS, max(1, int(w / a) + 1))
+    k_stop = min(_ASYM_TERMS, max(1, int(min(w / a, _ASYM_TERMS)) + 1))
     floor_scale = 1e-18 * abs(exp_part)
     alg = 0.0
     comp = 0.0
@@ -676,6 +691,14 @@ def _ml_asym(a: float, b: float, z: float):
         if rg == 0.0:
             continue
         term = rg * z ** (-k)
+        if not math.isfinite(term):
+            # rg is +-inf (b far below 0), and times z^-k = 0.0 it was NaN:
+            # meet the factors in logs
+            sign, log_rg = _rgamma_reflected(b - a * k)
+            log_term = log_rg - k * math.log(x)
+            if log_term > 709.0:
+                raise ResultOverflow(f"E_{{{a!r},{b!r}}}({z!r}) exceeds the double range")
+            term = math.copysign(math.exp(log_term), -sign if z < 0 and k % 2 else sign)
         y = term - comp
         t = alg + y
         comp = (t - alg) - y
@@ -701,9 +724,12 @@ def ml(a: float, b: float, z: float) -> float:
     expansion.  Relative accuracy ~1e-9 or better for a <= 2 over the
     tested grids.  For a > 2 with z below minus the switch radius no
     controlled expansion is available; the best-effort value is returned
-    under MittagLefflerAccuracyWarning.  Overflow, and z = +inf, return
-    +inf; z = NaN or -inf, a non-finite b, or a not in (0, inf) raises
-    ValidationError.
+    under MittagLefflerAccuracyWarning.  Overflow of the exponential
+    terms, and z = +inf, return +inf; an algebraic term past the double
+    range (b far below 0) raises ResultOverflow.  z = NaN or -inf, a
+    non-finite b, or a not in (0, inf) raises ValidationError.  Where
+    b >= 171.6 the float series forms no term and the contour is not used:
+    the mpmath series answers or ConvergenceFailure is raised.
     """
     if not (0 < a < math.inf and -math.inf < b < math.inf):
         raise ValidationError(f"ml requires finite a > 0 and finite b, got a={a}, b={b}")
@@ -728,6 +754,8 @@ def ml(a: float, b: float, z: float) -> float:
         )
     try:
         return _ml_asym(a, b, z)
+    except ResultOverflow:
+        raise  # an algebraic term, of either sign
     except OverflowError:
         return math.inf
 

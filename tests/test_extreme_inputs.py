@@ -10,10 +10,6 @@ return the +-inf their docstrings promise.  The Mittag-Leffler parameters
 Every test here runs with numpy's RuntimeWarning raised as an error, so
 a call whose arithmetic leaves the double range must settle it inside the
 package: such a warning counts as a raw error.
-
-Excluded: `model.kernel_ft`.  At t = 1, r = 1e200 its argument overflows
-before the kernel decays, so it raises OverflowError where the value is
-finite and near 0.
 """
 
 import math
@@ -86,6 +82,7 @@ def _calls():
             ]
         calls += [
             ("specialfn.sin_power_integral", sf.sin_power_integral, (p.alpha,), "+"),
+            ("model.kernel_ft", md.kernel_ft, (p,), "++"),
             ("DerivedConstants.t_hat", md.DerivedConstants.t_hat, (dc,), "+"),
             ("model.t_p", md.t_p, (p,), "++"),
             ("model.j0", md.j0, (p,), "+"),

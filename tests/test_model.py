@@ -223,6 +223,18 @@ class TestKernelFt:
         want = t ** (beta + gamma - 1.0) * sf.rgamma(beta + gamma)
         assert rel(md.kernel_ft(p, t, 0.0), want) < 1e-12
 
+    def test_powers_past_the_range_meet_in_logs(self):
+        # t^{1.5} = 1e375 overflows, the kernel is 2.26e145: E_{1,b}(z) = 1F1(1; b; z)/Gamma(b)
+        p = ModelParams(2, 1, gamma=1.5)
+        x = mp.mpf(0.5) * mp.mpf(1e250) * mp.mpf(1e-10) ** 2
+        want = mp.mpf(1e250) ** 1.5 * mp.hyp1f1(1, 2.5, -x) / mp.gamma(2.5)
+        assert rel(md.kernel_ft(p, 1e250, 1e-10), float(want)) < 1e-12
+
+    def test_argument_past_the_range(self):
+        # r^alpha = 1e400: a package error, not a raw OverflowError
+        with pytest.raises(ResultOverflow, match="exceeds the double range"):
+            md.kernel_ft(SHE, 1.0, 1e200)
+
 
 class TestBigTheta:
     def test_she_closed(self):

@@ -17,6 +17,7 @@ from spde_moments.errors import (
     ConvergenceFailure,
     GammaPole,
     MittagLefflerAccuracyWarning,
+    ResultOverflow,
     ValidationError,
 )
 
@@ -469,6 +470,16 @@ class TestLargeB:
             return
         assert rel(got, float(want)) < 1e-12
 
+    @pytest.mark.parametrize("b, want", [(300.0, "9.8017e-613"), (200.0, "2.5358e-373")])
+    def test_no_contour_once_the_float_pass_forms_no_term(self, b, want):
+        # 1/Gamma(b) is 0.0 in double from b = 171.6; the contour returned
+        # 2.7e-55 and 2.4e-37 here, the mpmath series cannot settle
+        with mp.workdps(30):
+            series = sum(mp.mpf(-0.2) ** k * mp.rgamma(1.5 * k + b) for k in range(40))
+            assert mp.nstr(series, 5) == want
+        with pytest.raises(ConvergenceFailure):
+            sf.ml(1.5, b, -0.2)
+
     def test_radius_grows_with_b_only_past_the_default(self):
         for a in (0.5, 1.0, 1.5):
             assert sf._series_radius(a, 3.0) == sf._series_radius(a)
@@ -617,6 +628,34 @@ def oracle_values():
         patch.setattr(sf, "_ml_series", _oracle_ml_series)
         patch.setattr(sf, "_ml_asym", _oracle_ml_asym)
         return [sf.ml(a, b, z) for a, b, z in _ORACLE_GRID]
+
+
+class TestAsymptoticRange:
+    """The asymptotic branch where |z|^{1/a} or a Gamma factor leaves the
+    double range."""
+
+    def test_algebraic_term_past_the_range(self):
+        # rgamma(b - a) = -inf met z^-1 and z^-2 = 0.0: the sum was NaN
+        a, b, z = 0.9837049825871164, -32546727476793.12, -1.0771224746206302e293
+        with pytest.raises(ResultOverflow, match="exceeds the double range"):
+            sf.ml(a, b, z)
+
+    def test_algebraic_terms_in_logs(self):
+        # rgamma(b - a k) = +-inf for k = 1, 2, 3 and the sum was NaN; the
+        # terms -z^{-k}/Gamma(b - a k), formed in logs, are 2.1e78, -8.3e-219
+        # and -1.8e-515
+        a, b, z = 1.5, -200.3, -1e300
+        with mp.workdps(40):
+            want = -sum(mp.mpf(z) ** -k * mp.rgamma(b - a * k) for k in range(1, 6))
+        assert [sf.rgamma(b - a * k) for k in (1, 2, 3)] == [math.inf, math.inf, -math.inf]
+        assert rel(sf.ml(a, b, z), float(want)) < 1e-12
+
+    @pytest.mark.parametrize("a, b, z", [(0.6, 1.0, -1e200), (0.8, 1.1, -1e300), (1.5, 1.1, -1e300)])
+    def test_power_past_the_range(self, a, b, z):
+        # |z|^{1/a} overflows; ml returned +inf, E is -sum_k z^{-k}/Gamma(b - a k)
+        with mp.workdps(40):
+            want = -sum(mp.mpf(z) ** -k * mp.rgamma(b - a * k) for k in range(1, 6))
+        assert rel(sf.ml(a, b, z), float(want)) < 1e-12
 
 
 class TestGammaTables:
