@@ -413,7 +413,8 @@ def kernel_ft(p: ModelParams, t: float, r: float) -> float:
         if math.isfinite(x) and math.isfinite(scale):
             return scale * sf.ml(p.beta, b, -x)
         log_t = math.log(t)
-        log_x = (math.log(0.5 * p.nu) + p.beta * log_t + p.alpha * math.log(r)) if r else -math.inf
+        log_x = (math.log(0.5) + math.log(p.nu) + p.beta * log_t + p.alpha * math.log(r)
+                 if r else -math.inf)
         e = sf.ml(p.beta, b, -math.exp(log_x))  # OverflowError past the range
         return math.copysign(math.exp((b - 1.0) * log_t + math.log(abs(e))), e) if e else 0.0
 
