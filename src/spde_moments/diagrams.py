@@ -32,8 +32,6 @@ __all__ = [
     "crossing_vanishes",
     "chaos_term",
     "chaos_term_mc",
-    "exp_tail_facts",
-    "stirling_sandwich_holds",
     "diagram_to_line",
 ]
 
@@ -372,37 +370,6 @@ def chaos_term_mc(
     if not (math.isfinite(est) and math.isfinite(se)):
         raise ResultOverflow(overflow)
     return est, se
-
-
-def exp_tail_facts(n: int, a: float) -> dict:
-    """Log-space facts about the exponential series around its mode.
-
-    half_ratio = exp(-n) sum_{m<n} n^m/m!  (tends to 1/2); tail_lb_ok
-    checks sum_{m>=n} (n^m/m!)^a >= exp(a n / 4) with witness constants
-    c1 = 1, c2 = a/4.
-    """
-    _require_integer("n", n, 10)
-    _require_positive("a", a)
-    m = np.arange(0, n)
-    logterms = m * math.log(n) - np.array([math.lgamma(v + 1.0) for v in m]) - n
-    top = float(np.max(logterms))
-    half_ratio = math.exp(top) * float(np.sum(np.exp(logterms - top)))
-    # tail sum in log space, m from n onward until terms stop contributing
-    m_hi = int(n + 20 * math.sqrt(n) + 60)
-    mm = np.arange(n, m_hi)
-    logt = a * (mm * math.log(n) - np.array([math.lgamma(v + 1.0) for v in mm]))
-    top_t = float(np.max(logt))
-    log_tail = top_t + math.log(float(np.sum(np.exp(logt - top_t))))
-    tail_lb_ok = log_tail >= a * n / 4.0  # log c1 = 0
-    return {"half_ratio": half_ratio, "tail_lb_ok": bool(tail_lb_ok)}
-
-
-def stirling_sandwich_holds(n: int) -> bool:
-    """sqrt(2 pi n)(n/e)^n < n! < 2 sqrt(2 pi n)(n/e)^n, in log space."""
-    _require_integer("n", n, 1)
-    log_fact = math.lgamma(n + 1.0)
-    log_lower = 0.5 * math.log(2.0 * math.pi * n) + n * (math.log(n) - 1.0)
-    return log_lower < log_fact < log_lower + math.log(2.0)
 
 
 def diagram_to_line(diagram: FeynmanDiagram) -> str:

@@ -1,6 +1,5 @@
-"""Seeded Monte Carlo simulators for the 1-D heat and wave cases, the exact
-second moments of the heat scheme, and the 1-D wave-kernel overlap on a
-ball.
+"""Seeded Monte Carlo simulators for the 1-D heat and wave cases and the
+exact second moments of the heat scheme.
 
 The wave scheme steps the mild solution on its characteristic lattice
 (kappa dt = dx) with the discrete d'Alembert recursion.  All noise comes from
@@ -28,7 +27,6 @@ from .moments import MomentCurve
 
 __all__ = [
     "SimConfig", "SimOutput", "she_scheme_second_moment", "simulate_she", "simulate_swe",
-    "wave_overlap",
 ]
 
 
@@ -301,23 +299,3 @@ def simulate_swe(
         if (n + 1) in want:
             samples.append(u[:, m // 2].astype(np.float64))
     return _probe_output(p, cfg, probes, "swe-mild-convolution", samples)
-
-
-_WINDOW_SLACK = 4.0 * 2.0**-52  # a few ulps: 12 * 0.3 rounds below 3.6
-
-
-def wave_overlap(eps: float, t: float, s: float, a: float, b: float, x: float) -> float:
-    """Overlap integral int_{B_eps(x)} p(t, a-y) p(s, b-y) dy of the 1-D wave
-    kernel normalized at nu = 2, for t, s in [2 eps, 12 eps] up to a few ulps
-    and a, b in the open ball.
-
-    The kernel is (1/2) 1_{|.|<t}; both indicators are identically one on
-    the ball, so the value is exactly eps/2.
-    """
-    _require_positive("eps", eps)
-    lo, hi = 2.0 * eps * (1.0 - _WINDOW_SLACK), 12.0 * eps * (1.0 + _WINDOW_SLACK)
-    if not (lo <= t <= hi and lo <= s <= hi):
-        raise InvalidParams("need t, s in [2 eps, 12 eps]")
-    if not (abs(a - x) < eps and abs(b - x) < eps):
-        raise InvalidParams("a, b must lie in the open ball B_eps(x)")
-    return 0.5 * eps

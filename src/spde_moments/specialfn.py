@@ -259,19 +259,20 @@ def _series_float_array(a: float, b: float, z: np.ndarray):
         keep = ~stop
         total, comp, max_abs, zpow, live = (v[keep] for v in (total, comp, max_abs, zpow, live))
 
-    for k, rg in enumerate(_series_rgamma(a, b)):
-        term = zpow * rg
-        max_abs = np.maximum(max_abs, np.abs(term))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if k > 2:
-            freeze(np.abs(term) < 1e-17 * (np.abs(total) + 1e-300), True)
-        zpow = zpow * z[live]
-        freeze(np.abs(zpow) > 1e290, False)
-        if not live.size:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # +-inf terms, silent as in _series_float
+        for k, rg in enumerate(_series_rgamma(a, b)):
+            term = zpow * rg
+            max_abs = np.maximum(max_abs, np.abs(term))
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            if k > 2:
+                freeze(np.abs(term) < 1e-17 * (np.abs(total) + 1e-300), True)
+            zpow = zpow * z[live]
+            freeze(np.abs(zpow) > 1e290, False)
+            if not live.size:
+                break
     freeze(np.ones(live.size, dtype=bool), False)
     return out
 
@@ -501,11 +502,12 @@ def _ml_contour(a: float, b: float, z: float):
     iu = 1.0 + 1j * h * np.arange(n + 1)
     s = mu * iu * iu
     log_s = np.log(s)
-    terms = np.exp(s + (a - b) * log_s) / (np.exp(a * log_s) - z) * iu
-    terms *= h * mu / math.pi
-    mags = np.abs(terms)
-    value = 2.0 * float(np.sum(terms.real)) - float(terms[0].real)
-    abs_sum = 2.0 * float(np.sum(mags)) - float(mags[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # b far below 0: inf, nan
+        terms = np.exp(s + (a - b) * log_s) / (np.exp(a * log_s) - z) * iu
+        terms *= h * mu / math.pi
+        mags = np.abs(terms)
+        value = 2.0 * float(np.sum(terms.real)) - float(terms[0].real)
+        abs_sum = 2.0 * float(np.sum(mags)) - float(mags[0])
     for _, pole in poles[j:]:
         try:
             residue = pole ** (1.0 - b) * cmath.exp(pole) / a
@@ -797,21 +799,20 @@ def ml_log(a: float, b: float, z: float) -> float:
     ResultOverflow beyond.
 
     Large arguments are handled from the asymptotic exponential terms with
-    the dominant factor w^{1-b} e^w, w = z^{1/a}, taken out in logs.
+    the dominant factor w^{1-b} e^w, w = z^{1/a}, taken out in logs; below
+    the switch radius an E past the double range raises ResultOverflow.
+    E <= 0 (or exponential terms summing to <= 0) raises ValidationError.
     """
     if not (0 < a < math.inf and -math.inf < b < math.inf):
         raise ValidationError(f"ml_log requires finite a > 0 and finite b, got a={a}, b={b}")
     if not z >= 0:
         raise ValidationError("ml_log is defined for z >= 0")
-    if z == 0.0:
-        rg = rgamma(b)
-        if rg <= 0:
-            raise ValidationError("E_{a,b}(0) <= 0; log undefined")
-        return math.log(rg)
     if z < _series_radius(a, b):
-        val = _ml_series(a, b, z)
+        val = rgamma(b) if z == 0.0 else _ml_series(a, b, z)
         if val <= 0:
-            raise ArithmeticError("non-positive Mittag-Leffler value")
+            raise ValidationError(f"E_{{{a!r},{b!r}}}({z!r}) <= 0; log undefined")
+        if val == math.inf:
+            raise ResultOverflow(f"E_{{{a!r},{b!r}}}({z!r}) exceeds the double range")
         return math.log(val)
     w = finite_or_overflow(
         lambda: z ** (1.0 / a), f"log E_{{{a!r},{b!r}}}({z!r}) exceeds the double range"
@@ -822,7 +823,7 @@ def ml_log(a: float, b: float, z: float) -> float:
         total += weight * u ** (1.0 - b) * cmath.exp(w * (u - 1.0))
     scaled = total.real / a
     if scaled <= 0:
-        raise ArithmeticError("asymptotic sum non-positive in log space")
+        raise ValidationError(f"E_{{{a!r},{b!r}}}({z!r}): asymptotic sum <= 0; log undefined")
     return w + (1.0 - b) * math.log(w) + math.log(scaled)
 
 

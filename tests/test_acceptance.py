@@ -22,6 +22,8 @@ from spde_moments.diagrams import FeynmanDiagram, Partition
 from spde_moments.model import ModelParams
 from spde_moments.simulate import SimConfig
 
+import lemma_checks as lc
+
 
 def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
@@ -232,9 +234,9 @@ def test_c07_chaos_consistency():
 
 def test_c08_exponential_tail_facts():
     with _Clock(1.0) as clock:
-        facts = dg.exp_tail_facts(1000, 1.0)
+        facts = lc.exp_tail_facts(1000, 1.0)
         assert 0.48 <= facts["half_ratio"] <= 0.52
-        assert all(dg.stirling_sandwich_holds(n) for n in range(1, 171))
+        assert all(lc.stirling_sandwich_holds(n) for n in range(1, 171))
     report(8, "exponential-series facts and Stirling sandwich", clock)
 
 

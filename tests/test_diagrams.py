@@ -18,6 +18,8 @@ from spde_moments.diagrams import FeynmanDiagram, Partition
 from spde_moments.errors import InvalidParams, NotBalanced, ResultOverflow, TooLarge
 from spde_moments.model import ModelParams, big_theta, theta
 
+import lemma_checks as lc
+
 
 def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
@@ -422,40 +424,40 @@ class TestChaos:
 
 class TestExpTailFacts:
     def test_half_ratio_large_n(self):
-        out = dg.exp_tail_facts(1000, 1.0)
+        out = lc.exp_tail_facts(1000, 1.0)
         assert 0.48 <= out["half_ratio"] <= 0.52
 
     def test_tail_bound_small_case(self):
-        assert dg.exp_tail_facts(20, 1.0)["tail_lb_ok"]
+        assert lc.exp_tail_facts(20, 1.0)["tail_lb_ok"]
 
     @given(
         st.integers(min_value=50, max_value=500),
         st.floats(min_value=0.2, max_value=3.0),
     )
     def test_tail_bound_witnesses(self, n, a):
-        assert dg.exp_tail_facts(n, a)["tail_lb_ok"]
+        assert lc.exp_tail_facts(n, a)["tail_lb_ok"]
 
     def test_stirling_sandwich(self):
-        assert all(dg.stirling_sandwich_holds(n) for n in range(1, 171))
+        assert all(lc.stirling_sandwich_holds(n) for n in range(1, 171))
 
     def test_validation(self):
         with pytest.raises(InvalidParams):
-            dg.exp_tail_facts(5, 1.0)
+            lc.exp_tail_facts(5, 1.0)
         with pytest.raises(InvalidParams):
-            dg.exp_tail_facts(100, 0.0)
+            lc.exp_tail_facts(100, 0.0)
 
     @pytest.mark.parametrize("n", [math.inf, math.nan, 10.0])
     def test_n_is_an_integer(self, n):
         # inf and nan raised a raw OverflowError or ValueError; 10.0 passed
         with pytest.raises(InvalidParams, match="^n must be an integer"):
-            dg.exp_tail_facts(n, 1.0)
+            lc.exp_tail_facts(n, 1.0)
         with pytest.raises(InvalidParams, match="^n must be an integer"):
-            dg.stirling_sandwich_holds(n)
+            lc.stirling_sandwich_holds(n)
 
     @pytest.mark.parametrize("a", [math.nan, math.inf])
     def test_a_is_finite(self, a):
         with pytest.raises(InvalidParams, match="^a must be"):
-            dg.exp_tail_facts(10, a)
+            lc.exp_tail_facts(10, a)
 
 
 class TestIntegerArguments:

@@ -1,11 +1,12 @@
 """Seeded extreme-input audit of the public numeric functions.
 
-Each call of `model`, `moments`, `diagrams` and `specialfn` on a few fixed
-valid models, with arguments drawn log-uniform over [1e-300, 1e300] (signed
-where the domain allows), must return a finite value or raise a package
-error (`SpdeMomentsError`); `ml`, `ml_array`, `gamma` and `rgamma` may also
-return the +-inf their docstrings promise.  The Mittag-Leffler parameters
-(a, b) are the models' own, not drawn.
+Each call of `model`, `moments`, `diagrams` and `specialfn` (and of the
+lemma checks of `lemma_checks`) on a few fixed valid models, with arguments
+drawn log-uniform over [1e-300, 1e300] (signed where the domain allows),
+must return a finite value or raise a package error (`SpdeMomentsError`);
+`ml` and `ml_array` may also return the +inf their docstrings promise,
+`gamma` and `rgamma` +-inf.  The audit takes the Mittag-Leffler parameters
+(a, b) from the models; a second slice draws them too.
 
 Every test here runs with numpy's RuntimeWarning raised as an error, so
 a call whose arithmetic leaves the double range must settle it inside the
@@ -15,6 +16,7 @@ package: such a warning counts as a raw error.
 import math
 import random
 import time
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -24,8 +26,16 @@ from spde_moments import diagrams as dg
 from spde_moments import model as md
 from spde_moments import moments as mm
 from spde_moments import specialfn as sf
-from spde_moments.errors import ResultOverflow, SpdeMomentsError
+from spde_moments.errors import (
+    ConvergenceFailure,
+    MittagLefflerAccuracyWarning,
+    ResultOverflow,
+    SpdeMomentsError,
+    ValidationError,
+)
 from spde_moments.model import ModelParams
+
+import lemma_checks as lc
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -34,8 +44,14 @@ MODELS = (
     ModelParams(2, 2, u1=1),
     ModelParams(1.5, 0.8, gamma=0.3, lam=-2, u0=0.5),
 )
-INF_ALLOWED = {"specialfn.ml", "specialfn.ml_array", "specialfn.gamma", "specialfn.rgamma"}
+INF_ALLOWED = {
+    "specialfn.ml": (math.inf,),
+    "specialfn.ml_array": (math.inf,),
+    "specialfn.gamma": (math.inf, -math.inf),
+    "specialfn.rgamma": (math.inf, -math.inf),
+}
 DRAWS = 200  # per entry of _calls()
+ML_DRAWS = 500  # (a, b, z) tuples of the drawn-parameter slice
 
 
 def _draw(rng: random.Random, sign: str):
@@ -70,7 +86,7 @@ def _calls():
         ("moments.she_second_moment", mm.she_second_moment, (), "+--+"),
         ("moments.swe_second_moment", mm.swe_second_moment, (), "+---+"),
         ("moments.she_exact_pth_lyapunov", mm.she_exact_pth_lyapunov, (), "-+"),
-        ("diagrams.exp_tail_facts", lambda a: dg.exp_tail_facts(20, a)["half_ratio"], (), "+"),
+        ("lemma_checks.exp_tail_facts", lambda a: lc.exp_tail_facts(20, a)["half_ratio"], (), "+"),
     ]
     for p in MODELS:
         dc = md.derived_constants(p)
@@ -108,35 +124,57 @@ def _model_calls():
 
 
 def _bad(name: str, value) -> bool:
-    """Whether a returned value breaks the rule (finite, +-inf where allowed)."""
+    """Whether a returned value breaks the rule (finite, or an infinity
+    INF_ALLOWED lists)."""
     values = np.asarray(value, dtype=float)
-    return not np.all(~np.isnan(values) if name in INF_ALLOWED else np.isfinite(values))
+    return not np.all(np.isfinite(values) | np.isin(values, INF_ALLOWED.get(name, ())))
+
+
+def _check(failures: list, name: str, f, args) -> None:
+    """Call f(*args); a raw error or a value that breaks the rule is
+    appended to failures."""
+    try:
+        value = f(*args)
+    except SpdeMomentsError:
+        return
+    except Exception as exc:  # a raw error: the audit reports each one
+        failures.append(f"{name}{args!r}: {type(exc).__name__}: {exc}")
+        return
+    if _bad(name, value):
+        failures.append(f"{name}{args!r} returned {value!r}")
 
 
 def test_extreme_inputs_return_finite_or_raise_package_errors():
     rng = random.Random(20260)
     start = time.perf_counter()
     failures = []
-
-    def check(name, f, args):
-        try:
-            value = f(*args)
-        except SpdeMomentsError:
-            return
-        except Exception as exc:  # a raw error: the audit reports each one
-            failures.append(f"{name}{args!r}: {type(exc).__name__}: {exc}")
-            return
-        if _bad(name, value):
-            failures.append(f"{name}{args!r} returned {value!r}")
-
     for name, f, p in _model_calls():
-        check(name, f, (p,))
+        _check(failures, name, f, (p,))
     for name, f, fixed, signs in _calls():
         for _ in range(DRAWS):
-            check(name, f, fixed + tuple(_draw(rng, s) for s in signs))
+            _check(failures, name, f, fixed + tuple(_draw(rng, s) for s in signs))
     elapsed = time.perf_counter() - start
     assert not failures, f"{len(failures)} calls broke the rule:\n" + "\n".join(failures)
     assert elapsed < 5.0, f"the audit took {elapsed:.1f} s"
+
+
+def test_ml_at_drawn_parameters_returns_finite_or_raises_package_errors():
+    # (a, b) drawn as well: a in 10^U[-2, 2], b and z of either sign with
+    # |b| in 10^U[-3, 3] and |z| in 10^U[-6, 6]; b far below 0 made the
+    # contour and the array series warn, and ml_log raise ArithmeticError
+    # or return +inf
+    rng = random.Random(20261)
+    failures = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", MittagLefflerAccuracyWarning)
+        for _ in range(ML_DRAWS):
+            a = 10.0 ** rng.uniform(-2.0, 2.0)
+            b, z = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-e, e) for e in (3.0, 6.0))
+            _check(failures, "specialfn.ml", sf.ml, (a, b, z))
+            _check(failures, "specialfn.ml_array", sf.ml_array, (a, b, [z]))
+            _check(failures, "specialfn.ml_log", sf.ml_log, (a, b, abs(z)))
+    assert not failures, f"{len(failures)} calls broke the rule:\n" + "\n".join(failures)
 
 
 @pytest.mark.parametrize(
@@ -173,3 +211,30 @@ def test_ml_extreme_parameters(a, b, z):
     with mp.workdps(30):
         ref = float(sum(mp.mpf(z) ** k * mp.rgamma(mp.mpf(a) * k + mp.mpf(b)) for k in range(60)))
     assert math.isfinite(value) and abs(value - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: sf.ml(1.5, -500.3, -100.0), ConvergenceFailure, "did not settle",
+                     id="ml"),
+        pytest.param(lambda: sf.ml(1.7596709284669327, -499.24714860975365, -27550.016425663984),
+                     ConvergenceFailure, "did not settle", id="ml_far"),
+        pytest.param(lambda: sf.ml_array(0.04424500408379234, -921.3734104129015,
+                                         [0.07009983785174252]),
+                     ConvergenceFailure, "did not settle", id="ml_array"),
+        pytest.param(lambda: sf.ml_log(0.9675156094497827, -46.06516699320343, 0.386564875458145),
+                     ValidationError, "<= 0; log undefined$", id="ml_log_negative"),
+        pytest.param(lambda: sf.ml_log(2.0023636287526583, -117.8907940554258, 31339.015585667876),
+                     ResultOverflow, "exceeds the double range$", id="ml_log_overflow"),
+        pytest.param(lambda: sf.ml_log(1.0, -201.5, 0.0), ResultOverflow,
+                     "exceeds the double range$", id="ml_log_overflow_at_0"),
+    ],
+)
+def test_ml_with_b_far_below_zero(call, error, message):
+    # the contour's terms and the array series' Kahan sum leave the double
+    # range without a warning; E = -4.5e56 has no log, and the logs of
+    # E ~ e^790 below the switch radius and of 1/Gamma(-201.5) are not formed
+    with pytest.raises(error, match=message):
+        call()

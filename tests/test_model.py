@@ -15,6 +15,8 @@ from spde_moments import specialfn as sf
 from spde_moments.errors import ConvergenceFailure, DalangViolated, InvalidParams, ResultOverflow
 from spde_moments.model import KernelSign, ModelParams
 
+import lemma_checks as lc
+
 
 def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
@@ -99,11 +101,11 @@ _POSITIVE_ARGS = [
     ("j0", "t", True, lambda v: md.j0(SHE, v)),
     ("chaos_term", "t", False, lambda v: dg.chaos_term(SHE, v, 1)),
     ("chaos_term_mc", "t", False, lambda v: dg.chaos_term_mc(SHE, v, 1, 4, 0)),
-    ("exp_tail_facts", "a", False, lambda v: dg.exp_tail_facts(10, v)),
+    ("exp_tail_facts", "a", False, lambda v: lc.exp_tail_facts(10, v)),
     ("she_second_moment", "t", True, lambda v: mm.she_second_moment(1.0, 1.0, 1.0, v)),
     ("swe_second_moment", "t", True, lambda v: mm.swe_second_moment(1.0, 1.0, 1.0, 0.0, v)),
     ("volterra", "rtol", False, lambda v: mm.volterra_second_moment(SHE, [0.1, 0.2], rtol=v)),
-    ("wave_overlap", "eps", False, lambda v: sim.wave_overlap(v, 0.2, 0.2, 0.0, 0.0, 0.0)),
+    ("wave_overlap", "eps", False, lambda v: lc.wave_overlap(v, 0.2, 0.2, 0.0, 0.0, 0.0)),
 ] + [
     (f"SimConfig-{name}", name, False, lambda v, name=name: sim.SimConfig(**{**_CFG, name: v}))
     for name in ("dx", "dt", "domain_half_width", "t_end")
@@ -125,7 +127,7 @@ class TestArgumentRules:
         "call",
         [
             pytest.param(lambda: dg.chaos_term(SHE, 1.0, True), id="chaos_term-k"),
-            pytest.param(lambda: dg.stirling_sandwich_holds(True), id="stirling-n"),
+            pytest.param(lambda: lc.stirling_sandwich_holds(True), id="stirling-n"),
             pytest.param(lambda: dg.Partition((True, 1)), id="partition-entry"),
             pytest.param(lambda: sim.SimConfig(**{**_CFG, "seed": True}), id="SimConfig-seed"),
         ],

@@ -10,6 +10,8 @@ from spde_moments.errors import DomainTooSmall, InvalidParams, StabilityViolated
 from spde_moments.model import ModelParams, j0
 from spde_moments.simulate import SimConfig
 
+import lemma_checks as lc
+
 SHE = ModelParams(alpha=2, beta=1, gamma=0, lam=1, nu=1, dim=1, u0=1)
 SWE = ModelParams(alpha=2, beta=2, gamma=0, lam=1, nu=2, dim=1, u0=1, u1=0)
 
@@ -401,7 +403,7 @@ class TestSheNoiseAddress:
 
 class TestWaveOverlap:
     def test_d1_exact_value(self):
-        assert sim.wave_overlap(0.1, 0.2, 0.25, 0.05, -0.02, 0.0) == pytest.approx(0.05)
+        assert lc.wave_overlap(0.1, 0.2, 0.25, 0.05, -0.02, 0.0) == pytest.approx(0.05)
 
     def test_d1_lower_bound(self):
         # eps/2 >= eps^{-1} t s / (2 c^2) with c = 12 across the window; the
@@ -409,13 +411,13 @@ class TestWaveOverlap:
         eps = 0.3
         for t in (2 * eps, 6 * eps, 12 * eps, 3.6):
             for s in (2 * eps, 12 * eps, 3.6):
-                val = sim.wave_overlap(eps, t, s, 0.0, 0.0, 0.0)
+                val = lc.wave_overlap(eps, t, s, 0.0, 0.0, 0.0)
                 assert val >= t * s / (2.0 * 144.0 * eps) - 1e-15
 
     def test_geometry_guards(self):
         with pytest.raises(InvalidParams):
-            sim.wave_overlap(0.1, 0.1, 0.2, 0.0, 0.0, 0.0)  # t < 2 eps
+            lc.wave_overlap(0.1, 0.1, 0.2, 0.0, 0.0, 0.0)  # t < 2 eps
         with pytest.raises(InvalidParams):
-            sim.wave_overlap(0.3, 3.6 * (1 + 1e-12), 0.6, 0.0, 0.0, 0.0)  # t > 12 eps
+            lc.wave_overlap(0.3, 3.6 * (1 + 1e-12), 0.6, 0.0, 0.0, 0.0)  # t > 12 eps
         with pytest.raises(InvalidParams):
-            sim.wave_overlap(0.1, 0.2, 0.2, 0.2, 0.0, 0.0)  # a outside ball
+            lc.wave_overlap(0.1, 0.2, 0.2, 0.2, 0.0, 0.0)  # a outside ball
