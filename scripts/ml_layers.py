@@ -21,6 +21,14 @@ grid on [0, 2], the median time of the t_hat pass (from the call until the
 first `ml_array`), of the `ml_array` calls, with the number of elements
 they hand to scalar `ml`, and of `MomentCurve.to_csv`; and for
 `volterra --n-points 8192 --rtol 1e-4`, the two solves against the CSV.
+Last, the simulator layers on the `montecarlo` benchmark's grids
+(`perfbench/workloads.py`: `SHE_RUN`, `SWE_RUN`, and `chaos_term_mc` at
+k = 4 with `CHAOS_SAMPLES` draws at t = 1): the median time of one call,
+of its noise draw (`simulate._swe_noise`; the heat scheme's Philox
+`random_raw` calls, without the stream rewinds; the chaos term's
+`standard_gamma`) with its share of the call, and of the reduction to
+the probe statistics (`simulate._probe_output`), the rest being the
+stencil or the weights; for the wave, the cell rows of noise drawn.
 
     PYTHONPATH=src python scripts/ml_layers.py [--repeat N]
 """
@@ -33,13 +41,19 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
 from spde_moments import cli, model
 from spde_moments import diagrams as dg
 from spde_moments import moments as mm
+from spde_moments import simulate as sim
 from spde_moments import specialfn as sf
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads as wl  # noqa: E402  (the benchmark's grids; imports no library code)
 
 # (label, a, b, z): the branch ml takes at each point is printed, not assumed
 BRANCH_POINTS = [
@@ -66,6 +80,10 @@ _IMPORT_SCRIPT = (
     "import spde_moments.cli\n"
     "print(time.perf_counter() - t0)\n"
 )
+# the models of the montecarlo benchmark's simulator and chaos ops
+SIM_SHE = model.ModelParams(2.0, 1.0, 0.0, 1.0, 1.0, 1, u0=1.0)
+SIM_SWE = model.ModelParams(2.0, 2.0, 0.0, 1.0, 2.0, 1, u0=1.0, u1=0.0)
+CHAOS_K = 4
 _ROUTES = {
     "_series_float": "float",
     "_ml_contour": "contour",
@@ -186,6 +204,77 @@ def cold_import_ms() -> float:
     return 1e3 * statistics.median(times)
 
 
+@contextlib.contextmanager
+def patched(owner, name, value):
+    saved = getattr(owner, name)
+    setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        setattr(owner, name, saved)
+
+
+def timed(fn, marks: Counter, key: str):
+    """fn, adding its time to marks[key]."""
+    def call(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            marks[key] += time.perf_counter() - t0
+
+    return call
+
+
+def timed_method(cls, method: str, marks: Counter, key: str):
+    """A subclass of cls whose method adds its time to marks[key]."""
+    return type(cls.__name__, (cls,), {method: timed(getattr(cls, method), marks, key)})
+
+
+def swe_noise_spy(marks: Counter):
+    """_swe_noise timed into marks["draw"], its cell rows counted into
+    marks["rows"]."""
+    draw = sim._swe_noise
+
+    def counted(seed, cell_abs0, step, out):
+        marks["rows"] += len(out)
+        draw(seed, cell_abs0, step, out)
+
+    return patched(sim, "_swe_noise", timed(counted, marks, "draw"))
+
+
+def simulator_layers(repeat: int) -> list[tuple]:
+    """(label, call ms, draw ms, reduction ms, rows drawn), medians over
+    repeat calls, on the montecarlo benchmark's grids."""
+    she = sim.SimConfig(**wl.SHE_RUN, seed=1)
+    swe = sim.SimConfig(**wl.SWE_RUN, seed=1)
+    calls = [
+        (f"simulate_she, {she.n_paths} paths", lambda: sim.simulate_she(SIM_SHE, she, [she.t_end]),
+         lambda marks: patched(np.random, "Philox",
+                               timed_method(np.random.Philox, "random_raw", marks, "draw"))),
+        (f"simulate_swe, {swe.n_paths} paths", lambda: sim.simulate_swe(SIM_SWE, swe, [swe.t_end]),
+         swe_noise_spy),
+        (f"chaos_term_mc, k = {CHAOS_K}",
+         lambda: dg.chaos_term_mc(SIM_SHE, 1.0, CHAOS_K, wl.CHAOS_SAMPLES, 1),
+         lambda marks: patched(np.random, "Generator",
+                               timed_method(np.random.Generator, "standard_gamma", marks, "draw"))),
+    ]
+    rows = []
+    for label, call, spy in calls:
+        runs = []
+        for _ in range(repeat):
+            marks = Counter()
+            with spy(marks), patched(sim, "_probe_output",
+                                     timed(sim._probe_output, marks, "reduction")):
+                t0 = time.perf_counter()
+                call()
+                marks["call"] = time.perf_counter() - t0
+            runs.append(marks)
+        rows.append((label, *(1e3 * statistics.median(m[key] for m in runs)
+                              for key in ("call", "draw", "reduction")), runs[0]["rows"]))
+    return rows
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--repeat", type=int, default=21, help="timed runs per entry (median)")
@@ -245,6 +334,13 @@ def main() -> int:
     print(f"\n{' '.join(DIAGRAM_ARGV)} (median ms): {ms:.1f}"
           f"  (enumerate_admissible {enum_ms:.1f}, diagram_to_line {format_ms:.1f})")
     print(f"cold import spde_moments.cli (median of {IMPORT_RUNS}, ms): {cold_import_ms():.0f}")
+
+    print("\nsimulator layers on the montecarlo benchmark's grids (median ms)")
+    print(f"{'call':<28} {'call':>7} {'draw':>7} {'share':>6} {'reduce':>7} {'rest':>7} {'rows drawn':>10}")
+    for label, call_ms, draw_ms, reduce_ms, drawn in simulator_layers(args.repeat):
+        reduce = f"{reduce_ms:.2f}" if reduce_ms else "-"  # chaos_term_mc reduces inline
+        print(f"{label:<28} {call_ms:>7.2f} {draw_ms:>7.2f} {draw_ms / call_ms:>6.0%}"
+              f" {reduce:>7} {call_ms - draw_ms - reduce_ms:>7.2f} {drawn or '-':>10}")
     return 0
 
 

@@ -350,21 +350,29 @@ def chaos_term_mc(
     # gaps g_0..g_k with sum t; weighted factors attach to g_1..g_k
     tilt = (3.0 * th + 1.0) / 2.0
     conc = np.array([1.0] + [1.0 + tilt] * k)
-    gam = rng.gamma(shape=conc, scale=1.0, size=(samples, k + 1))
-    gaps = gam / gam.sum(axis=1, keepdims=True) * t
+    # in place, each operation in the order of the expressions
+    # gaps = gam / sum(gam) * t, logf = theta sum log g_r and
+    # logq = tilt sum log(g_r / t) + log_norm - k log t
+    gaps = rng.standard_gamma(conc, size=(samples, k + 1))
+    gaps /= gaps.sum(axis=1, keepdims=True)
+    gaps *= t
     # integrand prod g_r^theta over the simplex, importance weight =
     # dirichlet density on the scaled simplex
-    logf = th * np.log(gaps[:, 1:]).sum(axis=1)
+    weighted = gaps[:, 1:]
+    logs = np.log(weighted)
+    logf = logs.sum(axis=1)
+    logf *= th
     log_norm = math.lgamma(1.0 + k * (1.0 + tilt)) - k * math.lgamma(1.0 + tilt)
-    logq = (
-        tilt * np.log(gaps[:, 1:] / t).sum(axis=1)
-        + log_norm
-        - k * math.log(t)
-    )
+    np.divide(weighted, t, out=logs)
+    np.log(logs, out=logs)
+    logq = logs.sum(axis=1)
+    logq *= tilt
+    logq += log_norm
+    logq -= k * math.log(t)
     overflow = f"chaos term k={k} at t={t!r} exceeds the double range"
     scale = finite_or_overflow(lambda: p.u0**2 * kap**k, overflow)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        w = np.exp(logf - logq)
+        w = np.exp(np.subtract(logf, logq, out=logf), out=logf)
         est = scale * float(np.mean(w))
         se = scale * float(np.std(w, ddof=1) / math.sqrt(samples))
     if not (math.isfinite(est) and math.isfinite(se)):

@@ -2,7 +2,10 @@
 exact second moments of the heat scheme.
 
 The wave scheme steps the mild solution on its characteristic lattice
-(kappa dt = dx) with the discrete d'Alembert recursion.  All noise comes from
+(kappa dt = dx) with the discrete d'Alembert recursion, on the backward
+light cone of its last probe alone: the kernel has finite speed, so the
+probe reads no cell outside the cone, and neither the result nor the cost
+depends on the domain beyond it.  All noise comes from
 counter-based Philox streams addressed by (seed, time step, absolute cell),
 so results are bit-reproducible and a cell's noise does not depend on the
 domain truncation.  The heat scheme takes Rademacher (+-1) increments, one
@@ -255,9 +258,13 @@ def simulate_swe(
 
         A_n(j) = A_{n-1}(j-1) + A_{n-1}(j+1) - A_{n-2}(j) + v_n(j) + (v_n(j-1) + v_n(j+1))/2
 
-    (discrete d'Alembert), A_{-1} = A_{-2} = 0, run with zero cells past the
-    domain edges; the error from those moves in one cell per step, and the
-    light-cone guard keeps it off the probe at x = 0, the centre cell."""
+    (discrete d'Alembert), A_{-1} = A_{-2} = 0, with zero cells past the
+    domain edges.  Only the probe's backward light cone is stepped: with N
+    the last probe step, u(t_N, 0) at the centre cell reads A_n within
+    N - 1 - n cells of x = 0 and u_n, v_n and the noise within N - n, so
+    step n draws and updates those cells alone.  The light-cone guard keeps
+    the cone inside the domain, so it never meets the zero cells, and the
+    result, like the cost, does not depend on domain_half_width."""
     if not (p.alpha == 2 and p.beta == 2 and p.gamma == 0 and p.dim == 1):
         raise InvalidParams("simulate_swe requires alpha=2, beta=2, gamma=0, d=1")
     kappa = math.sqrt(p.nu / 2.0)
@@ -271,31 +278,41 @@ def simulate_swe(
         raise DomainTooSmall(
             f"light cone needs domain_half_width >= {required:.4g}"
         )
-    m = int(round(2.0 * cfg.domain_half_width / cfg.dx)) + 1
     steps = _probe_steps(cfg, probes)
     n_steps = steps[-1]
-
-    cell_abs0 = -int(round(cfg.domain_half_width / cfg.dx))
     noise_scale = math.sqrt(cfg.dt * cfg.dx)  # Var(dW over a cell) = dt dx
+    coef = p.lam / (2.0 * kappa)
 
-    u = np.full((cfg.n_paths, m), j0(p, 0.0))
-    # v, A_{n-1} and A_{n-2} over the domain plus one zero cell past each edge
-    v, a_last, a_before = (np.zeros((cfg.n_paths, m + 2)) for _ in range(3))
+    # the cone's 2 N + 1 cells, centre at row N, cell major so that each
+    # stencil operand is one contiguous block; v holds the noise, then u dW
+    width = 2 * n_steps + 1
+    u = np.full((width, cfg.n_paths), j0(p, 0.0))
+    v = np.empty((width, cfg.n_paths))
+    a_last, a_before = (np.zeros((width, cfg.n_paths)) for _ in range(2))
+    pair = np.empty((width - 2, cfg.n_paths))
     want = set(steps)
     samples = []
-    # drawn on this thread: a cell's draw is short and mostly holds the GIL,
-    # so worker threads would only contend with the step for it
-    rows = np.empty((m, cfg.n_paths))
     for n in range(n_steps):
-        _swe_noise(cfg.seed, cell_abs0, n, rows)
-        dw = rows.T * noise_scale
-        v[:, 1:-1] = u * dw
-        a_before[:, 1:-1] = (
-            a_last[:, :-2] + a_last[:, 2:] - a_before[:, 1:-1]
-            + v[:, 1:-1] + 0.5 * (v[:, :-2] + v[:, 2:])
-        )
+        # v_n on the cells within N - n of the centre, A_n within N - 1 - n;
+        # every update keeps the operation order of
+        # a_l[j-1] + a_l[j+1] - a_b[j] + v[j] + 0.5 (v[j-1] + v[j+1])
+        lo, hi = n, width - n
+        # drawn on this thread: a cell's draw is short and mostly holds the
+        # GIL, so worker threads would only contend with the step for it
+        _swe_noise(cfg.seed, lo - n_steps, n, v[lo:hi])
+        np.multiply(v[lo:hi], noise_scale, out=v[lo:hi])
+        np.multiply(u[lo:hi], v[lo:hi], out=v[lo:hi])
+        inner, left, right = slice(lo + 1, hi - 1), slice(lo, hi - 2), slice(lo + 2, hi)
+        a, tmp = a_before[inner], pair[: hi - lo - 2]
+        np.add(a_last[left], a_last[right], out=tmp)
+        np.subtract(tmp, a, out=a)
+        np.add(a, v[inner], out=a)
+        np.add(v[left], v[right], out=tmp)
+        np.multiply(tmp, 0.5, out=tmp)
+        np.add(a, tmp, out=a)
         a_last, a_before = a_before, a_last
-        u = j0(p, (n + 1) * cfg.dt) + (p.lam / (2.0 * kappa)) * a_last[:, 1:-1]
+        np.multiply(a, coef, out=u[inner])
+        np.add(u[inner], j0(p, (n + 1) * cfg.dt), out=u[inner])
         if (n + 1) in want:
-            samples.append(u[:, m // 2].astype(np.float64))
+            samples.append(u[n_steps].copy())
     return _probe_output(p, cfg, probes, "swe-mild-convolution", samples)

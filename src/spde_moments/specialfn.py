@@ -728,8 +728,9 @@ def ml(a: float, b: float, z: float) -> float:
     controlled expansion is available; the best-effort value is returned
     under MittagLefflerAccuracyWarning.  Overflow of the exponential
     terms, and z = +inf, return +inf; an algebraic term past the double
-    range (b far below 0) raises ResultOverflow.  z = NaN or -inf, a
-    non-finite b, or a not in (0, inf) raises ValidationError.  Where
+    range (b far below 0, E(0) = 1/Gamma(b) included) raises
+    ResultOverflow.  z = NaN or -inf, a non-finite b, or a not in (0, inf)
+    raises ValidationError.  Where
     b >= 171.6 the float series forms no term and the contour is not used:
     the mpmath series answers or ConvergenceFailure is raised.
     """
@@ -743,7 +744,10 @@ def ml(a: float, b: float, z: float) -> float:
         except OverflowError:
             return math.inf
     if z == 0.0:
-        return rgamma(b)
+        value = rgamma(b)
+        if math.isinf(value):  # E(0) = 1/Gamma(b), an algebraic term
+            raise ResultOverflow(f"E_{{{a!r},{b!r}}}({z!r}) exceeds the double range")
+        return value
     radius = _series_radius(a, b)
     if abs(z) < radius:
         return _ml_series(a, b, z)

@@ -411,6 +411,23 @@ class TestChaos:
         )
 
     @pytest.mark.parametrize(
+        "t, k, expected",
+        [
+            (0.37, 2, (0.12947110729880817, 0.0006830585628268259)),
+            (0.37, 3, (0.037130842351538344, 0.0002977066955887097)),
+            (2.5, 2, (0.7701853638291623, 0.004063313573994945)),
+            (2.5, 3, (0.5387265758570828, 0.004319387834129968)),
+        ],
+    )
+    def test_mc_bits_off_t_one(self, t, k, expected):
+        # recorded from the out-of-place expressions gam / sum(gam) * t and
+        # log(g / t): at t != 1 the scaling by t rounds, so a reordered
+        # operation changes the bits; theta = -8/15 tilts the draw otherwise
+        # than the heat model's theta = -1/2 above
+        p = ModelParams(1.5, 0.8, 0.2)
+        assert dg.chaos_term_mc(p, t, k, 20_000, seed=7) == expected
+
+    @pytest.mark.parametrize(
         "samples, seed", [(1, 0), (10.0, 0), (10, -1), (10, 2**64), (10, 1.0)]
     )
     def test_mc_samples_and_seed_checked(self, samples, seed):

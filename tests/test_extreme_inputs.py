@@ -6,7 +6,8 @@ drawn log-uniform over [1e-300, 1e300] (signed where the domain allows),
 must return a finite value or raise a package error (`SpdeMomentsError`);
 `ml` and `ml_array` may also return the +inf their docstrings promise,
 `gamma` and `rgamma` +-inf.  The audit takes the Mittag-Leffler parameters
-(a, b) from the models; a second slice draws them too.
+(a, b) from the models; a second slice draws them too.  Both slices also
+call the Mittag-Leffler functions at z = 0, which no draw reaches.
 
 Every test here runs with numpy's RuntimeWarning raised as an error, so
 a call whose arithmetic leaves the double range must settle it inside the
@@ -151,6 +152,8 @@ def test_extreme_inputs_return_finite_or_raise_package_errors():
     for name, f, p in _model_calls():
         _check(failures, name, f, (p,))
     for name, f, fixed, signs in _calls():
+        if name.startswith("specialfn.ml"):
+            _check(failures, name, f, fixed + (0.0,) * len(signs))
         for _ in range(DRAWS):
             _check(failures, name, f, fixed + tuple(_draw(rng, s) for s in signs))
     elapsed = time.perf_counter() - start
@@ -174,6 +177,9 @@ def test_ml_at_drawn_parameters_returns_finite_or_raises_package_errors():
             _check(failures, "specialfn.ml", sf.ml, (a, b, z))
             _check(failures, "specialfn.ml_array", sf.ml_array, (a, b, [z]))
             _check(failures, "specialfn.ml_log", sf.ml_log, (a, b, abs(z)))
+            _check(failures, "specialfn.ml", sf.ml, (a, b, 0.0))
+            _check(failures, "specialfn.ml_array", sf.ml_array, (a, b, [0.0]))
+            _check(failures, "specialfn.ml_log", sf.ml_log, (a, b, 0.0))
     assert not failures, f"{len(failures)} calls broke the rule:\n" + "\n".join(failures)
 
 
@@ -230,11 +236,24 @@ def test_ml_extreme_parameters(a, b, z):
                      ResultOverflow, "exceeds the double range$", id="ml_log_overflow"),
         pytest.param(lambda: sf.ml_log(1.0, -201.5, 0.0), ResultOverflow,
                      "exceeds the double range$", id="ml_log_overflow_at_0"),
+        pytest.param(lambda: sf.ml(1.0, -200.5, 0.0), ResultOverflow,
+                     "exceeds the double range$", id="ml_overflow_at_0"),
+        pytest.param(lambda: sf.ml_array(1.0, -200.5, [0.0]), ResultOverflow,
+                     "exceeds the double range$", id="ml_array_overflow_at_0"),
+        pytest.param(lambda: sf.ml(1.0, -201.5, 0.0), ResultOverflow,
+                     "exceeds the double range$", id="ml_overflow_at_0_positive"),
     ],
 )
 def test_ml_with_b_far_below_zero(call, error, message):
     # the contour's terms and the array series' Kahan sum leave the double
     # range without a warning; E = -4.5e56 has no log, and the logs of
-    # E ~ e^790 below the switch radius and of 1/Gamma(-201.5) are not formed
+    # E ~ e^790 below the switch radius and of 1/Gamma(-201.5) are not formed;
+    # E(0) = 1/Gamma(b) past the double range, of either sign, is not returned
     with pytest.raises(error, match=message):
         call()
+
+
+def test_ml_at_zero_just_inside_the_double_range():
+    # 1/Gamma(-170.5) = -3.0e307 is a double: returned, not raised
+    assert sf.ml(1.0, -170.5, 0.0) == -3.0186496508349884e+307
+    assert sf.ml_array(1.0, -170.5, [0.0])[0] == -3.0186496508349884e+307

@@ -341,6 +341,10 @@ SHE_CASE = dict(dx=0.05, dt=1e-3, domain_half_width=0.5, t_end=0.05)
 SHE_PROBES = [0.001, 0.02, 0.05]
 SWE_CASE = dict(dx=0.05, dt=0.05, domain_half_width=1.3, t_end=1.0)
 SWE_PROBES = [0.05, 0.5, 1.0]
+# the benchmark's wave grid at the light-cone guard's minimum L = t_end + 5 dx:
+# the cone of the last probe spans the domain but its 5 outermost cells
+SWE_EDGE_CASE = dict(dx=0.02, dt=0.02, domain_half_width=0.6, t_end=0.5)
+SWE_EDGE_PROBES = [0.02, 0.26, 0.5]
 
 
 class TestMatchesSerialLoops:
@@ -353,8 +357,33 @@ class TestMatchesSerialLoops:
     @pytest.mark.parametrize("n_paths", PATHS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_swe(self, seed, n_paths):
-        cfg = SimConfig(**SWE_CASE, n_paths=n_paths, seed=seed)
-        _assert_same_bits(sim.simulate_swe(SWE, cfg, SWE_PROBES), _serial_swe(SWE, cfg, SWE_PROBES))
+        for case, probes in ((SWE_CASE, SWE_PROBES), (SWE_EDGE_CASE, SWE_EDGE_PROBES)):
+            cfg = SimConfig(**case, n_paths=n_paths, seed=seed)
+            _assert_same_bits(sim.simulate_swe(SWE, cfg, probes), _serial_swe(SWE, cfg, probes))
+
+
+class TestLightCone:
+    def test_domain_changes_neither_bits_nor_draws(self, monkeypatch):
+        # the last probe, N = 25 steps, reads step n's noise on the
+        # 2 (N - n) + 1 cells around x = 0 alone: 675 rows drawn whatever
+        # the domain, against 25 x 61 = 1525 on the whole L = 0.6 grid
+        drawn = []
+        draw = sim._swe_noise
+
+        def spy(seed, cell_abs0, step, out):
+            drawn.append((step, cell_abs0, len(out)))
+            draw(seed, cell_abs0, step, out)
+
+        monkeypatch.setattr(sim, "_swe_noise", spy)
+        outs, rows = [], []
+        for half_width in (0.6, 3.0):
+            cfg = SimConfig(**{**SWE_EDGE_CASE, "domain_half_width": half_width}, n_paths=50, seed=9)
+            outs.append(sim.simulate_swe(SWE, cfg, SWE_EDGE_PROBES))
+            rows.append(drawn[:])
+            drawn.clear()
+        _assert_same_bits(outs[1], outs[0])
+        assert rows[0] == rows[1] == [(n, n - 25, 2 * (25 - n) + 1) for n in range(25)]
+        assert sum(count for _, _, count in rows[0]) == 675
 
 
 @pytest.fixture
