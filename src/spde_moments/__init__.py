@@ -4,7 +4,6 @@ equations driven by space-time white noise, with Monte Carlo validation."""
 from .errors import (
     ConvergenceFailure,
     DalangViolated,
-    DomainTooSmall,
     InvalidParams,
     MittagLefflerAccuracyWarning,
     ResultOverflow,

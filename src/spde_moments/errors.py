@@ -68,13 +68,5 @@ class StabilityViolated(SpdeMomentsError):
     exit_code = 4
 
 
-class DomainTooSmall(StabilityViolated):
-    """The wave simulator's domain does not hold the probe's light cone.
-
-    Raised by simulate_swe's light-cone guard only.  The heat scheme's
-    truncation is measured exactly, by comparing she_scheme_second_moment
-    on the domain and on a wider one."""
-
-
 class MittagLefflerAccuracyWarning(UserWarning):
     """Reduced-accuracy region: a > 2 far on the negative real axis."""

@@ -3,16 +3,17 @@ exact second moments of the heat scheme.
 
 The wave scheme steps the mild solution on its characteristic lattice
 (kappa dt = dx) with the discrete d'Alembert recursion, on the backward
-light cone of its last probe alone: the kernel has finite speed, so the
-probe reads no cell outside the cone, and neither the result nor the cost
-depends on the domain beyond it.  All noise comes from
-counter-based Philox streams addressed by (seed, time step, absolute cell),
-so results are bit-reproducible and a cell's noise does not depend on the
-domain truncation.  The heat scheme takes Rademacher (+-1) increments, one
-raw bit per path, so its first and second moments are those of the Gaussian
-scheme (higher moments are not) and a path's noise does not depend on the
-number of paths; the wave scheme keeps Gaussian increments, since its
-fourth moments depend on the law.  Both run on the calling thread.
+light cone of its last probe alone: the kernel has finite speed, so this is
+the scheme on the infinite lattice, and the wave reads no domain
+(domain_half_width sets the heat scheme's truncation only).  All noise
+comes from counter-based Philox streams addressed by (seed, time step,
+absolute cell), so results are bit-reproducible and a cell's noise does
+not depend on the domain truncation.  The heat scheme takes Rademacher
+(+-1) increments, one raw bit per path, so its first and second moments
+are those of the Gaussian scheme (higher moments are not) and a path's
+noise does not depend on the number of paths; the wave scheme keeps
+Gaussian increments, since its fourth moments depend on the law.  Both run
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 import numpy as np
 import numpy.random  # loaded with the module, not by the first simulator call
 
-from .errors import DomainTooSmall, InvalidParams, StabilityViolated
+from .errors import InvalidParams, StabilityViolated
 from .model import ModelParams, _require_integer, _require_positive, j0
 from .moments import MomentCurve
 
@@ -258,13 +259,12 @@ def simulate_swe(
 
         A_n(j) = A_{n-1}(j-1) + A_{n-1}(j+1) - A_{n-2}(j) + v_n(j) + (v_n(j-1) + v_n(j+1))/2
 
-    (discrete d'Alembert), A_{-1} = A_{-2} = 0, with zero cells past the
-    domain edges.  Only the probe's backward light cone is stepped: with N
-    the last probe step, u(t_N, 0) at the centre cell reads A_n within
-    N - 1 - n cells of x = 0 and u_n, v_n and the noise within N - n, so
-    step n draws and updates those cells alone.  The light-cone guard keeps
-    the cone inside the domain, so it never meets the zero cells, and the
-    result, like the cost, does not depend on domain_half_width."""
+    (discrete d'Alembert), A_{-1} = A_{-2} = 0, on the infinite lattice.
+    Only the probe's backward light cone is stepped: with N the last probe
+    step, u(t_N, 0) at the centre cell reads A_n within N - 1 - n cells of
+    x = 0 and u_n, v_n and the noise within N - n, so step n draws and
+    updates those cells alone, and reads none that step n - 1 did not
+    write.  cfg.domain_half_width is not read."""
     if not (p.alpha == 2 and p.beta == 2 and p.gamma == 0 and p.dim == 1):
         raise InvalidParams("simulate_swe requires alpha=2, beta=2, gamma=0, d=1")
     kappa = math.sqrt(p.nu / 2.0)
@@ -272,11 +272,6 @@ def simulate_swe(
         raise InvalidParams(
             "simulate_swe steps the characteristic lattice: needs "
             f"dt = dx/sqrt(nu/2) = {cfg.dx / kappa!r}"
-        )
-    required = kappa * cfg.t_end + 5.0 * cfg.dx
-    if cfg.domain_half_width < required - 1e-12:
-        raise DomainTooSmall(
-            f"light cone needs domain_half_width >= {required:.4g}"
         )
     steps = _probe_steps(cfg, probes)
     n_steps = steps[-1]

@@ -409,6 +409,14 @@ class TestSimulateCommand:
         sidecar = json.loads(out.split("monte-carlo\n", 1)[1])
         assert sidecar["dt"] == 0.02
 
+    def test_swe_reads_no_domain(self, capsys):
+        # the cone to t = 1.5 is wider than the default --domain-half-width
+        args = ["simulate", "--family", "swe", "--alpha", "2", "--beta", "2", "--nu", "2",
+                "--t-max", "1.5", "--paths", "50", "--seed", "4"]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0, err
+        assert out == run_cli(capsys, *args, "--domain-half-width", "3")[1]
+
     def test_swe_explicit_dt_off_lattice(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--family", "swe", "--alpha", "2", "--beta", "2",

@@ -5,7 +5,8 @@ Every exported name resolves to an object the package defines: the
 benchmark tracer looks up each `__all__` entry, so a stale one would break
 a traced run.  Every exported name has a caller in the package or its
 scripts, or is kept for the ROADMAP item named in `_PLANNED`: code that
-only the tests reach belongs with the tests."""
+only the tests reach belongs with the tests.  Every error class is raised or
+warned with by the package, or is the base of one that is."""
 
 from __future__ import annotations
 
@@ -181,4 +182,82 @@ def by_script():
     assert unreached_names(modules, scripts, {"lib.orphan": 4, "lib.gone": 4, "lib.used": 9}) == [
         "_PLANNED names lib.gone, which is not exported",
         "_PLANNED names lib.used, which has a caller",
+    ]
+
+
+def _name(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def vestigial_errors(errors: str, modules: dict[str, str]) -> list[str]:
+    """The classes of the `errors` source that nothing uses, from the source
+    texts of the package's modules (`errors` among them).
+
+    A class is used when a module raises it (`raise X` or `raise X(...)`) or
+    passes it to `warnings.warn`, or when it is the base of a used class.
+    """
+    bases = {
+        node.name: {_name(b) for b in node.bases}
+        for node in ast.parse(errors).body
+        if isinstance(node, ast.ClassDef)
+    }
+    used = set()
+    nodes = (node for text in modules.values() for node in ast.walk(ast.parse(text)))
+    for node in nodes:
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            used.add(_name(exc))
+        elif isinstance(node, ast.Call) and _name(node.func) == "warn":
+            used.update(_name(arg) for arg in [*node.args, *(k.value for k in node.keywords)])
+    for name in reversed(bases):  # a base is defined before its subclasses
+        if name in used:
+            used |= bases[name]
+    return [f"{c} is neither raised nor warned with" for c in bases if c not in used]
+
+
+def test_every_error_class_is_raised_or_warned():
+    package = Path(spde_moments.__file__).parent
+    modules = {f.stem: f.read_text() for f in package.glob("*.py")}
+    assert "ResultOverflow is neither raised nor warned with" in vestigial_errors(
+        modules["errors"], {}
+    )
+    assert vestigial_errors(modules["errors"], modules) == []
+
+
+def test_vestigial_errors_rejects_a_class_left_behind():
+    errors = '''
+class Base(Exception):
+    pass
+
+class Raised(Base):
+    pass
+
+class Called(Raised):
+    pass
+
+class Warned(UserWarning):
+    pass
+
+class Left(Base):
+    """Raised by nothing since its guard went."""
+'''
+    lib = '''
+import warnings
+from .errors import Called, Left, Raised, Warned
+
+def f(x):
+    try:
+        x()
+    except Left:  # raise Left
+        raise
+    if x:
+        raise errors.Called("x") from None
+    warnings.warn("rough", Warned)
+    return Left
+'''
+    modules = {"errors": errors, "lib": lib}
+    assert vestigial_errors(errors, modules) == ["Left is neither raised nor warned with"]
+    modules["lib"] = lib.replace("raise errors.Called(\"x\")", "raise Raised")
+    assert vestigial_errors(errors, modules) == [
+        "Called is neither raised nor warned with", "Left is neither raised nor warned with",
     ]

@@ -6,7 +6,7 @@ import pytest
 
 from spde_moments import moments as mm
 from spde_moments import simulate as sim
-from spde_moments.errors import DomainTooSmall, InvalidParams, StabilityViolated
+from spde_moments.errors import InvalidParams, StabilityViolated
 from spde_moments.model import ModelParams, j0
 from spde_moments.simulate import SimConfig
 
@@ -37,11 +37,6 @@ class TestConfig:
         cfg = SimConfig(dx=0.1, dt=0.01, domain_half_width=1.0, t_end=0.1, n_paths=10, seed=1)
         with pytest.raises(StabilityViolated):
             sim.simulate_she(SHE, cfg, [0.1])
-
-    def test_light_cone_guard(self):
-        cfg = SimConfig(dx=0.02, dt=0.02, domain_half_width=0.4, t_end=0.5, n_paths=10, seed=1)
-        with pytest.raises(DomainTooSmall):
-            sim.simulate_swe(SWE, cfg, [0.5])
 
     def test_parameter_slice_guard(self):
         cfg = SimConfig(dx=0.02, dt=1e-4, domain_half_width=1.0, t_end=0.1, n_paths=10, seed=1)
@@ -91,13 +86,6 @@ class TestReproducibility:
         assert threading.active_count() == before
         sim.simulate_swe(SWE, SimConfig(**SWE_CASE, n_paths=3, seed=1), SWE_PROBES)
         assert threading.active_count() == before
-
-    def test_swe_finite_speed_domain_invariance(self):
-        cfgA = SimConfig(dx=0.02, dt=0.02, domain_half_width=0.62, t_end=0.5, n_paths=40, seed=5)
-        cfgB = SimConfig(dx=0.02, dt=0.02, domain_half_width=1.24, t_end=0.5, n_paths=40, seed=5)
-        a = sim.simulate_swe(SWE, cfgA, [0.5])
-        b = sim.simulate_swe(SWE, cfgB, [0.5])
-        assert a.curve.values[0] == b.curve.values[0]
 
 
 def _dense_scheme_moment(p, cfg, t):
@@ -341,8 +329,8 @@ SHE_CASE = dict(dx=0.05, dt=1e-3, domain_half_width=0.5, t_end=0.05)
 SHE_PROBES = [0.001, 0.02, 0.05]
 SWE_CASE = dict(dx=0.05, dt=0.05, domain_half_width=1.3, t_end=1.0)
 SWE_PROBES = [0.05, 0.5, 1.0]
-# the benchmark's wave grid at the light-cone guard's minimum L = t_end + 5 dx:
-# the cone of the last probe spans the domain but its 5 outermost cells
+# the benchmark's wave grid, whose last probe's cone spans the whole L = 0.6
+# domain but its 5 outermost cells
 SWE_EDGE_CASE = dict(dx=0.02, dt=0.02, domain_half_width=0.6, t_end=0.5)
 SWE_EDGE_PROBES = [0.02, 0.26, 0.5]
 
@@ -366,7 +354,9 @@ class TestLightCone:
     def test_domain_changes_neither_bits_nor_draws(self, monkeypatch):
         # the last probe, N = 25 steps, reads step n's noise on the
         # 2 (N - n) + 1 cells around x = 0 alone: 675 rows drawn whatever
-        # the domain, against 25 x 61 = 1525 on the whole L = 0.6 grid
+        # the domain, against 25 x 61 = 1525 on the whole L = 0.6 grid; so
+        # also on a domain with fewer than 5 cells beyond the cone (L = 0.58)
+        # or narrower than the cone (L = 0.02)
         drawn = []
         draw = sim._swe_noise
 
@@ -376,14 +366,24 @@ class TestLightCone:
 
         monkeypatch.setattr(sim, "_swe_noise", spy)
         outs, rows = [], []
-        for half_width in (0.6, 3.0):
+        for half_width in (0.6, 3.0, 0.58, 0.02):
             cfg = SimConfig(**{**SWE_EDGE_CASE, "domain_half_width": half_width}, n_paths=50, seed=9)
             outs.append(sim.simulate_swe(SWE, cfg, SWE_EDGE_PROBES))
             rows.append(drawn[:])
             drawn.clear()
-        _assert_same_bits(outs[1], outs[0])
-        assert rows[0] == rows[1] == [(n, n - 25, 2 * (25 - n) + 1) for n in range(25)]
+        for out in outs[1:]:
+            _assert_same_bits(out, outs[0])
+        assert all(r == [(n, n - 25, 2 * (25 - n) + 1) for n in range(25)] for r in rows)
         assert sum(count for _, _, count in rows[0]) == 675
+        # the cone ends at the last probe, not at t_end: with t_end = 1.0
+        # (50 cells) past L = 0.6 (30 cells), the probe at 0.1 reads 5 steps
+        outs.clear()
+        for half_width in (0.6, 3.0):
+            cfg = SimConfig(dx=0.02, dt=0.02, domain_half_width=half_width, t_end=1.0,
+                            n_paths=50, seed=9)
+            outs.append(sim.simulate_swe(SWE, cfg, [0.1]))
+        _assert_same_bits(outs[1], outs[0])
+        assert drawn == 2 * [(n, n - 5, 2 * (5 - n) + 1) for n in range(5)]
 
 
 @pytest.fixture

@@ -164,6 +164,20 @@ class TestMittagLeffler:
         with pytest.warns(MittagLefflerAccuracyWarning):
             sf.ml(2.5, 1.0, z)
 
+    @pytest.mark.parametrize("a, b, z", [
+        (2.05, 0.5, -1979.0), (2.05, 1.0, -2500.0), (2.2, 1.0, -5000.0),
+        (2.5, 0.5, -8000.0), (2.5, 2.0, -12000.0), (3.0, 1.0, -26124.0),
+    ])
+    def test_a_above_two_negative_best_effort_value(self, a, b, z):
+        # the warned value has no derived bound, so it is pinned where it
+        # was measured: within 5e-14 of the series.  The reference carries
+        # 60 + |z|^{1/a} / 2 digits, more than the 40 + |z|^{1/a} / ln 10
+        # that the cancellation of its peak term, about e^{|z|^{1/a}}, needs
+        assert abs(z) >= sf._series_radius(a, b)
+        with pytest.warns(MittagLefflerAccuracyWarning):
+            value = sf.ml(a, b, z)
+        assert rel(value, _ml_series_60(a, b, z)) < 1e-12
+
     @pytest.mark.parametrize("k", [20, 100, 317])
     def test_oscillation_zeros_far_out(self, k):
         # E_{2,1}(-x) = cos(sqrt x); near its zeros the asymptotic real part
