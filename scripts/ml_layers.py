@@ -28,7 +28,9 @@ of its noise draw (`simulate._swe_noise`; the heat scheme's Philox
 `random_raw` calls, without the stream rewinds; the chaos term's
 `standard_gamma`) with its share of the call, and of the reduction to
 the probe statistics (`simulate._probe_output`), the rest being the
-stencil or the weights; for the wave, the cell rows of noise drawn.
+stencil or the weights; for the wave, the cell rows of noise drawn; and
+the tracemalloc peak of one more, untimed call (numpy reports its array
+allocations to tracemalloc).
 
     PYTHONPATH=src python scripts/ml_layers.py [--repeat N]
 """
@@ -41,6 +43,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -243,9 +246,19 @@ def swe_noise_spy(marks: Counter):
     return patched(sim, "_swe_noise", timed(counted, marks, "draw"))
 
 
+def traced_peak_mb(fn) -> float:
+    """The tracemalloc peak of one fn() call, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def simulator_layers(repeat: int) -> list[tuple]:
-    """(label, call ms, draw ms, reduction ms, rows drawn), medians over
-    repeat calls, on the montecarlo benchmark's grids."""
+    """(label, call ms, draw ms, reduction ms, rows drawn, peak MB), the
+    times medians over repeat calls, on the montecarlo benchmark's grids."""
     she = sim.SimConfig(**wl.SHE_RUN, seed=1)
     swe = sim.SimConfig(**wl.SWE_RUN, seed=1)
     calls = [
@@ -271,7 +284,8 @@ def simulator_layers(repeat: int) -> list[tuple]:
                 marks["call"] = time.perf_counter() - t0
             runs.append(marks)
         rows.append((label, *(1e3 * statistics.median(m[key] for m in runs)
-                              for key in ("call", "draw", "reduction")), runs[0]["rows"]))
+                              for key in ("call", "draw", "reduction")), runs[0]["rows"],
+                     traced_peak_mb(call)))
     return rows
 
 
@@ -336,11 +350,12 @@ def main() -> int:
     print(f"cold import spde_moments.cli (median of {IMPORT_RUNS}, ms): {cold_import_ms():.0f}")
 
     print("\nsimulator layers on the montecarlo benchmark's grids (median ms)")
-    print(f"{'call':<28} {'call':>7} {'draw':>7} {'share':>6} {'reduce':>7} {'rest':>7} {'rows drawn':>10}")
-    for label, call_ms, draw_ms, reduce_ms, drawn in simulator_layers(args.repeat):
+    print(f"{'call':<28} {'call':>7} {'draw':>7} {'share':>6} {'reduce':>7} {'rest':>7} {'rows drawn':>10}"
+          f" {'peak MB':>8}")
+    for label, call_ms, draw_ms, reduce_ms, drawn, peak_mb in simulator_layers(args.repeat):
         reduce = f"{reduce_ms:.2f}" if reduce_ms else "-"  # chaos_term_mc reduces inline
         print(f"{label:<28} {call_ms:>7.2f} {draw_ms:>7.2f} {draw_ms / call_ms:>6.0%}"
-              f" {reduce:>7} {call_ms - draw_ms - reduce_ms:>7.2f} {drawn or '-':>10}")
+              f" {reduce:>7} {call_ms - draw_ms - reduce_ms:>7.2f} {drawn or '-':>10} {peak_mb:>8.2f}")
     return 0
 
 

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _ENUM_CAP = 12  # exhaustive-enumeration vertex budget
+_MC_BLOCK = 4096  # chaos_term_mc's rows per block: 160 KiB of gaps at k = 4
 
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
@@ -336,6 +337,15 @@ def chaos_term_mc(
     from a Dirichlet law tilted by (3 theta + 1)/2, which keeps the weight
     square integrable for every theta > -1 (plain uniform sampling has
     infinite variance once theta <= -1/2).
+
+    The samples are drawn and weighted in blocks of _MC_BLOCK rows, with
+    the same bits as one draw of all of them: successive standard_gamma
+    calls read the one Philox stream in the order a single call does, each
+    weight depends on its own row alone and is computed by the same
+    operations in the same order, and the mean and standard deviation run
+    over the whole weight array.  Working memory is 8 bytes per sample for
+    the weights (16 while np.std holds its deviations) plus one block; a
+    weight array that cannot be allocated raises TooLarge.
     """
     dc = _chaos_constants(p, t, k)
     if k > 4:
@@ -346,33 +356,40 @@ def chaos_term_mc(
         return p.u0**2, 0.0
     th = dc.theta
     kap = p.lam**2 * dc.big_theta
+    overflow = f"chaos term k={k} at t={t!r} exceeds the double range"
+    scale = finite_or_overflow(lambda: p.u0**2 * kap**k, overflow)
+    try:
+        w = np.empty(samples)
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
+        raise TooLarge(f"{samples} Monte Carlo samples do not fit in memory") from None
     rng = np.random.Generator(np.random.Philox(key=seed))
     # gaps g_0..g_k with sum t; weighted factors attach to g_1..g_k
     tilt = (3.0 * th + 1.0) / 2.0
     conc = np.array([1.0] + [1.0 + tilt] * k)
-    # in place, each operation in the order of the expressions
-    # gaps = gam / sum(gam) * t, logf = theta sum log g_r and
-    # logq = tilt sum log(g_r / t) + log_norm - k log t
-    gaps = rng.standard_gamma(conc, size=(samples, k + 1))
-    gaps /= gaps.sum(axis=1, keepdims=True)
-    gaps *= t
-    # integrand prod g_r^theta over the simplex, importance weight =
-    # dirichlet density on the scaled simplex
-    weighted = gaps[:, 1:]
-    logs = np.log(weighted)
-    logf = logs.sum(axis=1)
-    logf *= th
     log_norm = math.lgamma(1.0 + k * (1.0 + tilt)) - k * math.lgamma(1.0 + tilt)
-    np.divide(weighted, t, out=logs)
-    np.log(logs, out=logs)
-    logq = logs.sum(axis=1)
-    logq *= tilt
-    logq += log_norm
-    logq -= k * math.log(t)
-    overflow = f"chaos term k={k} at t={t!r} exceeds the double range"
-    scale = finite_or_overflow(lambda: p.u0**2 * kap**k, overflow)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        w = np.exp(np.subtract(logf, logq, out=logf), out=logf)
+    for start in range(0, samples, _MC_BLOCK):
+        rows = min(_MC_BLOCK, samples - start)
+        # in place, each operation in the order of the expressions
+        # gaps = gam / sum(gam) * t, logf = theta sum log g_r and
+        # logq = tilt sum log(g_r / t) + log_norm - k log t
+        gaps = rng.standard_gamma(conc, size=(rows, k + 1))
+        gaps /= gaps.sum(axis=1, keepdims=True)
+        gaps *= t
+        # integrand prod g_r^theta over the simplex, importance weight =
+        # dirichlet density on the scaled simplex
+        weighted = gaps[:, 1:]
+        logs = np.log(weighted)
+        logf = logs.sum(axis=1)
+        logf *= th
+        np.divide(weighted, t, out=logs)
+        np.log(logs, out=logs)
+        logq = logs.sum(axis=1)
+        logq *= tilt
+        logq += log_norm
+        logq -= k * math.log(t)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            np.exp(np.subtract(logf, logq, out=logf), out=w[start : start + rows])
+    with np.errstate(over="ignore", invalid="ignore"):
         est = scale * float(np.mean(w))
         se = scale * float(np.std(w, ddof=1) / math.sqrt(samples))
     if not (math.isfinite(est) and math.isfinite(se)):

@@ -48,8 +48,6 @@ class SimConfig:
             _require_positive(name, getattr(self, name))
         _require_integer("n_paths", self.n_paths, 2)
         _require_integer("seed", self.seed, 0, 2**64)
-        if abs(self.domain_half_width / self.dx - round(self.domain_half_width / self.dx)) > 1e-9:
-            raise InvalidParams("domain_half_width must be a multiple of dx")
 
 
 @dataclass(frozen=True)
@@ -94,6 +92,8 @@ def _she_grid(p: ModelParams, cfg: SimConfig, probes: Sequence[float]):
     """Cell count and probe steps of the heat scheme."""
     if not (p.alpha == 2 and p.beta == 1 and p.gamma == 0 and p.dim == 1):
         raise InvalidParams("simulate_she requires alpha=2, beta=1, gamma=0, d=1")
+    if abs(cfg.domain_half_width / cfg.dx - round(cfg.domain_half_width / cfg.dx)) > 1e-9:
+        raise InvalidParams("domain_half_width must be a multiple of dx")
     if cfg.dt > cfg.dx**2 / (2.0 * p.nu) + 1e-15:
         raise StabilityViolated(
             f"explicit scheme needs dt <= dx^2/(2 nu) = {cfg.dx**2/(2*p.nu):.3e}"

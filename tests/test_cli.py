@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import re
+import resource
 import shlex
 from pathlib import Path
 
@@ -342,6 +343,24 @@ class TestScalarCommands:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["type"] == "InvalidParams"
 
+    def test_chaos_huge_sample_count(self, capsys):
+        # 1e12 weights need 7.3 TiB; the address-space cap makes the
+        # allocation fail where the host would overcommit it
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = 2**40 if hard == resource.RLIM_INFINITY else min(hard, 2**40)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        try:
+            code, out, err = run_cli(
+                capsys, "chaos", "--alpha", "2", "--beta", "1", "--k", "1",
+                "--mc-samples", "1000000000000",
+            )
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "TooLarge"
+        assert "1000000000000" in error["message"]
+
     def test_chaos(self, capsys):
         code, out, _ = run_cli(
             capsys, "chaos", "--alpha", "2", "--beta", "1", "--t", "1", "--k", "2",
@@ -416,6 +435,14 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, *args)
         assert code == 0, err
         assert out == run_cli(capsys, *args, "--domain-half-width", "3")[1]
+
+    def test_swe_domain_off_the_dx_grid(self, capsys):
+        # 1.2 is no multiple of dx = 0.07, a rule of the heat scheme's grid
+        args = ["simulate", "--family", "swe", "--alpha", "2", "--beta", "2", "--nu", "2",
+                "--dx", "0.07", "--t-max", "0.7"]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0, err
+        assert out == run_cli(capsys, *args, "--domain-half-width", "1.26")[1]
 
     def test_swe_explicit_dt_off_lattice(self, capsys):
         code, _, err = run_cli(

@@ -3,9 +3,12 @@ import copy
 import gc
 import io
 import itertools
+import json
 import math
 import pickle
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -26,6 +29,8 @@ def rel(a, b):
 
 
 SHE = ModelParams(alpha=2, beta=1, gamma=0, lam=1, nu=1, dim=1, u0=1)
+BLOCK_EDGE_MODELS = {"she": SHE, "frac": ModelParams(1.5, 0.8, 0.2)}
+BLOCK_EDGE_PINS = json.loads((Path(__file__).parent / "chaos_mc_block_edges.json").read_text())
 
 
 def brute_force_matchings(partition: Partition):
@@ -426,6 +431,40 @@ class TestChaos:
         # than the heat model's theta = -1/2 above
         p = ModelParams(1.5, 0.8, 0.2)
         assert dg.chaos_term_mc(p, t, k, 20_000, seed=7) == expected
+
+    @pytest.mark.parametrize(
+        "pin", BLOCK_EDGE_PINS["pins"],
+        ids=lambda pin: f"{pin['model']}-t{pin['t']}-k{pin['k']}",
+    )
+    def test_mc_bits_at_block_edges(self, pin):
+        # recorded when all samples were drawn and weighted at once: the
+        # counts straddle the first two block edges, and the bits must not
+        # depend on where the blocks split the draw
+        b = BLOCK_EDGE_PINS["recorded_with_block"]
+        assert [n for n, *_ in pin["values"]] == [2, b - 1, b, b + 1, 2 * b + 3]
+        assert dg._MC_BLOCK == b
+        p = BLOCK_EDGE_MODELS[pin["model"]]
+        for n, est, se in pin["values"]:
+            assert dg.chaos_term_mc(p, pin["t"], pin["k"], n, pin["seed"]) == (est, se), n
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_mc_working_memory(self, k):
+        # the weights (8 B a sample, 16 while np.std holds its deviations)
+        # are all that grows with samples; one block fits in the 1 MiB
+        samples = 400_000
+        dg.chaos_term_mc(SHE, 1.0, k, 10, 0)
+        tracemalloc.start()
+        try:
+            dg.chaos_term_mc(SHE, 1.0, k, samples, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * samples + 2**20, peak / samples
+
+    @pytest.mark.parametrize("samples", [2**62, 10**30])
+    def test_mc_samples_beyond_the_array_limit(self, samples):
+        with pytest.raises(TooLarge, match=str(samples)):
+            dg.chaos_term_mc(SHE, 1.0, 1, samples, 0)
 
     @pytest.mark.parametrize(
         "samples, seed", [(1, 0), (10.0, 0), (10, -1), (10, 2**64), (10, 1.0)]

@@ -22,8 +22,16 @@ class TestConfig:
             SimConfig(dx=-0.1, dt=0.01, domain_half_width=1, t_end=1, n_paths=10, seed=1)
         with pytest.raises(InvalidParams):
             SimConfig(dx=0.02, dt=0.01, domain_half_width=1, t_end=1, n_paths=1, seed=1)
-        with pytest.raises(InvalidParams):
-            SimConfig(dx=0.03, dt=0.01, domain_half_width=1.0, t_end=1, n_paths=10, seed=1)
+
+    def test_heat_domain_is_a_multiple_of_dx(self):
+        # the heat scheme's grid needs it; the wave reads no domain
+        cfg = SimConfig(dx=0.03, dt=0.01, domain_half_width=1.0, t_end=1, n_paths=10, seed=1)
+        with pytest.raises(InvalidParams, match="multiple of dx"):
+            sim.simulate_she(SHE, cfg, [0.01])
+        with pytest.raises(InvalidParams, match="multiple of dx"):
+            sim.she_scheme_second_moment(SHE, cfg, [0.01])
+        wave = SimConfig(dx=0.03, dt=0.03, domain_half_width=1.0, t_end=0.3, n_paths=10, seed=1)
+        assert np.isfinite(sim.simulate_swe(SWE, wave, [0.3]).curve.values).all()
 
     @pytest.mark.parametrize(
         "n_paths,seed", [(10, 1.5), (100.5, 1), (math.nan, 1), (10, math.nan), (10, 2**64)]
