@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specialfn as sf
-from .errors import InvalidParams, NotBalanced, ResultOverflow, TooLarge, finite_or_overflow
+from .errors import InvalidParams, NotBalanced, TooLarge, finite_or_overflow
 from .model import ModelParams, _require_integer, _require_positive, derived_constants
 
 __all__ = [
@@ -305,20 +305,13 @@ def chaos_term(p: ModelParams, t: float, k: int) -> float:
     if k == 0:
         return p.u0**2
     n = k * (dc.theta + 1.0)
-
-    def value():
-        try:
-            term = p.u0**2 * dc.lyapunov_base**k * t**n * sf.rgamma(n + 1.0)
-        except OverflowError:
-            term = math.inf
-        if math.isfinite(term):
-            return term
-        # a power left the double range before the factors met: meet them
-        # in logs (lambda = 1e10, t = 1e-10, k = 20 gives 2.6e287)
-        log_term = k * math.log(dc.lyapunov_base) + n * math.log(t) - math.lgamma(n + 1.0)
-        return p.u0**2 * math.exp(log_term)
-
-    return finite_or_overflow(value, f"chaos term k={k} at t={t!r} exceeds the double range")
+    # lambda = 1e10, t = 1e-10, k = 20: 2.6e287, but a power leaves the range
+    return finite_or_overflow(
+        lambda: p.u0**2 * dc.lyapunov_base**k * t**n * sf.rgamma(n + 1.0),
+        f"chaos term k={k} at t={t!r} exceeds the double range",
+        lambda: p.u0**2
+        * math.exp(k * math.log(dc.lyapunov_base) + n * math.log(t) - math.lgamma(n + 1.0)),
+    )
 
 
 def chaos_term_mc(
@@ -346,6 +339,11 @@ def chaos_term_mc(
     over the whole weight array.  Working memory is 8 bytes per sample for
     the weights (16 while np.std holds its deviations) plus one block; a
     weight array that cannot be allocated raises TooLarge.
+
+    The scale u0^2 (lambda^2 Theta)^k meets the weights' mean and standard
+    error in logs where it alone leaves the double range, and where their
+    squared deviations underflow, the deviation is taken relative to the
+    largest weight.
     """
     dc = _chaos_constants(p, t, k)
     if k > 4:
@@ -355,9 +353,6 @@ def chaos_term_mc(
     if k == 0:
         return p.u0**2, 0.0
     th = dc.theta
-    kap = p.lam**2 * dc.big_theta
-    overflow = f"chaos term k={k} at t={t!r} exceeds the double range"
-    scale = finite_or_overflow(lambda: p.u0**2 * kap**k, overflow)
     try:
         w = np.empty(samples)
     except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
@@ -390,11 +385,22 @@ def chaos_term_mc(
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             np.exp(np.subtract(logf, logq, out=logf), out=w[start : start + rows])
     with np.errstate(over="ignore", invalid="ignore"):
-        est = scale * float(np.mean(w))
-        se = scale * float(np.std(w, ddof=1) / math.sqrt(samples))
-    if not (math.isfinite(est) and math.isfinite(se)):
-        raise ResultOverflow(overflow)
-    return est, se
+        mean = float(np.mean(w))
+        sd = float(np.std(w, ddof=1) / math.sqrt(samples))
+        if sd == 0.0 and w.min() < w.max():  # the squared deviations underflowed
+            top = float(w.max())
+            sd = float(np.std(np.divide(w, top, out=w), ddof=1) / math.sqrt(samples)) * top
+
+    def scaled(x):  # u0^2 kappa^k x with kappa = lambda^2 Theta
+        log_kappa = 2.0 * math.log(abs(p.lam)) + math.log(dc.big_theta)
+        # x = 0 under a scale past the range is an underflow: NaN, so ResultOverflow
+        return finite_or_overflow(
+            lambda: p.u0**2 * (p.lam**2 * dc.big_theta) ** k * x,
+            f"chaos term k={k} at t={t!r} exceeds the double range",
+            lambda: p.u0**2 * math.exp(k * log_kappa + math.log(x)) if x else math.nan,
+        )
+
+    return scaled(mean), scaled(sd)
 
 
 def diagram_to_line(diagram: FeynmanDiagram) -> str:

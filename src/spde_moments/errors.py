@@ -51,15 +51,18 @@ class ResultOverflow(SpdeMomentsError, OverflowError):
     """A result lies outside the double range; the input itself is valid."""
 
 
-def finite_or_overflow(compute, message: str) -> float:
-    """compute(), or ResultOverflow(message) when it overflows or is not finite."""
-    try:
-        value = compute()
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ResultOverflow(message)
-    return value
+def finite_or_overflow(compute, message: str, in_logs=None) -> float:
+    """The one overflow rule: compute() when it is finite, else in_logs(),
+    the same product with its factors met in logs; ResultOverflow(message)
+    only when that is not finite either: the result leaves the double range."""
+    for form in (compute,) if in_logs is None else (compute, in_logs):
+        try:
+            value = form()
+        except OverflowError:
+            continue
+        if math.isfinite(value):
+            return value
+    raise ResultOverflow(message)
 
 
 class StabilityViolated(SpdeMomentsError):

@@ -88,30 +88,26 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """theta, Theta and lambda^2 Theta Gamma(theta + 1) of one model."""
+    """theta, Theta and lambda^2 Theta Gamma(theta + 1) of one model;
+    `derived_constants` builds it only when all three are finite."""
 
     theta: float
     big_theta: float
     lyapunov_base: float  # lambda^2 * Theta * Gamma(theta + 1)
 
     def t_hat(self, t: float) -> float:
-        """Theta * Gamma(theta+1) * t^(theta+1); ResultOverflow past the
-        double range."""
+        """Theta * Gamma(theta+1) * t^(theta+1), met in logs where a factor
+        leaves the double range (Gamma(theta + 1) past theta = 170, or the
+        power); ResultOverflow where the product does."""
         _require_positive("t", t)
-
-        def value():
-            gamma_th = sf.gamma(self.theta + 1.0)
-            if math.isinf(gamma_th):
-                # as in derived_constants: a tiny Theta may bring the product
-                # back into range, so form it through lgamma
-                return math.exp(
-                    math.log(self.big_theta)
-                    + math.lgamma(self.theta + 1.0)
-                    + (self.theta + 1.0) * math.log(t)
-                )
-            return self.big_theta * gamma_th * t ** (self.theta + 1.0)
-
-        return finite_or_overflow(value, f"t_hat at t={t!r} exceeds the double range")
+        th = self.theta
+        return finite_or_overflow(
+            lambda: self.big_theta * sf.gamma(th + 1.0) * t ** (th + 1.0),
+            f"t_hat at t={t!r} exceeds the double range",
+            lambda: math.exp(
+                math.log(self.big_theta) + math.lgamma(th + 1.0) + (th + 1.0) * math.log(t)
+            ),
+        )
 
 
 class KernelSign(enum.Enum):
@@ -356,27 +352,20 @@ def big_theta(p: ModelParams) -> float:
 
 def derived_constants(p: ModelParams) -> DerivedConstants:
     """The record of one model's constants; DalangViolated outside Dalang's
-    condition, ResultOverflow when lambda^2, or lambda^2 Theta Gamma(theta +
-    1) formed past the overflow of Gamma(theta + 1), exceeds the double
-    range."""
+    condition.  lambda^2 Theta Gamma(theta + 1) is met in logs where a
+    factor leaves the double range (lambda^2, or Gamma(theta + 1) past theta
+    = 170 against a tiny Theta), and ResultOverflow is raised where the
+    product does."""
     _require_dalang(p)
     th = theta(p)
     bt = big_theta(p)
-    gamma_th = sf.gamma(th + 1.0)
-    if math.isinf(gamma_th):
-        # Gamma(theta + 1) overflows for theta > 170 while the product with
-        # a tiny Theta may not: form it through lgamma
-        log_base = 2.0 * math.log(abs(p.lam)) + math.log(bt) + math.lgamma(th + 1.0)
-        try:
-            return DerivedConstants(th, bt, math.exp(log_base))
-        except OverflowError:
-            raise ResultOverflow(
-                f"lambda^2 Theta Gamma(theta + 1) exceeds the double range: theta={th!r}"
-            ) from None
-    try:
-        return DerivedConstants(th, bt, p.lam**2 * bt * gamma_th)
-    except OverflowError:
-        raise ResultOverflow(f"lambda^2 exceeds the double range: lambda={p.lam!r}") from None
+    base = finite_or_overflow(
+        lambda: p.lam**2 * bt * sf.gamma(th + 1.0),
+        "lambda^2 Theta Gamma(theta + 1) exceeds the double range: "
+        f"lambda={p.lam!r}, theta={th!r}",
+        lambda: math.exp(2.0 * math.log(abs(p.lam)) + math.log(bt) + math.lgamma(th + 1.0)),
+    )
+    return DerivedConstants(th, bt, base)
 
 
 def t_p(p: ModelParams, t: float, pp: float) -> float:

@@ -162,6 +162,16 @@ class TestConstants:
             want = math.exp(mm.second_moment_log(p, float(t)))
             assert abs(float(value) - want) <= 1e-13 * want
 
+    def test_base_overflow_is_its_own_error(self, capsys):
+        # lambda^2 fits, the float product lambda^2 Theta Gamma(theta + 1)
+        # does not: the record's own ResultOverflow, not the payload's
+        code, out, err = run_cli(capsys, "constants", "--alpha", "1.05", "--beta", "1",
+                                 "--lambda", "1.3e154")
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ResultOverflow"
+        assert error["message"].startswith("lambda^2 Theta Gamma(theta + 1) exceeds the double")
+
     def test_contour_weight_overflow_is_a_json_error(self, capsys):
         # E_{1,130} on the negative axis used to raise a raw OverflowError in
         # the contour; now Theta is reported below the double range

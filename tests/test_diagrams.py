@@ -349,6 +349,7 @@ class TestChaos:
         # 30-digit mpmath value of the same formula
         got = dg.chaos_term(ModelParams(2, 1, lam=1e10), 1e-10, 20)
         assert rel(got, 2.62807075729233933378667521045e287) < 1e-12
+        assert got.hex() == "0x1.b9d607e90fc36p+954"  # the bits of the log form
 
     def test_she_level_one(self):
         # Theta Gamma(1/2) / Gamma(3/2) with Theta = 1/sqrt(4 pi) equals 1/sqrt(pi)
@@ -394,6 +395,22 @@ class TestChaos:
         est, se = dg.chaos_term_mc(p, 0.8, 2, 60_000, seed=5)
         exact = dg.chaos_term(p, 0.8, 2)
         assert abs(est - exact) <= 3.0 * se
+
+    def test_mc_scale_past_the_range_meets_the_mean_in_logs(self):
+        # kappa^4 = (lambda^2 Theta)^4 ~ 6e317 against a weight mean ~ 5e-80
+        p = ModelParams(2, 1, lam=1e40)
+        est, se = dg.chaos_term_mc(p, 1e-40, 4, 20_000, seed=3)
+        exact = dg.chaos_term(p, 1e-40, 4)
+        assert rel(exact, 3.125e238) < 1e-12
+        assert 0.0 < se and abs(est - exact) <= 4.0 * se, (est, exact, se)
+
+    def test_mc_se_of_tiny_weights(self):
+        # at t = 1e-100 every weight is its t = 1 value times t^(k (theta +
+        # 1)) = 1e-200, so their squared deviations underflow
+        est, se = dg.chaos_term_mc(SHE, 1e-100, 4, 20_000, seed=0)
+        est_1, se_1 = dg.chaos_term_mc(SHE, 1.0, 4, 20_000, seed=0)
+        assert rel(est, est_1 * 1e-200) < 1e-6
+        assert se > 0.0 and rel(se, se_1 * 1e-200) < 1e-6
 
     def test_mc_vanishing_lambda(self):
         p = ModelParams(2, 1, 0, 1e-8, 1, 1, u0=1.0)

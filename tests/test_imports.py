@@ -261,3 +261,84 @@ def f(x):
     assert vestigial_errors(errors, modules) == [
         "Called is neither raised nor warned with", "Left is neither raised nor warned with",
     ]
+
+
+# the functions of model, moments and diagrams that catch OverflowError
+# themselves; every other overflow goes through errors.finite_or_overflow
+_OVERFLOW_HANDLERS = {
+    "model.kernel_ft": "a power past the range would reach ml as an argument of -inf",
+    "moments._volterra_solve": "an h_max past the range is no error: every step is below it",
+}
+
+
+def overflow_handlers(modules: dict[str, str]) -> list[str]:
+    """"module.function" for each `except` clause naming OverflowError (alone
+    or in a tuple) in the source texts, keyed by file stem; a handler in a
+    nested function or a method counts for its top-level function or class
+    member, and one outside any function for "module.<module>"."""
+    found = []
+    for stem, text in modules.items():
+        scopes = []
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.ClassDef):
+                scopes += [(f"{node.name}.{m.name}", m) for m in node.body
+                           if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scopes.append((node.name, node))
+            else:
+                scopes.append(("<module>", node))
+        for name, scope in scopes:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    types_ = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                    if "OverflowError" in map(_name, types_):
+                        found.append(f"{stem}.{name}")
+    return found
+
+
+def test_overflow_is_caught_only_by_the_one_rule():
+    package = Path(spde_moments.__file__).parent
+    modules = {stem: (package / f"{stem}.py").read_text()
+               for stem in ("model", "moments", "diagrams")}
+    found = overflow_handlers(modules)
+    assert sorted(set(found) - _OVERFLOW_HANDLERS.keys()) == []
+    assert sorted(_OVERFLOW_HANDLERS.keys() - set(found)) == []  # no stale entry
+
+
+def test_overflow_handlers_finds_every_scope():
+    lib = '''
+try:
+    import fast
+except (ImportError, OverflowError):
+    fast = None
+
+def direct(x):
+    try:
+        return x ** 2
+    except OverflowError:
+        return None
+
+def nested(x):
+    def inner():
+        try:
+            return x()
+        except (ValueError, OverflowError):
+            raise
+    return inner
+
+def other(x):
+    try:
+        return x()
+    except ValueError:  # except OverflowError
+        return None
+
+class Box:
+    def method(self):
+        try:
+            pass
+        except errors.OverflowError:
+            pass
+'''
+    assert overflow_handlers({"lib": lib}) == [
+        "lib.<module>", "lib.direct", "lib.nested", "lib.Box.method",
+    ]

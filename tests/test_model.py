@@ -473,8 +473,20 @@ class TestDerived:
             dc.t_hat(0.0)
 
     def test_lambda_overflow_reported(self):
-        with pytest.raises(ResultOverflow):
-            md.derived_constants(ModelParams(2, 1, lam=1e200))
+        # at (1.05, 1) lambda^2 = 1.69e308 fits and the base does not: the
+        # record never holds an infinity
+        for p in (ModelParams(2, 1, lam=1e200), ModelParams(1.05, 1, lam=1.3e154)):
+            with pytest.raises(ResultOverflow, match="^lambda\\^2 Theta Gamma"):
+                md.derived_constants(p)
+
+    def test_bits_of_the_log_route(self):
+        # theta = 179.5: Gamma(180.5) overflows, so the base and t_hat are met
+        # in logs; a tiny Theta brings them back into the double range
+        dc = md.derived_constants(ModelParams(2, 1, gamma=90))
+        assert dc.lyapunov_base.hex() == "0x1.e7859800eb98bp+173"
+        pins = {0.25: "0x1.e7859800eb9d9p-188", 1.0: "0x1.e7859800eb98bp+173",
+                3.0: "0x1.02af7206f7475p+460"}
+        assert {t: dc.t_hat(t).hex() for t in pins} == pins
 
     @given(st.floats(min_value=0.05, max_value=10.0), st.floats(min_value=0.3, max_value=4.0))
     def test_t_hat_she(self, t, nu):
